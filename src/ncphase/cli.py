@@ -21,6 +21,7 @@ from .darboux import build_map, cell_size, omega_canonical, omega_deformed
 from .params import ModelParams, derive, load_params
 from .starcalc import gaussian_star, star_exp, star_log_gaussian
 from .wigner import (
+    MAX_INDEX,
     energy_level,
     genvalue_residual,
     hamiltonians_pm,
@@ -130,8 +131,8 @@ def cmd_spectrum(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    if args.imax > 12 or args.jmax > 12 or args.imax < 0 or args.jmax < 0:
-        print("error: indices must lie in 0..12", file=sys.stderr)
+    if not (0 <= args.imax <= MAX_INDEX and 0 <= args.jmax <= MAX_INDEX):
+        print(f"error: indices must lie in 0..{MAX_INDEX}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
     scale = params.hbar * params.omega if args.units == "natural" else 1.0
@@ -182,8 +183,10 @@ def _surface_rows(header: str, a_vals, b_vals, lam_of, mask_of) -> str:
 
 def figure_csv(figure: int, grid: int | None = None) -> str:
     """Deterministic CSV data behind each published surface or curve."""
+    if grid is not None and grid < 1:
+        raise ValueError("grid must be a positive integer")
     if figure == 1:
-        n = grid or 101
+        n = 101 if grid is None else grid
         axis = np.linspace(-5.0, 5.0, n)
         return _surface_rows(
             "a,b,E1", axis, axis,
@@ -192,7 +195,7 @@ def figure_csv(figure: int, grid: int | None = None) -> str:
             mask_of=lambda u, v: -1.0 < u * v < 1.0,
         )
     if figure == 2:
-        n = grid or 101
+        n = 101 if grid is None else grid
         d2_axis = np.linspace(0.0, 10.0, n)
         th_axis = np.linspace(-1.0, 1.0, n)
         return _surface_rows(
@@ -201,7 +204,7 @@ def figure_csv(figure: int, grid: int | None = None) -> str:
             mask_of=lambda d2, th: -1.0 < th < 1.0,
         )
     if figure in (3, 5):
-        n = grid or 401
+        n = 401 if grid is None else grid
         lam = np.linspace(0.578, 1.0, n)
         if figure == 3:
             cols = [_e1_of_lambda(lam)] + [_renyi_of_lambda(a, lam) for a in (2, 3, 4)]
@@ -215,7 +218,7 @@ def figure_csv(figure: int, grid: int | None = None) -> str:
             lines.append(f"{_fmt(lv)},{vals}")
         return "\n".join(lines) + "\n"
     if figure == 4:
-        n = grid or 401
+        n = 401 if grid is None else grid
         u_axis = np.linspace(-10.0, 10.0, n)
         lines = ["u,E1"]
         for u in u_axis:

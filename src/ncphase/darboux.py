@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
+from .wigner import phase_variables
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,7 @@ def omega_canonical(hbar: float) -> np.ndarray:
 
 def omega_deformed(params: ModelParams) -> np.ndarray:
     """Deformed commutator matrix over (x1, x2, p1, p2), divided by i."""
-    h, mu, nu = params.hbar, params.mu, params.nu
-    return np.array(
-        [
-            [0.0, mu, h, 0.0],
-            [-mu, 0.0, 0.0, h],
-            [-h, 0.0, 0.0, nu],
-            [0.0, -h, -nu, 0.0],
-        ]
-    )
+    return phase_variables(params).deformation_matrix()
 
 
 def build_map(params: ModelParams) -> DarbouxMap:

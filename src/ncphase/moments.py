@@ -10,11 +10,12 @@ an independent oracle.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, pi, sqrt
 
 import numpy as np
 
-from .starcalc import GaussPoly, Monomial, PhaseVariables, PolyMap, _poly_add
+from .starcalc import GaussPoly, Monomial, PhaseVariables, PolyMap, _accumulate, _shift
 
 MAX_MOMENT_DEGREE = 48
 
@@ -44,15 +45,12 @@ class MomentTable:
         cov = self.covariance
         i = next(j for j, n in enumerate(alpha) if n)
         acc = 0.0
-        reduced = list(alpha)
-        reduced[i] -= 1
+        reduced = _shift(alpha, i, -1)
         for j in range(len(alpha)):
             cij = cov[i, j]
             if cij == 0.0 or reduced[j] == 0:
                 continue
-            sub = list(reduced)
-            sub[j] -= 1
-            acc += cij * reduced[j] * self.moment(tuple(sub))
+            acc += cij * reduced[j] * self.moment(_shift(reduced, j, -1))
         memo[alpha] = acc
         return acc
 
@@ -113,10 +111,11 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
 
     # completing the square: z_I = w - A z_K with A = QII^{-1} QKI^T
     A = np.linalg.solve(QII, QKI.T)
-    Q_red = QKK - QKI @ np.linalg.solve(QII, QKI.T)
+    Q_red = QKK - QKI @ A
     mass_i = pi / sqrt(np.linalg.det(-QII))
     table = MomentTable(-0.5 * np.linalg.inv(QII))
 
+    @cache
     def shifted_powers(var: int, n: int) -> dict[tuple[int, int, int], float]:
         """Expand z_I[var]^n into w^j * zK0^r * zK1^(m-r) coefficients."""
         out: dict[tuple[int, int, int], float] = {}
@@ -126,23 +125,17 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
             for r in range(rem + 1):
                 coeff = lead * comb(rem, r) * (-A[var, 0]) ** r * (-A[var, 1]) ** (rem - r)
                 if coeff != 0.0:
-                    key = (j, r, rem - r)
-                    out[key] = out.get(key, 0.0) + coeff
+                    out[(j, r, rem - r)] = coeff
         return out
 
     out_poly: PolyMap = {}
     for mono, coeff in _real_coefficients(func.poly).items():
-        gk = (mono[keep_idx[0]], mono[keep_idx[1]])
-        gi = (mono[int_idx[0]], mono[int_idx[1]])
-        exp0 = shifted_powers(0, gi[0])
-        exp1 = shifted_powers(1, gi[1])
-        for (j0, r0, s0), c0 in exp0.items():
-            for (j1, r1, s1), c1 in exp1.items():
-                m = table.moment((j0, j1))
-                if m == 0.0:
-                    continue
-                key = (gk[0] + r0 + r1, gk[1] + s0 + s1)
-                out_poly = _poly_add(out_poly, {key: coeff * c0 * c1 * m})
+        k0, k1 = mono[keep_idx[0]], mono[keep_idx[1]]
+        _accumulate(out_poly, (
+            ((k0 + r0 + r1, k1 + s0 + s1), coeff * c0 * c1 * m)
+            for (j0, r0, s0), c0 in shifted_powers(0, mono[int_idx[0]]).items()
+            for (j1, r1, s1), c1 in shifted_powers(1, mono[int_idx[1]]).items()
+            if (m := table.moment((j0, j1))) != 0.0))
 
     reduced_vars = PhaseVariables(2, hbar=func.variables.hbar)
     return GaussPoly(reduced_vars, func.prefactor * mass_i, Q_red, out_poly)

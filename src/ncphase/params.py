@@ -19,6 +19,8 @@ NEAR_SINGULAR_MARGIN = 1e-9
 
 _CROSS_CHECK_RTOL = 1e-12
 
+_PARAM_KEYS = ("hbar", "mass", "omega", "mu", "nu")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -31,6 +33,10 @@ class ModelParams:
     nu: float = 0.0
 
     def __post_init__(self):
+        for name in _PARAM_KEYS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("hbar", "mass", "omega"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -135,9 +141,6 @@ def lambda_from_theta(delta_sq: float, theta: float) -> float:
     if not -1.0 < theta < 1.0:
         raise ValueError("theta must lie in (-1, 1)")
     return math.sqrt((1.0 + delta_sq) / (1.0 + (2.0 - theta) * delta_sq))
-
-
-_PARAM_KEYS = ("hbar", "mass", "omega", "mu", "nu")
 
 
 def load_params(path: str | Path) -> ModelParams:

@@ -23,9 +23,10 @@ and imaginary parts separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +40,10 @@ PRUNE_REL = 1e-15
 _UNIT_SLACK = 1e-9
 
 _MATCH_RTOL = 1e-10
+
+# points per block of GaussPoly.value times the larger of its monomial count
+# and power-table height: caps each temporary at 256 kB whatever the grid
+_VALUE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -89,15 +94,20 @@ def _prune(poly: Mapping[Monomial, complex]) -> PolyMap:
     return {k: c for k, c in poly.items() if abs(c) > cut}
 
 
-def _poly_add(a: PolyMap, b: PolyMap, scale: complex = 1.0) -> PolyMap:
-    out = dict(a)
-    for k, c in b.items():
+def _shift(mono: Monomial, axis: int, by: int) -> Monomial:
+    """mono with its exponent on axis raised by `by`."""
+    return mono[:axis] + (mono[axis] + by,) + mono[axis + 1:]
+
+
+def _accumulate(out: PolyMap, terms: Iterable[tuple[Monomial, complex]],
+                scale: complex = 1.0) -> None:
+    """Add scale * c for each (monomial, c) into out in place; exact zeros drop."""
+    for k, c in terms:
         s = out.get(k, 0.0) + scale * c
         if s == 0.0:
             out.pop(k, None)
         else:
             out[k] = s
-    return out
 
 
 def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
@@ -110,13 +120,16 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
 
 
 def _poly_diff(poly: PolyMap, axis: int) -> PolyMap:
-    out: PolyMap = {}
-    for k, c in poly.items():
-        if k[axis]:
-            kk = list(k)
-            kk[axis] -= 1
-            out[tuple(kk)] = out.get(tuple(kk), 0.0) + c * k[axis]
-    return out
+    return {_shift(k, axis, -1): c * k[axis] for k, c in poly.items() if k[axis]}
+
+
+def _power_table(x: np.ndarray, top: int) -> np.ndarray:
+    """Rows x**0 .. x**top, by repeated multiplication."""
+    table = np.empty((top + 1, len(x)))
+    table[0] = 1.0
+    for power in range(1, top + 1):
+        np.multiply(table[power - 1], x, out=table[power])
+    return table
 
 
 @dataclass(frozen=True)
@@ -173,10 +186,8 @@ class GaussPoly:
         scale = abs(self.exponent).max() + abs(other.exponent).max() + 1.0
         if not np.allclose(self.exponent, other.exponent, atol=1e-12 * scale):
             raise ValueError("cannot add functions with different Gaussian exponents")
-        merged = _poly_add(
-            {k: self.prefactor * c for k, c in self.poly.items()},
-            other.poly, scale=other.prefactor,
-        )
+        merged = {k: self.prefactor * c for k, c in self.poly.items()}
+        _accumulate(merged, other.poly.items(), scale=other.prefactor)
         return GaussPoly(self.variables, 1.0, self.exponent, merged)
 
     def pointwise_mul(self, other: "GaussPoly") -> "GaussPoly":
@@ -202,20 +213,32 @@ class GaussPoly:
         return max((abs(complex(c).imag) for c in self.poly.values()), default=0.0)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (..., dimension)."""
+        """Evaluate at points of shape (..., dimension).
+
+        Sums coefficient times per-axis power tables of the points, indexed by
+        the exponent matrix, over blocks of at most _VALUE_BLOCK term-points
+        (or table entries), so temporaries stay bounded for any grid.
+        """
         pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.variables.dimension:
+        d = self.variables.dimension
+        if pts.shape[-1] != d:
             raise ValueError("points have the wrong trailing dimension")
-        quad = np.einsum("...i,ij,...j->...", pts, self.exponent, pts)
-        has_complex = any(complex(c).imag != 0.0 for c in self.poly.values())
-        acc = np.zeros(pts.shape[:-1], dtype=complex if has_complex else float)
-        for mono, coeff in self.poly.items():
-            term = np.full(pts.shape[:-1], coeff if has_complex else complex(coeff).real)
-            for axis, power in enumerate(mono):
-                if power:
-                    term = term * pts[..., axis] ** power
-            acc += term
-        return self.prefactor * acc * np.exp(quad)
+        flat = pts.reshape(-1, d)
+        coeffs = np.array(list(self.poly.values()), dtype=complex)
+        if not coeffs.imag.any():
+            coeffs = coeffs.real
+        exps = np.array(list(self.poly), dtype=np.intp).reshape(-1, d)
+        top = exps.max(axis=0, initial=0)
+        acc = np.zeros(len(flat), dtype=coeffs.dtype)
+        step = max(1, _VALUE_BLOCK // max(len(coeffs), top.max() + 1))
+        for start in range(0, len(flat), step):
+            cols = flat[start:start + step].T.copy()
+            prod = _power_table(cols[0], top[0])[exps[:, 0]]
+            for a in range(1, d):
+                prod *= _power_table(cols[a], top[a])[exps[:, a]]
+            acc[start:start + step] = coeffs @ prod
+        quad = np.einsum("ij,ij->i", flat @ self.exponent, flat)
+        return self.prefactor * (acc * np.exp(quad)).reshape(pts.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -266,10 +289,7 @@ class QuadraticForm:
             for j in range(i, d):
                 coeff = S[i, j] if i == j else 2.0 * S[i, j]
                 if coeff != 0.0:
-                    mono = [0] * d
-                    mono[i] += 1
-                    mono[j] += 1
-                    out[tuple(mono)] = out.get(tuple(mono), 0.0) + coeff
+                    out[_shift(_shift((0,) * d, i, 1), j, 1)] = coeff
         return GaussPoly(self.variables, 1.0, np.zeros((d, d)), out)
 
     @classmethod
@@ -337,14 +357,13 @@ def _pair_matrix(variables: PhaseVariables) -> dict[tuple[int, int], complex]:
     return out
 
 
-def _gauss_diff(poly: PolyMap, Q: np.ndarray, axis: int) -> PolyMap:
+def _gauss_diff(poly: PolyMap, axis: int, Q: np.ndarray) -> PolyMap:
     """Polynomial part of d/dz_axis [poly * exp(z Q z)]."""
-    d = Q.shape[0]
     out = _poly_diff(poly, axis)
-    for j in range(d):
+    for j in range(Q.shape[0]):
         if Q[axis, j] != 0.0:
-            mono = tuple(1 if i == j else 0 for i in range(d))
-            out = _poly_add(out, _poly_mul(poly, {mono: 2.0 * Q[axis, j]}))
+            q = 2.0 * Q[axis, j]
+            _accumulate(out, ((_shift(k, j, 1), c * q) for k, c in poly.items()))
     return _prune(out)
 
 
@@ -352,28 +371,18 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
                  pair: dict[tuple[int, int], complex]) -> PolyMap:
     """Terminating series for (polynomial f) star (g), derivatives of f on the
     left slot of the pairing. Terminates at the total degree of f."""
-    d = gQ.shape[0]
-    zero = (0,) * d
+    zero = (0,) * gQ.shape[0]
     deg = max((sum(k) for k in fpoly), default=0)
+
+    def derivative(cache: dict[Monomial, PolyMap], step, alpha: Monomial) -> PolyMap:
+        if alpha not in cache:
+            axis = next(i for i, n in enumerate(alpha) if n)
+            cache[alpha] = step(derivative(cache, step, _shift(alpha, axis, -1)), axis)
+        return cache[alpha]
 
     f_cache: dict[Monomial, PolyMap] = {zero: dict(fpoly)}
     g_cache: dict[Monomial, PolyMap] = {zero: dict(gpoly)}
-
-    def f_deriv(alpha: Monomial) -> PolyMap:
-        if alpha not in f_cache:
-            axis = next(i for i, n in enumerate(alpha) if n)
-            parent = list(alpha)
-            parent[axis] -= 1
-            f_cache[alpha] = _poly_diff(f_deriv(tuple(parent)), axis)
-        return f_cache[alpha]
-
-    def g_deriv(beta: Monomial) -> PolyMap:
-        if beta not in g_cache:
-            axis = next(i for i, n in enumerate(beta) if n)
-            parent = list(beta)
-            parent[axis] -= 1
-            g_cache[beta] = _gauss_diff(g_deriv(tuple(parent)), gQ, axis)
-        return g_cache[beta]
+    g_step = functools.partial(_gauss_diff, Q=gQ)
 
     terms: dict[tuple[Monomial, Monomial], complex] = {(zero, zero): 1.0 + 0.0j}
     out: PolyMap = {}
@@ -384,21 +393,17 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
             nxt: dict[tuple[Monomial, Monomial], complex] = {}
             for (al, be), coeff in terms.items():
                 for (a, b), pab in pair.items():
-                    al2 = list(al)
-                    al2[a] += 1
-                    be2 = list(be)
-                    be2[b] += 1
-                    key = (tuple(al2), tuple(be2))
+                    key = (_shift(al, a, 1), _shift(be, b, 1))
                     nxt[key] = nxt.get(key, 0.0) + coeff * pab
             terms = nxt
         for (al, be), coeff in terms.items():
-            df = f_deriv(al)
+            df = derivative(f_cache, _poly_diff, al)
             if not df:
                 continue
-            dg = g_deriv(be)
+            dg = derivative(g_cache, g_step, be)
             if not dg:
                 continue
-            out = _poly_add(out, _poly_mul(df, dg), scale=coeff / factorial)
+            _accumulate(out, _poly_mul(df, dg).items(), scale=coeff / factorial)
     return _prune(out)
 
 

@@ -25,7 +25,7 @@ from .starcalc import (
     QuadraticForm,
     star_product_poly_left,
     star_product_poly_right,
-    _poly_add,
+    _accumulate,
     _poly_mul,
 )
 
@@ -129,7 +129,7 @@ def _laguerre_of_form(n: int, form_poly: PolyMap, scale: float, dim: int) -> Pol
     power: PolyMap = {(0,) * dim: 1.0}
     for k in range(1, n + 1):
         power = _poly_mul(power, form_poly)
-        out = _poly_add(out, power, scale=float(coeffs[k]) * scale**k)
+        _accumulate(out, power.items(), scale=float(coeffs[k]) * scale**k)
     return out
 
 

@@ -52,6 +52,16 @@ class TestEntropyCommand:
         assert code == 2
         assert "hbar^2" in err
 
+    @pytest.mark.parametrize("flag", ["--hbar=inf", "--mu=nan", "--nu=-inf",
+                                      "--mass=nan", "--omega=inf"])
+    def test_non_finite_parameter_exit_code(self, capsys, flag):
+        code, out, err = run(capsys, "entropy", flag, "--kind", "renyi",
+                             "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert "must be a finite number" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_near_singular_warning(self, capsys):
         code, _, err = run(capsys, "entropy", "--mu", "1", "--nu",
                            str(1 - 1e-10), "--kind", "renyi", "--order", "2")
@@ -111,6 +121,16 @@ class TestSpectrumCommand:
     def test_index_range_error(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--imax", "13")
         assert code == 3
+
+    def test_index_range_follows_max_index(self, capsys):
+        from ncphase.wigner import MAX_INDEX
+        code, out, _ = run(capsys, "spectrum", "--imax", str(MAX_INDEX),
+                           "--jmax", "0")
+        assert code == 0
+        assert len(out.strip().splitlines()) == MAX_INDEX + 2
+        code, _, err = run(capsys, "spectrum", "--jmax=-1")
+        assert code == 3
+        assert f"0..{MAX_INDEX}" in err
 
 
 def read_rows(path):
@@ -191,6 +211,15 @@ class TestFigureCommand:
             else:
                 assert r[2] != ""
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_non_positive_grid_rejected(self, capsys, tmp_path, grid):
+        out = tmp_path / "fig.csv"
+        code, _, err = run(capsys, "figure", "--figure", "1", "--grid=" + grid,
+                           "--out", str(out))
+        assert code == 3
+        assert err == "error: grid must be a positive integer\n"
+        assert not out.exists()
+
     def test_unknown_figure(self, capsys):
         code, _, err = run(capsys, "figure", "--figure", "9")
         assert code == 3
@@ -227,3 +256,9 @@ class TestVerifyCommand:
     def test_invalid_parameters_gate(self, capsys):
         code, _, _ = run(capsys, "verify", "--mu", "2", "--nu", "1")
         assert code == 2
+
+    def test_non_finite_parameter_gate(self, capsys):
+        code, out, err = run(capsys, "verify", "--hbar", "inf")
+        assert code == 2
+        assert out == ""
+        assert "hbar must be a finite number" in err

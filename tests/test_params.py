@@ -54,6 +54,20 @@ def test_invalid_params_rejected(bad):
         ModelParams(**bad)
 
 
+@pytest.mark.parametrize("name", ["hbar", "mass", "omega", "mu", "nu"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_params_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        ModelParams(**{name: value})
+
+
+def test_non_finite_config_value_rejected(tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("mu = nan\n")
+    with pytest.raises(ValueError, match="mu must be a finite number"):
+        load_params(cfg)
+
+
 def test_derive_rejects_theta_at_or_below_minus_one():
     with pytest.raises(ValueError):
         derive(ModelParams(mu=1.0, nu=-1.0))

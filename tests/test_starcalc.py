@@ -210,6 +210,76 @@ class TestGaussPolyAlgebra:
                            f.value(pts) * g.value(pts), rtol=1e-12)
 
 
+def reference_value(func: GaussPoly, points) -> np.ndarray:
+    """Per-monomial evaluation with numpy powers, independent of the blocked
+    power-table route."""
+    pts = np.asarray(points, dtype=float)
+    acc = np.zeros(pts.shape[:-1], dtype=complex)
+    for mono, coeff in func.poly.items():
+        term = np.full(pts.shape[:-1], complex(coeff))
+        for axis, power in enumerate(mono):
+            term = term * pts[..., axis] ** power
+        acc += term
+    quad = np.einsum("...i,ij,...j->...", pts, func.exponent, pts)
+    return func.prefactor * acc * np.exp(quad)
+
+
+def assert_matches_reference(func: GaussPoly, points) -> np.ndarray:
+    got = func.value(points)
+    want = reference_value(func, points)
+    assert np.shape(got) == want.shape
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    return got
+
+
+class TestGaussPolyValue:
+    def test_real_coefficients_batched_2d(self, rng):
+        from conftest import random_gauss_poly
+        for _ in range(5):
+            f = random_gauss_poly(rng, 2, max_degree=6)
+            got = assert_matches_reference(f, rng.normal(size=(5, 7, 2)))
+            assert np.isrealobj(got)
+
+    def test_complex_coefficients_4d(self, rng):
+        v4 = PhaseVariables(4, hbar=1.0, mu=0.3, nu=0.1)
+        a = rng.normal(size=(4, 4))
+        poly = {tuple(int(e) for e in rng.integers(0, 4, size=4)):
+                complex(*rng.normal(size=2)) for _ in range(30)}
+        f = GaussPoly(v4, 0.7, -(a.T @ a + 0.5 * np.eye(4)), poly)
+        got = assert_matches_reference(f, rng.normal(size=(40, 4)))
+        assert np.iscomplexobj(got)
+
+    def test_empty_polynomial(self):
+        f = GaussPoly(V2, 2.0, -np.eye(2), {})
+        got = f.value(np.ones((3, 4, 2)))
+        assert got.shape == (3, 4) and np.isrealobj(got)
+        assert not got.any()
+        assert f.value(np.array([0.5, -0.5])) == 0.0
+
+    def test_single_point_matches_batch(self, rng):
+        from conftest import random_gauss_poly
+        f = random_gauss_poly(rng, 2, max_degree=5)
+        pts = rng.normal(size=(6, 2))
+        batch = f.value(pts)
+        for z, want in zip(pts, batch):
+            got = assert_matches_reference(f, z)
+            assert np.shape(got) == ()
+            assert abs(got - want) <= 1e-13 * np.abs(batch).max()
+
+    def test_polynomial_spanning_several_blocks(self):
+        from ncphase import oscillator_hamiltonian
+        from ncphase.starcalc import _VALUE_BLOCK
+        from ncphase.wigner import residual_grid
+        params = ModelParams(mu=0.3, nu=0.1)
+        w = wigner_state(3, 3, params).function
+        hw = star_product_poly_left(oscillator_hamiltonian(params), w)
+        pts = residual_grid(hw, points_per_axis=6)
+        assert len(hw.poly) * len(pts) > 4 * _VALUE_BLOCK
+        assert_matches_reference(hw, pts)
+        assert_matches_reference(w, pts.reshape(6, 6, 36, 4))
+
+
 class TestGaussianStar:
     def test_star_with_constant(self):
         g = GaussPoly.gaussian(V2, 1.7, -0.8 * np.eye(2))
