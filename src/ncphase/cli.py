@@ -256,20 +256,19 @@ def _verify_checks(params: ModelParams, perturb_energy: float) -> list[dict]:
     err /= params.hbar**2
     record("derived-scalars", err, 1e-12)
 
+    states = {(i, j): wigner_state(i, j, params) for i in range(2) for j in range(2)}
+
     # genvalue equation, indices <= 1, optionally with an injected energy fault
     worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            state = wigner_state(i, j, params)
-            e = state.energy * (1.0 + perturb_energy)
-            res = genvalue_residual(state, params, energy=e)
-            scale = np.abs(state.function.value(residual_grid(state.function))).max()
-            worst = max(worst, res / scale)
+    for state in states.values():
+        e = state.energy * (1.0 + perturb_energy)
+        res = genvalue_residual(state, params, energy=e)
+        scale = np.abs(state.function.value(residual_grid(state.function))).max()
+        worst = max(worst, res / scale)
     record("genvalue-residual", worst, 1e-8)
 
     # orthogonality and normalization, indices <= 1
     cell = cell_size(params)
-    states = {(i, j): wigner_state(i, j, params) for i in range(2) for j in range(2)}
     worst = 0.0
     for (k, l), skl in states.items():
         for (i, j), sij in states.items():

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
+from .darboux import cell_size
 from .params import LAMBDA_MIN, ModelParams, derive
 from .starcalc import GaussPoly, QuadraticForm, star_log_gaussian, star_power
 from .wigner import ReducedState, WignerState, hamiltonians_pm
@@ -100,11 +101,25 @@ def _check_integer_order(order, minimum: int = 2) -> int:
     return int(order)
 
 
+def _finite_at_order(order: int, compute) -> float:
+    """compute(), or ValueError when the order pushes it out of double range."""
+    try:
+        with np.errstate(over="raise"):
+            value = compute()
+    except (OverflowError, FloatingPointError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"unsupported order {order}: the result overflows "
+                         "double precision")
+    return value
+
+
 def renyi_entanglement(alpha: int, lam: float) -> EntropyResult:
     """Closed-form Renyi entanglement entropy of the ground state, alpha >= 2."""
     alpha = _check_integer_order(alpha)
     _check_lambda(lam)
-    value = math.log(beta_gamma(alpha).beta_at(lam)) / (alpha - 1) - math.log(2.0 * lam)
+    value = _finite_at_order(alpha, lambda: math.log(beta_gamma(alpha).beta_at(lam))
+                             / (alpha - 1) - math.log(2.0 * lam))
     return EntropyResult("renyi", alpha, value, lam, "closed-form")
 
 
@@ -123,7 +138,8 @@ def tsallis_entanglement(q: int, lam: float) -> EntropyResult:
     """Closed-form Tsallis entanglement entropy of the ground state, q >= 2."""
     q = _check_integer_order(q)
     _check_lambda(lam)
-    value = (1.0 - (2.0 * lam) ** (q - 1) / beta_gamma(q).beta_at(lam)) / (q - 1)
+    value = _finite_at_order(q, lambda: (1.0 - (2.0 * lam) ** (q - 1)
+                                         / beta_gamma(q).beta_at(lam)) / (q - 1))
     return EntropyResult("tsallis", q, value, lam, "closed-form")
 
 
@@ -158,7 +174,8 @@ def renyi_numeric(reduced: ReducedState, alpha: int,
     form = _reduced_form(reduced)
     power = star_power(reduced.function, alpha, forms=[form])
     total = moments.integrate(power)
-    value = math.log((2.0 * math.pi * hbar) ** (alpha - 1) * total) / (1 - alpha)
+    value = _finite_at_order(alpha, lambda: math.log(
+        (2.0 * math.pi * hbar) ** (alpha - 1) * total) / (1 - alpha))
     return EntropyResult("renyi", alpha, value, derive(params).lam,
                          "star-power-numeric")
 
@@ -171,7 +188,8 @@ def tsallis_numeric(reduced: ReducedState, q: int,
     form = _reduced_form(reduced)
     power = star_power(reduced.function, q, forms=[form])
     total = moments.integrate(power)
-    value = (1.0 - (2.0 * math.pi * hbar) ** (q - 1) * total) / (q - 1)
+    value = _finite_at_order(q, lambda: (
+        1.0 - (2.0 * math.pi * hbar) ** (q - 1) * total) / (q - 1))
     return EntropyResult("tsallis", q, value, derive(params).lam,
                          "star-power-numeric")
 
@@ -190,9 +208,8 @@ def von_neumann_numeric(reduced: ReducedState,
                          "star-power-numeric")
 
 
-def minimal_cell(params: ModelParams) -> float:
-    """Phase-space volume 4 pi^2 (hbar^2 - mu nu) normalizing 4D entropies."""
-    return 4.0 * math.pi**2 * (params.hbar**2 - params.mu * params.nu)
+# the phase-space volume 4 pi^2 (hbar^2 - mu nu) normalizing 4D entropies
+minimal_cell = cell_size
 
 
 def renyi_total(state: WignerState | GaussPoly, alpha: int,
@@ -217,7 +234,8 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
             "unsupported state class: star powers beyond order 2 are "
             "implemented for Gaussian states only"
         )
-    value = math.log(cell ** (alpha - 1) * total) / (1 - alpha)
+    value = _finite_at_order(
+        alpha, lambda: math.log(cell ** (alpha - 1) * total) / (1 - alpha))
     lam = derive(params).lam
     return EntropyResult("renyi", alpha, value, lam, "star-power-numeric")
 

@@ -40,7 +40,13 @@ class ModelParams:
         for name in ("hbar", "mass", "omega"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.mu * self.nu >= self.hbar**2:
+        try:
+            singular = self.mu * self.nu >= self.hbar**2
+        except OverflowError:
+            raise ValueError(
+                f"hbar^2 overflows double precision, got hbar = {self.hbar!r}"
+            ) from None
+        if singular:
             raise ValueError(
                 "mu*nu must stay below hbar^2 (singular minimal phase-space cell)"
             )
@@ -79,8 +85,20 @@ def derive(params: ModelParams) -> DerivedQuantities:
 
     Raises ValueError when mu*nu falls outside (-hbar^2, hbar^2); the upper end
     makes h_minus and the minimal cell degenerate, the lower end pushes the
-    purity parameter out of its admissible range.
+    purity parameter out of its admissible range. Also raises ValueError when
+    a derived scalar overflows double precision.
     """
+    try:
+        dq = _derive(params)
+    except OverflowError:
+        dq = None
+    if dq is None or not all(map(math.isfinite, vars(dq).values())):
+        raise ValueError("parameters out of range: derived scalars overflow "
+                         "double precision")
+    return dq
+
+
+def _derive(params: ModelParams) -> DerivedQuantities:
     hbar, m, w = params.hbar, params.mass, params.omega
     mu, nu = params.mu, params.nu
 

@@ -80,6 +80,47 @@ class TestEntropyCommand:
         assert json.loads(out)["value"] > 0.0
 
 
+class TestOverflow:
+    """Parameters or orders past double range end with exit 2 or 3 and one
+    line on stderr, never with a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("entropy", "--kind", "renyi", "--order", "2"),
+        ("verify",),
+        ("spectrum",),
+    ])
+    def test_derived_scalar_overflow(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--mu", "1e200", "--nu", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_hbar_square_overflow(self, capsys):
+        code, out, err = run(capsys, "verify", "--hbar", "1e300")
+        assert code == 2
+        assert out == ""
+        assert "hbar^2 overflows" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("method", ["closed", "numeric"])
+    @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
+    def test_order_overflow(self, capsys, kind, method):
+        code, out, err = run(capsys, "entropy", "--kind", kind, "--order",
+                             "2000", "--method", method)
+        assert code == 3
+        assert out == ""
+        assert "unsupported order 2000" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_order_at_the_edge_of_double_range(self, capsys):
+        code, out, err = run(capsys, "entropy", "--kind", "renyi", "--order",
+                             "1026")
+        assert code == 3
+        assert "overflows double precision" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSpectrumCommand:
     def test_commutative_levels(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--mu", "0", "--nu", "0",
@@ -252,6 +293,52 @@ class TestVerifyCommand:
         report = json.loads(out)
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failing == {"genvalue-residual"}
+
+    @pytest.mark.parametrize("mu, nu", [("0", "0"), ("0.3", "0.1")])
+    def test_state_checks_match_fresh_states(self, capsys, monkeypatch, mu, nu):
+        """Building the four states once leaves the report as it was when
+        every check built its own states."""
+        import ncphase.cli as cli
+        from ncphase import ModelParams, marginalize, integrate, cell_size
+        from ncphase import genvalue_residual, reduce, wigner_state
+        from ncphase.wigner import residual_grid
+
+        built = []
+        monkeypatch.setattr(cli, "wigner_state",
+                            lambda *a: built.append(a) or wigner_state(*a))
+        code, out, _ = run(capsys, "verify", "--mu", mu, "--nu", nu)
+        assert code == 0
+        assert len(built) == 4
+
+        params = ModelParams(mu=float(mu), nu=float(nu))
+        pairs = [(i, j) for i in range(2) for j in range(2)]
+        worst = 0.0
+        for i, j in pairs:
+            state = wigner_state(i, j, params)
+            res = genvalue_residual(state, params, energy=state.energy * 1.0)
+            grid = residual_grid(state.function)
+            worst = max(worst, res / np.abs(state.function.value(grid)).max())
+        want = {"genvalue-residual": worst}
+        cell = cell_size(params)
+        states = {ij: wigner_state(*ij, params) for ij in pairs}
+        worst = 0.0
+        for kl, skl in states.items():
+            for ij, sij in states.items():
+                got = integrate(skl.function.pointwise_mul(sij.function))
+                target = (1.0 / cell) if kl == ij else 0.0
+                worst = max(worst, abs(got - target) * cell)
+        for sij in states.values():
+            worst = max(worst, abs(integrate(sij.function) - 1.0))
+        want["orthogonality-normalization"] = worst
+        closed = reduce(states[(0, 0)], 1).function
+        marg = marginalize(states[(0, 0)].function, keep=1)
+        pts = residual_grid(closed)
+        want["reduced-marginal"] = (abs(closed.value(pts) - marg.value(pts)).max()
+                                    / abs(closed.value(pts)).max())
+
+        report = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name, error in want.items():
+            assert json.dumps(report[name]["error"]) == json.dumps(float(error))
 
     def test_invalid_parameters_gate(self, capsys):
         code, _, _ = run(capsys, "verify", "--mu", "2", "--nu", "1")

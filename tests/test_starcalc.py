@@ -21,6 +21,7 @@ from ncphase import (
     star_product_poly_right,
     wigner_state,
 )
+from ncphase.starcalc import _MUL_ARRAY_MIN, _MUL_BLOCK, _poly_mul
 
 V2 = PhaseVariables(2, hbar=1.0)
 
@@ -278,6 +279,117 @@ class TestGaussPolyValue:
         assert len(hw.poly) * len(pts) > 4 * _VALUE_BLOCK
         assert_matches_reference(hw, pts)
         assert_matches_reference(w, pts.reshape(6, 6, 36, 4))
+
+
+def reference_poly_mul(a, b):
+    """The plain dict loop: term pairs in row order, summed into one dict."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return out
+
+
+def hex_terms(poly) -> list:
+    """Keys in order, each with float.hex of its coefficient's parts."""
+    out = []
+    for k, c in poly.items():
+        if isinstance(c, complex):
+            out.append((k, "complex", c.real.hex(), c.imag.hex()))
+        else:
+            out.append((k, "real", float(c).hex()))
+    return out
+
+
+def random_poly(rng, terms: int, dim: int, top: int, kind: str) -> dict:
+    out = {}
+    while len(out) < terms:
+        mono = tuple(int(e) for e in rng.integers(0, top + 1, size=dim))
+        c = float(rng.normal())
+        out[mono] = complex(c, float(rng.normal())) if kind == "complex" else c
+    return out
+
+
+def assert_bit_identical(a, b):
+    got = _poly_mul(a, b)
+    want = reference_poly_mul(a, b)
+    assert hex_terms(got) == hex_terms(want)
+    return got
+
+
+class TestPolyMul:
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"),
+                                       ("complex", "real"), ("complex", "complex")])
+    def test_matches_dict_loop(self, rng, dim, kinds):
+        top = 6 if dim == 4 else 20
+        a = random_poly(rng, 120, dim, top, kinds[0])
+        b = random_poly(rng, 90, dim, top, kinds[1])
+        assert len(a) * len(b) > _MUL_BLOCK  # more than one block
+        assert_bit_identical(a, b)
+        assert_bit_identical(b, a)
+
+    def test_mixed_coefficient_types_in_one_operand(self, rng):
+        a = random_poly(rng, 40, 4, 4, "real")
+        b = random_poly(rng, 40, 4, 4, "real")
+        b.update(random_poly(rng, 20, 4, 4, "complex"))
+        assert_bit_identical(a, b)
+
+    def test_empty_operand(self, rng):
+        a = random_poly(rng, 300, 4, 5, "real")
+        assert assert_bit_identical(a, {}) == {}
+        assert assert_bit_identical({}, a) == {}
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_one_term_operand(self, rng, kind):
+        one = random_poly(rng, 1, 4, 3, kind)
+        b = random_poly(rng, 2 * _MUL_ARRAY_MIN, 4, 8, "real")
+        assert len(b) >= _MUL_ARRAY_MIN
+        assert_bit_identical(one, b)
+        assert_bit_identical(b, one)
+
+    @pytest.mark.parametrize("pairs", [_MUL_ARRAY_MIN - 1, _MUL_ARRAY_MIN])
+    def test_small_product_cutoff(self, rng, monkeypatch, pairs):
+        import ncphase.starcalc as sc
+        a = {(i, 0): float(rng.normal()) for i in range(pairs)}
+        b = {(0, 1): float(rng.normal())}
+        calls = []
+        loop = sc._poly_mul_dict
+        monkeypatch.setattr(sc, "_poly_mul_dict",
+                            lambda x, y: calls.append(1) or loop(x, y))
+        assert_bit_identical(a, b)
+        assert bool(calls) == (pairs < _MUL_ARRAY_MIN)
+
+    def test_exponents_too_large_to_pack(self):
+        big = 10**5
+        a = {(big + i, big, big, big): 1.0 + i for i in range(20)}
+        b = {(i, big, big, 2 * big): 2.0 - i for i in range(20)}
+        assert_bit_identical(a, b)
+
+    def test_more_keys_than_one_block(self, rng):
+        a = random_poly(rng, 200, 4, 15, "complex")
+        b = random_poly(rng, 200, 4, 15, "complex")
+        got = assert_bit_identical(a, b)
+        assert len(got) > _MUL_BLOCK
+
+    def test_laguerre_product_spanning_many_blocks(self):
+        from ncphase.wigner import _laguerre_of_form
+        params = ModelParams(mu=0.2, nu=0.1)
+        dq = derive(params)
+        h_plus, h_minus = hamiltonians_pm(params)
+        lag_i = _laguerre_of_form(6, h_plus.poly().poly, 4.0 / dq.h_plus, 4)
+        lag_j = _laguerre_of_form(6, h_minus.poly().poly, 4.0 / dq.h_minus, 4)
+        assert len(lag_i) * len(lag_j) > 4 * _MUL_BLOCK
+        assert_bit_identical(lag_i, lag_j)
+
+    def test_wigner_state_has_reference_polynomial(self, monkeypatch):
+        import ncphase.wigner as wg
+        params = ModelParams(mu=0.2, nu=0.1)
+        got = wigner_state(6, 6, params).function.poly
+        monkeypatch.setattr(wg, "_poly_mul", reference_poly_mul)
+        want = wigner_state(6, 6, params).function.poly
+        assert hex_terms(got) == hex_terms(want)
 
 
 class TestGaussianStar:
