@@ -101,6 +101,11 @@ def _check_integer_order(order, minimum: int = 2) -> int:
     return int(order)
 
 
+def _order_overflow(order: int) -> ValueError:
+    return ValueError(f"unsupported order {order}: the result overflows "
+                      "double precision")
+
+
 def _finite_at_order(order: int, compute) -> float:
     """compute(), or ValueError when the order pushes it out of double range."""
     try:
@@ -109,16 +114,34 @@ def _finite_at_order(order: int, compute) -> float:
     except (OverflowError, FloatingPointError):
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"unsupported order {order}: the result overflows "
-                         "double precision")
+        raise _order_overflow(order)
     return value
+
+
+def _beta_at(order: int, lam: float) -> float:
+    """beta_order(lam); ValueError at once when a coefficient overflows a double.
+
+    beta_n(lam) = sum_k comb(n, 2k+1) lam^(2k), and beta_at turns every
+    coefficient into a float. The largest, comb(n, m) with m the odd number
+    nearest n/2, overflows from n = 1030, and then every lam fails; checking
+    it first saves building beta_gamma(n), which is O(n^2) big-integer work.
+    From n = 2048 it is at least the mean 2^(n-1)/ceil(n/2) > 2^1024, so it
+    is not computed.
+    """
+    try:
+        if order >= 2048:
+            raise OverflowError
+        float(math.comb(order, order // 2 | 1))
+    except OverflowError:
+        raise _order_overflow(order) from None
+    return beta_gamma(order).beta_at(lam)
 
 
 def renyi_entanglement(alpha: int, lam: float) -> EntropyResult:
     """Closed-form Renyi entanglement entropy of the ground state, alpha >= 2."""
     alpha = _check_integer_order(alpha)
     _check_lambda(lam)
-    value = _finite_at_order(alpha, lambda: math.log(beta_gamma(alpha).beta_at(lam))
+    value = _finite_at_order(alpha, lambda: math.log(_beta_at(alpha, lam))
                              / (alpha - 1) - math.log(2.0 * lam))
     return EntropyResult("renyi", alpha, value, lam, "closed-form")
 
@@ -139,15 +162,15 @@ def tsallis_entanglement(q: int, lam: float) -> EntropyResult:
     q = _check_integer_order(q)
     _check_lambda(lam)
     value = _finite_at_order(q, lambda: (1.0 - (2.0 * lam) ** (q - 1)
-                                         / beta_gamma(q).beta_at(lam)) / (q - 1))
+                                         / _beta_at(q, lam)) / (q - 1))
     return EntropyResult("tsallis", q, value, lam, "closed-form")
 
 
 def renyi_supremum(alpha: int) -> float:
     """Open upper bound of the Renyi entropy, approached as lam -> sqrt(3)/3."""
     alpha = _check_integer_order(alpha)
-    return math.log(beta_gamma(alpha).beta_at(LAMBDA_MIN)) / (alpha - 1) \
-        - math.log(2.0 * LAMBDA_MIN)
+    return _finite_at_order(alpha, lambda: math.log(_beta_at(alpha, LAMBDA_MIN))
+                            / (alpha - 1) - math.log(2.0 * LAMBDA_MIN))
 
 
 def von_neumann_supremum() -> float:

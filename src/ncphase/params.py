@@ -8,6 +8,7 @@ All downstream formulas are expressed through the scalars computed here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,12 +42,16 @@ class ModelParams:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         try:
-            singular = self.mu * self.nu >= self.hbar**2
+            hbar_sq = self.hbar**2
         except OverflowError:
             raise ValueError(
                 f"hbar^2 overflows double precision, got hbar = {self.hbar!r}"
             ) from None
-        if singular:
+        if hbar_sq < sys.float_info.min:  # derive divides by it
+            raise ValueError(
+                f"hbar^2 underflows double precision, got hbar = {self.hbar!r}"
+            )
+        if self.mu * self.nu >= hbar_sq:
             raise ValueError(
                 "mu*nu must stay below hbar^2 (singular minimal phase-space cell)"
             )

@@ -133,6 +133,13 @@ def _coefficient_parts(poly: PolyMap) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return z.real.copy(), z.imag.copy(), flags
 
 
+def _radix_weights(radix: np.ndarray) -> np.ndarray:
+    """Place values of a mixed-radix key whose last axis varies fastest."""
+    weight = np.ones_like(radix)
+    weight[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    return weight
+
+
 def _first_seen_sums(keys: np.ndarray, parts: list[np.ndarray]
                      ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Distinct keys in first-seen order, each part summed per key in input order.
@@ -171,8 +178,7 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     radix = ea.max(axis=0) + eb.max(axis=0) + 1
     if math.prod(radix.tolist()) >= 1 << 62:  # packed keys must fit int64
         return _poly_mul_dict(a, b)
-    weight = np.ones_like(radix)
-    weight[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    weight = _radix_weights(radix)
     ka, kb = ea @ weight, eb @ weight
 
     keys = np.empty(0, dtype=np.int64)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +112,25 @@ class TestOverflow:
         assert code == 3
         assert out == ""
         assert "unsupported order 2000" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
+    def test_huge_closed_form_order_fails_fast(self, capsys, kind):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "entropy", "--kind", kind, "--order",
+                             "100000", "--method", "closed")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "unsupported order 100000: the result overflows" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_hbar_square_underflow(self, capsys):
+        code, out, err = run(capsys, "entropy", "--hbar", "1e-200", "--kind",
+                             "renyi", "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert "hbar^2 underflows" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_order_at_the_edge_of_double_range(self, capsys):

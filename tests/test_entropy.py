@@ -123,6 +123,30 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             order_fn()
 
+    def test_orders_at_the_coefficient_edge_keep_their_values(self):
+        # the highest orders that still give a value; the constants are the
+        # plain beta_gamma evaluation, which the early check must not change
+        assert renyi_entanglement(1028, 0.58).value == 0.309305722974079
+        assert renyi_entanglement(1026, 0.8).value == 0.11789794593507258
+        assert tsallis_entanglement(1027, 0.8).value == 0.0009746588693957114
+        assert renyi_supremum(1028) == 0.3122090634971217
+
+    @pytest.mark.parametrize("order", [1030, 1031, 2047, 2048, 10**9])
+    def test_orders_past_the_coefficient_edge_fail_at_once(self, order):
+        # from order 1030 the largest beta coefficient overflows a double at
+        # every lam; the error comes before any big-integer table is built
+        for fn in (lambda: renyi_entanglement(order, 0.6),
+                   lambda: tsallis_entanglement(order, 0.6),
+                   lambda: renyi_supremum(order)):
+            with pytest.raises(ValueError, match=f"unsupported order {order}: "
+                                                 "the result overflows"):
+                fn()
+
+    def test_supremum_overflow_raises(self):
+        # order 1029 converts every coefficient but overflows in the sum
+        with pytest.raises(ValueError, match="unsupported order 1029"):
+            renyi_supremum(1029)
+
     @pytest.mark.parametrize("lam", [0.5, LAMBDA_MIN, 1.0 + 1e-9])
     def test_out_of_range_lambda_rejected(self, lam):
         with pytest.raises(ValueError):

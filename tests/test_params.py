@@ -61,6 +61,16 @@ def test_non_finite_params_rejected(name, value):
         ModelParams(**{name: value})
 
 
+def test_hbar_square_must_be_a_normal_double():
+    # below about 1.5e-154 hbar^2 is subnormal or 0.0, and derive divides by it
+    with pytest.raises(ValueError, match="hbar\\^2 underflows double precision"):
+        ModelParams(hbar=1e-200)
+    with pytest.raises(ValueError, match="hbar\\^2 underflows"):
+        ModelParams(hbar=1e-155)
+    assert ModelParams(hbar=1e-100).hbar == 1e-100
+    assert ModelParams(hbar=1.5e-154).hbar == 1.5e-154
+
+
 def test_non_finite_config_value_rejected(tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("mu = nan\n")
