@@ -185,6 +185,18 @@ def _reduced_form(reduced: ReducedState) -> QuadraticForm:
                                      -reduced.function.exponent)
 
 
+def _star_power_numeric(kind: str, reduced: ReducedState, order: int,
+                        params: ModelParams, entropy_of) -> EntropyResult:
+    """entropy_of(order, (2 pi hbar)^(order-1) * int W^order_*), W reduced."""
+    order = _check_integer_order(order)
+    power = star_power(reduced.function, order, forms=[_reduced_form(reduced)])
+    total = moments.integrate(power)
+    value = _finite_at_order(order, lambda: entropy_of(
+        order, (2.0 * math.pi * params.hbar) ** (order - 1) * total))
+    return EntropyResult(kind, order, value, derive(params).lam,
+                         "star-power-numeric")
+
+
 def renyi_numeric(reduced: ReducedState, alpha: int,
                   params: ModelParams) -> EntropyResult:
     """Renyi entropy through star powers of the reduced Gaussian.
@@ -192,29 +204,15 @@ def renyi_numeric(reduced: ReducedState, alpha: int,
     Independent of the closed form: the alpha-fold star power is integrated
     exactly and normalized by the 2D minimal cell 2*pi*hbar.
     """
-    alpha = _check_integer_order(alpha)
-    hbar = params.hbar
-    form = _reduced_form(reduced)
-    power = star_power(reduced.function, alpha, forms=[form])
-    total = moments.integrate(power)
-    value = _finite_at_order(alpha, lambda: math.log(
-        (2.0 * math.pi * hbar) ** (alpha - 1) * total) / (1 - alpha))
-    return EntropyResult("renyi", alpha, value, derive(params).lam,
-                         "star-power-numeric")
+    return _star_power_numeric("renyi", reduced, alpha, params,
+                               lambda n, trace: math.log(trace) / (1 - n))
 
 
 def tsallis_numeric(reduced: ReducedState, q: int,
                     params: ModelParams) -> EntropyResult:
     """Tsallis entropy through the same star-power route."""
-    q = _check_integer_order(q)
-    hbar = params.hbar
-    form = _reduced_form(reduced)
-    power = star_power(reduced.function, q, forms=[form])
-    total = moments.integrate(power)
-    value = _finite_at_order(q, lambda: (
-        1.0 - (2.0 * math.pi * hbar) ** (q - 1) * total) / (q - 1))
-    return EntropyResult("tsallis", q, value, derive(params).lam,
-                         "star-power-numeric")
+    return _star_power_numeric("tsallis", reduced, q, params,
+                               lambda n, trace: (1.0 - trace) / (n - 1))
 
 
 def von_neumann_numeric(reduced: ReducedState,

@@ -626,15 +626,26 @@ def gaussian_star(left: GaussPoly, right: GaussPoly,
 def star_power(g: GaussPoly, n: int,
                forms: QuadraticForm | Sequence[QuadraticForm] | None = None,
                ) -> GaussPoly:
-    """n-fold star product of a Gaussian with itself (n >= 1)."""
+    """n-fold star product of a Gaussian with itself (n >= 1).
+
+    Built by repeated squaring, which the associative star-exponential group
+    law allows: the running power is squared once per bit of n and multiplied
+    into the result on each set bit, so at most 2*floor(log2 n) products run.
+    Every product goes through `gaussian_star` with all of its class checks;
+    n = 1 returns g itself.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("star power requires a positive integer order")
     if forms is None and n > 1:
         forms = [_infer_form(g)]
-    out = g
-    for _ in range(n - 1):
-        out = gaussian_star(out, g, forms=forms)
-    return out
+    out, square = None, g
+    while True:
+        if n & 1:
+            out = square if out is None else gaussian_star(out, square, forms=forms)
+        n >>= 1
+        if not n:
+            return out
+        square = gaussian_star(square, square, forms=forms)
 
 
 def star_log_gaussian(g: GaussPoly,

@@ -199,6 +199,13 @@ def genvalue_residual(state: WignerState, params: ModelParams,
     parts of the star products enter the modulus, so a wrong energy or a
     wrong state cannot hide in the real part.
     """
+    return _genvalue_residual_and_scale(state, params, energy)[0]
+
+
+def _genvalue_residual_and_scale(state: WignerState, params: ModelParams,
+                                 energy: float | None = None,
+                                 ) -> tuple[float, float]:
+    """genvalue_residual and max|W| over its grid, from one evaluation of W."""
     h_poly = oscillator_hamiltonian(params)
     w_func = state.function
     e = state.energy if energy is None else energy
@@ -208,4 +215,4 @@ def genvalue_residual(state: WignerState, params: ModelParams,
     right = star_product_poly_right(w_func, h_poly).value(grid)
     res_left = np.abs(left - e * w_vals).max()
     res_right = np.abs(right - e * w_vals).max()
-    return float(max(res_left, res_right))
+    return float(max(res_left, res_right)), float(np.abs(w_vals).max())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -125,6 +126,21 @@ class TestOverflow:
         assert "unsupported order 100000: the result overflows" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_huge_numeric_order_takes_log_many_products(self, capsys,
+                                                        monkeypatch):
+        from ncphase import starcalc
+        calls = []
+        real = starcalc.gaussian_star
+        monkeypatch.setattr(starcalc, "gaussian_star",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        code, out, err = run(capsys, "entropy", "--kind", "renyi", "--order",
+                             "200000", "--method", "numeric")
+        assert code == 3
+        assert out == ""
+        assert "unsupported order 200000: the result overflows" in err
+        assert len(err.strip().splitlines()) == 1
+        assert 0 < len(calls) <= 2 * math.floor(math.log2(200000))
+
     def test_hbar_square_underflow(self, capsys):
         code, out, err = run(capsys, "entropy", "--hbar", "1e-200", "--kind",
                              "renyi", "--order", "2")
@@ -194,6 +210,16 @@ class TestSpectrumCommand:
         assert f"0..{MAX_INDEX}" in err
 
 
+# SHA-256 of each figure's CSV at its default grid, as first published
+FIGURE_SHA256 = {
+    1: "ff672d10c56439e1dca03b35fe70c285e08798e0fc211ed89348faecb16290c9",
+    2: "100692942dc0d2fe853d493c2a77f14b00f66db7d9fd58a20e210e32caafc347",
+    3: "6b924edf468558dfe969c1d58a1f2f8896661383c46896e24c49d05a62eb4541",
+    4: "4439e1057cd785dd631c1cc217a0208ccb5b46f551d6fe32954a5b092595beb5",
+    5: "6f257be306d79dd9b81e7d15d9c029f742eda6f8fbe7c65fecfb841c2410b302",
+}
+
+
 def read_rows(path):
     lines = path.read_text().strip().splitlines()
     return lines[0].split(","), [row.split(",") for row in lines[1:]]
@@ -207,6 +233,34 @@ class TestFigureCommand:
             assert code == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("figure", sorted(FIGURE_SHA256))
+    def test_default_grid_digest(self, capsys, figure):
+        code, out, _ = run(capsys, "figure", "--figure", str(figure), "--out", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_SHA256[figure]
+
+    @pytest.mark.parametrize("figure", [1, 2])
+    @pytest.mark.parametrize("grid", [1, 2, 7])
+    def test_surface_rows_match_pointwise(self, figure, grid):
+        # every cell as the scalar formulas give it, masked cells left empty
+        from ncphase.cli import _e1_of_lambda, _fmt, figure_csv
+        if figure == 1:
+            a_axis = b_axis = np.linspace(-5.0, 5.0, grid)
+            valid = lambda u, v: -1.0 < u * v < 1.0
+            lam_of = lambda u, v: math.sqrt(
+                (4.0 + (u - v) ** 2) / (4.0 + (2.0 - u * v) * (u - v) ** 2))
+        else:
+            a_axis, b_axis = np.linspace(0.0, 10.0, grid), np.linspace(-1.0, 1.0, grid)
+            valid = lambda d2, th: -1.0 < th < 1.0
+            lam_of = lambda d2, th: math.sqrt((1.0 + d2) / (1.0 + (2.0 - th) * d2))
+        want = ["a,b,E1"]
+        for a in a_axis:
+            for b in b_axis:
+                cell = (_fmt(_e1_of_lambda(np.array([lam_of(a, b)]))[0])
+                        if valid(a, b) else "")
+                want.append(f"{_fmt(a)},{_fmt(b)},{cell}")
+        assert figure_csv(figure, grid) == "\n".join(want) + "\n"
 
     def test_fig3_endpoint_rows(self, capsys, tmp_path):
         out = tmp_path / "fig3.csv"

@@ -21,7 +21,8 @@ from ncphase import (
     star_product_poly_right,
     wigner_state,
 )
-from ncphase.starcalc import _MUL_ARRAY_MIN, _MUL_BLOCK, _poly_mul
+from ncphase import starcalc
+from ncphase.starcalc import _MUL_ARRAY_MIN, _MUL_BLOCK, _infer_form, _poly_mul
 
 V2 = PhaseVariables(2, hbar=1.0)
 
@@ -458,10 +459,32 @@ class TestGaussianStar:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def reference_star_power(g, n, forms=None):
+    """The sequential loop: n - 1 products of the running power with g."""
+    if forms is None and n > 1:
+        forms = [_infer_form(g)]
+    out = g
+    for _ in range(n - 1):
+        out = gaussian_star(out, g, forms=forms)
+    return out
+
+
+def power_case(case):
+    """An operand and its forms. 2 pi hbar = 1 keeps high powers in range."""
+    from conftest import params_for_lambda
+    hbar = 1.0 / (2.0 * math.pi)
+    if case == "reduced-2d":
+        params = params_for_lambda(0.85, hbar=hbar)
+        return reduce(wigner_state(0, 0, params), 1).function, None
+    params = ModelParams(hbar=hbar, mu=0.02, nu=0.01)
+    return wigner_state(0, 0, params).function, list(hamiltonians_pm(params))
+
+
 class TestStarPower:
     def test_first_power_is_identity(self):
         g = GaussPoly.gaussian(V2, 1.3, -0.6 * np.eye(2))
         out = star_power(g, 1)
+        assert out is g
         assert out.prefactor == pytest.approx(1.3)
         assert np.allclose(out.exponent, g.exponent)
 
@@ -482,6 +505,41 @@ class TestStarPower:
         g = GaussPoly.gaussian(V2, 1.0, -0.5 * np.eye(2))
         with pytest.raises(ValueError):
             star_power(g, 0)
+
+    @pytest.mark.parametrize("case", ["reduced-2d", "ground-4d"])
+    def test_matches_sequential_products(self, case):
+        g, forms = power_case(case)
+        for n in [*range(1, 65), 255, 256, 257, 1000]:
+            got = star_power(g, n, forms=forms)
+            want = reference_star_power(g, n, forms=forms)
+            assert got.prefactor == pytest.approx(want.prefactor, rel=1e-12)
+            scale = np.abs(want.exponent).max()
+            assert np.abs(got.exponent - want.exponent).max() <= 1e-12 * scale
+
+    def test_products_grow_with_log_n(self, monkeypatch):
+        calls = []
+        real = starcalc.gaussian_star
+        monkeypatch.setattr(starcalc, "gaussian_star",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        g, forms = power_case("reduced-2d")
+        for n in [*range(1, 130), 255, 256, 257, 1000, 200000]:
+            calls.clear()
+            star_power(g, n, forms=forms)
+            assert len(calls) <= 2 * math.floor(math.log2(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 1000])
+    def test_operand_outside_class_raises_as_before(self, n):
+        # |k s| > 1: narrower than the minimal cell
+        form = two_square_1d(1.0, 1.0)
+        narrow = GaussPoly.gaussian(V2, 1.0, -3.0 * form.matrix)
+        # a polynomial factor: not a pure Gaussian
+        dressed = GaussPoly(V2, 1.0, -0.5 * form.matrix, {(0, 0): 1.0, (2, 0): 0.5})
+        for g in (narrow, dressed):
+            with pytest.raises(ValueError) as want:
+                reference_star_power(g, n, forms=[form])
+            with pytest.raises(ValueError) as got:
+                star_power(g, n, forms=[form])
+            assert str(got.value) == str(want.value)
 
 
 class TestStarLog:

@@ -17,7 +17,7 @@ from ncphase import (
     star_product_poly_left,
     wigner_state,
 )
-from ncphase.wigner import residual_grid
+from ncphase.wigner import _genvalue_residual_and_scale, residual_grid
 
 
 def grid_scale(state):
@@ -173,6 +173,16 @@ class TestGenvalueResidual:
         state = wigner_state(0, 0, params)
         res = genvalue_residual(state, params, energy=state.energy + 1.0)
         assert res >= 0.9 * grid_scale(state)
+
+    @pytest.mark.parametrize("energy_shift", [0.0, 0.01])
+    def test_residual_and_scale_from_one_evaluation(self, energy_shift):
+        params = ModelParams(mu=0.3, nu=0.1)
+        for i, j in [(0, 0), (1, 1)]:
+            state = wigner_state(i, j, params)
+            e = state.energy * (1.0 + energy_shift)
+            res, scale = _genvalue_residual_and_scale(state, params, energy=e)
+            assert res == genvalue_residual(state, params, energy=e)
+            assert scale == grid_scale(state)
 
     def test_hamiltonian_polynomial(self):
         h = oscillator_hamiltonian(ModelParams(mass=2.0, omega=3.0))
