@@ -71,7 +71,7 @@ def _integer_order(raw: str) -> int:
     value = float(raw)
     if not value.is_integer():
         raise ValueError(f"unsupported order {raw}")
-    return int(value)
+    return int(raw) if raw.strip().isdigit() else int(value)  # exact past 2^53
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -148,31 +148,11 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _e1_of_lambda(lam: np.ndarray) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    out = np.zeros_like(lam)
-    mask = lam < 1.0
-    lm = lam[mask]
-    out[mask] = (((1.0 + lm) * np.log1p(lm) - (1.0 - lm) * np.log1p(-lm))
-                 / (2.0 * lm) - np.log(2.0 * lm))
-    return out
-
-
-def _renyi_of_lambda(alpha: int, lam: np.ndarray) -> np.ndarray:
-    beta = ent.beta_gamma(alpha).beta_at(np.asarray(lam, dtype=float))
-    return np.log(beta / (2.0 * np.asarray(lam)) ** (alpha - 1)) / (alpha - 1)
-
-
-def _tsallis_of_lambda(q: int, lam: np.ndarray) -> np.ndarray:
-    beta = ent.beta_gamma(q).beta_at(np.asarray(lam, dtype=float))
-    return (1.0 - (2.0 * np.asarray(lam)) ** (q - 1) / beta) / (q - 1)
-
-
 def _surface_rows(header: str, a_vals, b_vals, lam_of, mask_of) -> str:
     a, b = np.meshgrid(a_vals, b_vals, indexing="ij")
     mask = mask_of(a, b)
     e1 = np.zeros(a.shape)  # lam only at valid cells: elsewhere it can divide by 0
-    e1[mask] = _e1_of_lambda(lam_of(a[mask], b[mask]))
+    e1[mask] = ent._von_neumann_of(lam_of(a[mask], b[mask]))
     b_text = [_fmt(y) for y in b_vals]
     lines = [header]
     for x, row_mask, row_e1 in zip(a_vals, mask, e1):
@@ -208,11 +188,12 @@ def figure_csv(figure: int, grid: int | None = None) -> str:
     if figure in (3, 5):
         n = 401 if grid is None else grid
         lam = np.linspace(0.578, 1.0, n)
+        e1 = ent._von_neumann_of(lam)
         if figure == 3:
-            cols = [_e1_of_lambda(lam)] + [_renyi_of_lambda(a, lam) for a in (2, 3, 4)]
+            cols = [e1] + [ent._renyi_of(a, lam) for a in (2, 3, 4)]
             header = "lambda,E1,E2,E3,E4"
         else:
-            cols = [_e1_of_lambda(lam)] + [_tsallis_of_lambda(q, lam) for q in (2, 3, 4)]
+            cols = [e1] + [ent._tsallis_of(q, lam) for q in (2, 3, 4)]
             header = "lambda,Ep1,Ep2,Ep3,Ep4"
         lines = [header]
         for idx, lv in enumerate(lam):

@@ -50,8 +50,6 @@ def omega_deformed(params: ModelParams) -> np.ndarray:
 def build_map(params: ModelParams) -> DarbouxMap:
     """Concrete solution of M Omega0 M^T = Omega_deformed with |M| = 1 - mu nu/hbar^2."""
     h, mu, nu = params.hbar, params.mu, params.nu
-    if mu * nu >= h**2:
-        raise ValueError("mu*nu must stay below hbar^2 (singular minimal cell)")
     kappa = math.sqrt((1.0 + math.sqrt(1.0 - mu * nu / h**2)) / 2.0)
     beta = mu / (2.0 * h * kappa)
     sigma = nu / (2.0 * h * kappa)
@@ -69,6 +67,4 @@ def build_map(params: ModelParams) -> DarbouxMap:
 def cell_size(params: ModelParams) -> float:
     """Volume of the minimal phase-space cell, 4 pi^2 (hbar^2 - mu nu)."""
     h = params.hbar
-    if params.mu * params.nu >= h**2:
-        raise ValueError("mu*nu must stay below hbar^2 (singular minimal cell)")
     return 4.0 * math.pi**2 * (h**2 - params.mu * params.nu)

@@ -1,22 +1,28 @@
 """Entanglement entropies of the oscillator ground state.
 
 Every ground-state entropy is a function of the single purity parameter
-lam in (sqrt(3)/3, 1]:
+lam in (sqrt(3)/3, 1]. With r = (1-lam)/(1+lam), the closed forms are
 
-    Renyi, integer alpha >= 2:   ln(beta_alpha(lam)) / (alpha-1) - ln(2 lam)
+    Renyi, integer alpha >= 2:   [alpha ln(1+lam) + ln(1 - r^alpha)
+                                  - alpha ln(2 lam)] / (alpha-1)
     von Neumann (alpha = 1):     [(1+lam)ln(1+lam) - (1-lam)ln(1-lam)]/(2 lam)
                                  - ln(2 lam)
-    Tsallis, integer q >= 2:     [1 - (2 lam)^(q-1)/beta_q(lam)] / (q-1)
+    Tsallis, integer q >= 2:     [1 - (2 lam/(1+lam))^q / (1 - r^q)] / (q-1)
 
-with beta/gamma the exact integer-coefficient polynomials in lam^2 generated
-by beta_n = beta_{n-1} + gamma_{n-1}, gamma_n = lam^2 beta_{n-1} + gamma_{n-1}.
-A second, independent route evaluates the same quantities through star powers
+the paper's ln(beta_alpha)/(alpha-1) - ln(2 lam) and
+[1 - (2 lam)^(q-1)/beta_q]/(q-1) rewritten with
+beta_n(lam) = [(1+lam)^n - (1-lam)^n] / (2 lam). beta/gamma are the exact
+integer-coefficient polynomials in lam^2 of beta_n = beta_{n-1} + gamma_{n-1},
+gamma_n = lam^2 beta_{n-1} + gamma_{n-1}; the log-sum forms need no such
+table, so every integer order that converts to a double has a value. A
+second, independent route evaluates the same quantities through star powers
 of the reduced Gaussian and exact moment integration.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +107,6 @@ def _check_integer_order(order, minimum: int = 2) -> int:
     return int(order)
 
 
-def _order_overflow(order: int) -> ValueError:
-    return ValueError(f"unsupported order {order}: the result overflows "
-                      "double precision")
-
-
 def _finite_at_order(order: int, compute) -> float:
     """compute(), or ValueError when the order pushes it out of double range."""
     try:
@@ -114,70 +115,85 @@ def _finite_at_order(order: int, compute) -> float:
     except (OverflowError, FloatingPointError):
         value = math.inf
     if not math.isfinite(value):
-        raise _order_overflow(order)
+        raise ValueError(f"unsupported order {order}: the result overflows "
+                         "double precision")
     return value
 
 
-def _beta_at(order: int, lam: float) -> float:
-    """beta_order(lam); ValueError at once when a coefficient overflows a double.
+def _elementwise_in_lam(formula):
+    """formula(*orders, lam) for a float or an array lam.
 
-    beta_n(lam) = sum_k comb(n, 2k+1) lam^(2k), and beta_at turns every
-    coefficient into a float. The largest, comb(n, m) with m the odd number
-    nearest n/2, overflows from n = 1030, and then every lam fails; checking
-    it first saves building beta_gamma(n), which is O(n^2) big-integer work.
-    From n = 2048 it is at least the mean 2^(n-1)/ceil(n/2) > 2^1024, so it
-    is not computed.
+    A float runs as a one-element array, so a single query and a figure
+    column go through the same numpy loops and round the same way.
     """
-    try:
-        if order >= 2048:
-            raise OverflowError
-        float(math.comb(order, order // 2 | 1))
-    except OverflowError:
-        raise _order_overflow(order) from None
-    return beta_gamma(order).beta_at(lam)
+    def wrapped(*args):
+        *orders, lam = args
+        shape = np.shape(lam)
+        flat = np.asarray(lam, dtype=float).reshape(-1)
+        value = formula(*orders, flat).reshape(shape)
+        return value if shape else float(value)
+    return wrapped
+
+
+@_elementwise_in_lam
+def _renyi_of(alpha: int, lam):
+    """Renyi entropy of integer order alpha >= 2 at lam, float or array."""
+    a = float(alpha)
+    r = (1.0 - lam) / (1.0 + lam)
+    return (a * np.log1p(lam) + np.log1p(-r ** a) - a * np.log(2.0 * lam)) / (a - 1.0)
+
+
+@_elementwise_in_lam
+def _tsallis_of(q: int, lam):
+    """Tsallis entropy of integer order q >= 2 at lam, float or array."""
+    a = float(q)
+    r = (1.0 - lam) / (1.0 + lam)
+    return (1.0 - (2.0 * lam / (1.0 + lam)) ** a / (1.0 - r ** a)) / (a - 1.0)
+
+
+@_elementwise_in_lam
+def _von_neumann_of(lam):
+    """von Neumann entropy at lam, float or array; 0 at lam = 1."""
+    out = np.zeros_like(lam)
+    mask = lam < 1.0  # (1-lam) ln(1-lam) -> 0 analytic limit at lam = 1
+    lm = lam[mask]
+    out[mask] = (((1.0 + lm) * np.log1p(lm) - (1.0 - lm) * np.log1p(-lm))
+                 / (2.0 * lm) - np.log(2.0 * lm))
+    return out
 
 
 def renyi_entanglement(alpha: int, lam: float) -> EntropyResult:
     """Closed-form Renyi entanglement entropy of the ground state, alpha >= 2."""
     alpha = _check_integer_order(alpha)
     _check_lambda(lam)
-    value = _finite_at_order(alpha, lambda: math.log(_beta_at(alpha, lam))
-                             / (alpha - 1) - math.log(2.0 * lam))
+    value = _finite_at_order(alpha, lambda: _renyi_of(alpha, lam))
     return EntropyResult("renyi", alpha, value, lam, "closed-form")
 
 
 def von_neumann_entanglement(lam: float) -> EntropyResult:
     """Closed-form von Neumann entanglement entropy of the ground state."""
     _check_lambda(lam)
-    if lam == 1.0:
-        value = 0.0  # (1-lam) ln(1-lam) -> 0 analytic limit
-    else:
-        value = ((1.0 + lam) * math.log1p(lam)
-                 - (1.0 - lam) * math.log1p(-lam)) / (2.0 * lam) - math.log(2.0 * lam)
-    return EntropyResult("von-neumann", 1, value, lam, "closed-form")
+    return EntropyResult("von-neumann", 1, _von_neumann_of(lam), lam,
+                         "closed-form")
 
 
 def tsallis_entanglement(q: int, lam: float) -> EntropyResult:
     """Closed-form Tsallis entanglement entropy of the ground state, q >= 2."""
     q = _check_integer_order(q)
     _check_lambda(lam)
-    value = _finite_at_order(q, lambda: (1.0 - (2.0 * lam) ** (q - 1)
-                                         / _beta_at(q, lam)) / (q - 1))
+    value = _finite_at_order(q, lambda: _tsallis_of(q, lam))
     return EntropyResult("tsallis", q, value, lam, "closed-form")
 
 
 def renyi_supremum(alpha: int) -> float:
     """Open upper bound of the Renyi entropy, approached as lam -> sqrt(3)/3."""
     alpha = _check_integer_order(alpha)
-    return _finite_at_order(alpha, lambda: math.log(_beta_at(alpha, LAMBDA_MIN))
-                            / (alpha - 1) - math.log(2.0 * LAMBDA_MIN))
+    return _finite_at_order(alpha, lambda: _renyi_of(alpha, LAMBDA_MIN))
 
 
 def von_neumann_supremum() -> float:
     """Open upper bound of the von Neumann entropy at lam -> sqrt(3)/3."""
-    lam = LAMBDA_MIN
-    return ((1.0 + lam) * math.log1p(lam)
-            - (1.0 - lam) * math.log1p(-lam)) / (2.0 * lam) - math.log(2.0 * lam)
+    return _von_neumann_of(LAMBDA_MIN)
 
 
 def _reduced_form(reduced: ReducedState) -> QuadraticForm:
@@ -187,14 +203,21 @@ def _reduced_form(reduced: ReducedState) -> QuadraticForm:
 
 def _star_power_numeric(kind: str, reduced: ReducedState, order: int,
                         params: ModelParams, entropy_of) -> EntropyResult:
-    """entropy_of(order, (2 pi hbar)^(order-1) * int W^order_*), W reduced."""
+    """entropy_of(order, int W^order_*, (2 pi hbar)^(order-1)), W reduced."""
     order = _check_integer_order(order)
     power = star_power(reduced.function, order, forms=[_reduced_form(reduced)])
     total = moments.integrate(power)
     value = _finite_at_order(order, lambda: entropy_of(
-        order, (2.0 * math.pi * params.hbar) ** (order - 1) * total))
+        order, total, (2.0 * math.pi * params.hbar) ** (order - 1)))
     return EntropyResult(kind, order, value, derive(params).lam,
                          "star-power-numeric")
+
+
+def _renyi_of_trace(order: int, total: float, scale: float) -> float:
+    if not total >= sys.float_info.min:  # subnormal digits are lost, 0 has no log
+        raise ValueError(f"unsupported order {order}: the star-power trace "
+                         "underflows double precision")
+    return math.log(scale * total) / (1 - order)
 
 
 def renyi_numeric(reduced: ReducedState, alpha: int,
@@ -204,15 +227,14 @@ def renyi_numeric(reduced: ReducedState, alpha: int,
     Independent of the closed form: the alpha-fold star power is integrated
     exactly and normalized by the 2D minimal cell 2*pi*hbar.
     """
-    return _star_power_numeric("renyi", reduced, alpha, params,
-                               lambda n, trace: math.log(trace) / (1 - n))
+    return _star_power_numeric("renyi", reduced, alpha, params, _renyi_of_trace)
 
 
 def tsallis_numeric(reduced: ReducedState, q: int,
                     params: ModelParams) -> EntropyResult:
     """Tsallis entropy through the same star-power route."""
     return _star_power_numeric("tsallis", reduced, q, params,
-                               lambda n, trace: (1.0 - trace) / (n - 1))
+                               lambda n, total, scale: (1.0 - scale * total) / (n - 1))
 
 
 def von_neumann_numeric(reduced: ReducedState,

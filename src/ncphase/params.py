@@ -51,10 +51,10 @@ class ModelParams:
             raise ValueError(
                 f"hbar^2 underflows double precision, got hbar = {self.hbar!r}"
             )
-        if self.mu * self.nu >= hbar_sq:
-            raise ValueError(
-                "mu*nu must stay below hbar^2 (singular minimal phase-space cell)"
-            )
+        # the upper end makes the minimal cell singular, the lower one pushes
+        # the purity parameter out of range; derive and darboux rely on this
+        if not -hbar_sq < self.mu * self.nu < hbar_sq:
+            raise ValueError("mu*nu must stay inside (-hbar^2, hbar^2)")
 
     @property
     def near_singular(self) -> bool:
@@ -88,10 +88,8 @@ class DerivedQuantities:
 def derive(params: ModelParams) -> DerivedQuantities:
     """Compute all derived scalars, cross-checking the equivalent lambda forms.
 
-    Raises ValueError when mu*nu falls outside (-hbar^2, hbar^2); the upper end
-    makes h_minus and the minimal cell degenerate, the lower end pushes the
-    purity parameter out of its admissible range. Also raises ValueError when
-    a derived scalar overflows double precision.
+    ModelParams has already bounded mu*nu to (-hbar^2, hbar^2). Raises
+    ValueError when a derived scalar overflows double precision.
     """
     try:
         dq = _derive(params)
@@ -108,11 +106,6 @@ def _derive(params: ModelParams) -> DerivedQuantities:
     mu, nu = params.mu, params.nu
 
     theta = mu * nu / hbar**2
-    if theta >= 1.0:
-        raise ValueError("mu*nu must stay below hbar^2 (non-positive h_minus)")
-    if theta <= -1.0:
-        raise ValueError("mu*nu must stay above -hbar^2 (purity parameter out of range)")
-
     eta = (m**2 * w**2 * mu + nu) / (2.0 * hbar * m * w)
     delta = (m**2 * w**2 * mu - nu) / (2.0 * hbar * m * w)
     u = m * w * mu / hbar

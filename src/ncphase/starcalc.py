@@ -235,7 +235,10 @@ class GaussPoly:
         if not np.allclose(Q, Q.T, atol=1e-12 * (1.0 + abs(Q).max())):
             raise ValueError("exponent matrix must be symmetric")
         object.__setattr__(self, "exponent", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "poly", _prune(self.poly))
+        # only exact zeros go: the small coefficients of a Laguerre tower sit
+        # on high-degree monomials with large moments and carry its integrals
+        object.__setattr__(self, "poly",
+                           {k: c for k, c in self.poly.items() if c != 0})
 
     @classmethod
     def constant(cls, variables: PhaseVariables, value: float = 1.0) -> "GaussPoly":

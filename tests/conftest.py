@@ -1,6 +1,7 @@
 """Shared test fixtures and independent numerical oracles."""
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,6 +33,28 @@ def params_for_lambda(lam: float, hbar=1.0, mass=1.0, omega=1.0) -> ModelParams:
     params = ModelParams(hbar=hbar, mass=mass, omega=omega, mu=mu, nu=nu)
     assert abs(derive(params).lam - lam) < 1e-9, "helper self-check"
     return params
+
+
+# 60 digits, with an exponent range that holds (1 + lam)^n for n = 10**9
+_DECIMAL = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def decimal_beta(n: int, lam: float) -> Decimal:
+    """beta_n(lam) = [(1+lam)^n - (1-lam)^n] / (2 lam) in 60-digit decimal."""
+    with localcontext(_DECIMAL):
+        x = Decimal(lam)
+        return ((1 + x) ** n - (1 - x) ** n) / (2 * x)
+
+
+def decimal_entropy(kind: str, n: int, lam: float) -> float:
+    """Renyi or Tsallis entropy of integer order n at lam, the paper's
+    formulas in beta_n evaluated in 60-digit decimal."""
+    beta = decimal_beta(n, lam)
+    with localcontext(_DECIMAL):
+        x = Decimal(lam)
+        if kind == "renyi":
+            return float(beta.ln() / (n - 1) - (2 * x).ln())
+        return float((1 - (2 * x) ** (n - 1) / beta) / (n - 1))
 
 
 def trapezoid_integrate(func: GaussPoly, sigmas: float = 8.0,

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import decimal_entropy
 from ncphase.cli import main
 
 
@@ -47,6 +48,10 @@ class TestEntropyCommand:
                            "--order", "2.5")
         assert code == 3
         assert "unsupported order" in err
+
+    def test_integer_order_is_taken_exactly(self, capsys):
+        # 2^53 + 1 has no double; the order must not be rounded to 2^53
+        assert_closed_form_matches_decimal(capsys, "renyi", 2**53 + 1)
 
     def test_invalid_physics_exit_code(self, capsys):
         code, _, err = run(capsys, "entropy", "--mu", "2", "--nu", "1",
@@ -108,6 +113,11 @@ class TestOverflow:
     @pytest.mark.parametrize("method", ["closed", "numeric"])
     @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
     def test_order_overflow(self, capsys, kind, method):
+        # the star-power route scales by (2 pi hbar)^1999, past double range;
+        # the closed form has the value
+        if method == "closed":
+            assert_closed_form_matches_decimal(capsys, kind, 2000)
+            return
         code, out, err = run(capsys, "entropy", "--kind", kind, "--order",
                              "2000", "--method", method)
         assert code == 3
@@ -117,13 +127,16 @@ class TestOverflow:
 
     @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
     def test_huge_closed_form_order_fails_fast(self, capsys, kind):
+        # no O(n^2) coefficient table: order 100000 answers at once, and only
+        # an order past float range is refused
         start = time.perf_counter()
-        code, out, err = run(capsys, "entropy", "--kind", kind, "--order",
-                             "100000", "--method", "closed")
+        assert_closed_form_matches_decimal(capsys, kind, 100000)
         assert time.perf_counter() - start < 1.0
+        code, out, err = run(capsys, "entropy", "--kind", kind, "--order",
+                             str(10**400), "--method", "closed")
         assert code == 3
         assert out == ""
-        assert "unsupported order 100000: the result overflows" in err
+        assert "unsupported order" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_huge_numeric_order_takes_log_many_products(self, capsys,
@@ -150,11 +163,39 @@ class TestOverflow:
         assert len(err.strip().splitlines()) == 1
 
     def test_order_at_the_edge_of_double_range(self, capsys):
-        code, out, err = run(capsys, "entropy", "--kind", "renyi", "--order",
-                             "1026")
+        # beta_gamma(1026)'s coefficients fit a double, but summed at
+        # lam = 0.99999 they pass 2^1024; the log sum has the value
+        assert_closed_form_matches_decimal(capsys, "renyi", 1026)
+
+    def test_underflowing_star_power_trace(self, capsys):
+        # int W^380 underflows to 0.0 here: Renyi has no logarithm to take,
+        # Tsallis (1 - trace)/(q-1) keeps the closed-form value
+        argv = ["entropy", "--mu", "3", "--nu", "-0.3", "--order", "380"]
+        code, out, err = run(capsys, *argv, "--kind", "renyi",
+                             "--method", "numeric")
         assert code == 3
-        assert "overflows double precision" in err
+        assert out == ""
+        assert "unsupported order 380: the star-power trace underflows" in err
         assert len(err.strip().splitlines()) == 1
+        _, closed, _ = run(capsys, *argv, "--kind", "tsallis")
+        code, numeric, _ = run(capsys, *argv, "--kind", "tsallis",
+                               "--method", "numeric")
+        assert code == 0
+        assert json.loads(numeric)["value"] == pytest.approx(
+            json.loads(closed)["value"], abs=1e-15)
+
+
+def assert_closed_form_matches_decimal(capsys, kind, order):
+    """The CLI's closed form at (mu, nu) = (0.01, 0), lam = 0.99999, within
+    1e-15 of the 60-digit decimal beta_n formula, on a clean exit."""
+    code, out, err = run(capsys, "entropy", "--mu", "0.01", "--nu", "0", "--kind",
+                         kind, "--order", str(order), "--method", "closed")
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["order"] == order
+    want = decimal_entropy(kind, order, payload["lambda"])
+    assert abs(payload["value"] - want) <= 1e-15
 
 
 class TestSpectrumCommand:
@@ -244,7 +285,8 @@ class TestFigureCommand:
     @pytest.mark.parametrize("grid", [1, 2, 7])
     def test_surface_rows_match_pointwise(self, figure, grid):
         # every cell as the scalar formulas give it, masked cells left empty
-        from ncphase.cli import _e1_of_lambda, _fmt, figure_csv
+        from ncphase.cli import _fmt, figure_csv
+        from ncphase.entropy import _von_neumann_of
         if figure == 1:
             a_axis = b_axis = np.linspace(-5.0, 5.0, grid)
             valid = lambda u, v: -1.0 < u * v < 1.0
@@ -257,7 +299,7 @@ class TestFigureCommand:
         want = ["a,b,E1"]
         for a in a_axis:
             for b in b_axis:
-                cell = (_fmt(_e1_of_lambda(np.array([lam_of(a, b)]))[0])
+                cell = (_fmt(_von_neumann_of(lam_of(a, b)))
                         if valid(a, b) else "")
                 want.append(f"{_fmt(a)},{_fmt(b)},{cell}")
         assert figure_csv(figure, grid) == "\n".join(want) + "\n"

@@ -1,12 +1,14 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import params_for_lambda
+from conftest import decimal_beta, decimal_entropy, params_for_lambda
 
+from ncphase import entropy
 from ncphase import (
     LAMBDA_MIN,
     ModelParams,
@@ -28,6 +30,21 @@ from ncphase import (
 )
 
 LAMBDA_GRID = np.linspace(0.60, 1.00, 9)
+
+# from the lower end of the purity range to the pure state
+ORACLE_LAMBDAS = (LAMBDA_MIN + 1e-12, 0.58, 0.6, 0.8, 1.0 - 1e-6, 1.0)
+
+
+def assert_matches_decimal(order, lams=ORACLE_LAMBDAS):
+    """Renyi, Tsallis and the Renyi supremum at order within 1e-15 of the
+    60-digit decimal evaluation of the paper's beta_n formulas."""
+    for lam in lams:
+        for kind, closed in (("renyi", renyi_entanglement),
+                             ("tsallis", tsallis_entanglement)):
+            want = decimal_entropy(kind, order, lam)
+            assert abs(closed(order, lam).value - want) <= 1e-15, (kind, lam)
+    assert abs(renyi_supremum(order)
+               - decimal_entropy("renyi", order, LAMBDA_MIN)) <= 1e-15
 
 
 class TestBetaGamma:
@@ -70,6 +87,17 @@ class TestBetaGamma:
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             beta_gamma(0)
+
+    def test_closed_sum_matches_the_exact_table(self):
+        # the identity behind the log-sum closed forms and the decimal oracle
+        for n in range(1, 41):
+            coeffs = beta_gamma(n).beta
+            for lam in (LAMBDA_MIN, 0.77, 1.0):
+                with localcontext(Context(prec=60)):
+                    x_sq = Decimal(lam) ** 2
+                    table = sum(c * x_sq ** k for k, c in enumerate(coeffs))
+                    error = abs(decimal_beta(n, lam) / table - 1)
+                assert error < Decimal("1e-50")
 
 
 class TestClosedForms:
@@ -124,17 +152,23 @@ class TestClosedForms:
             order_fn()
 
     def test_orders_at_the_coefficient_edge_keep_their_values(self):
-        # the highest orders that still give a value; the constants are the
-        # plain beta_gamma evaluation, which the early check must not change
-        assert renyi_entanglement(1028, 0.58).value == 0.309305722974079
-        assert renyi_entanglement(1026, 0.8).value == 0.11789794593507258
-        assert tsallis_entanglement(1027, 0.8).value == 0.0009746588693957114
-        assert renyi_supremum(1028) == 0.3122090634971217
+        # beta_gamma's largest coefficient overflows a double from order
+        # 1030, and from 2048 even its mean does; the log sums cross both
+        for order in range(1026, 2049):
+            assert_matches_decimal(order, lams=(LAMBDA_MIN + 1e-12, 0.8, 1.0 - 1e-6))
 
     @pytest.mark.parametrize("order", [1030, 1031, 2047, 2048, 10**9])
     def test_orders_past_the_coefficient_edge_fail_at_once(self, order):
-        # from order 1030 the largest beta coefficient overflows a double at
-        # every lam; the error comes before any big-integer table is built
+        # past the coefficient edge the log sums build no table and have
+        # values at every order that converts to a double
+        assert_matches_decimal(order)
+
+    def test_supremum_overflow_raises(self):
+        # order 1029 overflows a double summed from the beta_gamma table but
+        # not as a log sum; an order too large for a float raises
+        assert abs(renyi_supremum(1029)
+                   - decimal_entropy("renyi", 1029, LAMBDA_MIN)) <= 1e-15
+        order = 10**400
         for fn in (lambda: renyi_entanglement(order, 0.6),
                    lambda: tsallis_entanglement(order, 0.6),
                    lambda: renyi_supremum(order)):
@@ -142,10 +176,20 @@ class TestClosedForms:
                                                  "the result overflows"):
                 fn()
 
-    def test_supremum_overflow_raises(self):
-        # order 1029 converts every coefficient but overflows in the sum
-        with pytest.raises(ValueError, match="unsupported order 1029"):
-            renyi_supremum(1029)
+    def test_orders_across_the_range_match_the_decimal_oracle(self):
+        for order in [*range(2, 65), *range(65, 5001, 97), 5000, 100000]:
+            assert_matches_decimal(order)
+
+    def test_array_forms_equal_the_scalar_queries(self):
+        lam = np.linspace(LAMBDA_MIN + 1e-12, 1.0, 257)
+        for order in (2, 3, 4, 7, 256, 2048):
+            for array_of, scalar in ((entropy._renyi_of, renyi_entanglement),
+                                     (entropy._tsallis_of, tsallis_entanglement)):
+                want = [scalar(order, float(x)).value for x in lam]
+                assert array_of(order, lam).tolist() == want
+        want = [von_neumann_entanglement(float(x)).value for x in lam]
+        assert entropy._von_neumann_of(lam).tolist() == want
+        assert entropy._von_neumann_of(LAMBDA_MIN) == von_neumann_supremum()
 
     @pytest.mark.parametrize("lam", [0.5, LAMBDA_MIN, 1.0 + 1e-9])
     def test_out_of_range_lambda_rejected(self, lam):
@@ -189,6 +233,19 @@ class TestNumericRoute:
             closed = tsallis_entanglement(q, lam).value
             numeric = tsallis_numeric(reduced, q, params).value
             assert abs(closed - numeric) <= 1e-11
+
+    def test_subnormal_trace_is_refused(self):
+        # at (3, -0.3) int W^n turns subnormal from n = 342: the Renyi value
+        # drifts (2e-6 off at n = 356) and at n = 360 the trace is 0.0
+        params = ModelParams(mu=3.0, nu=-0.3)
+        reduced = reduce(wigner_state(0, 0, params), 1)
+        lam = derive(params).lam
+        assert abs(renyi_numeric(reduced, 340, params).value
+                   - renyi_entanglement(340, lam).value) <= 1e-15
+        for order in (342, 356, 360, 386):
+            with pytest.raises(ValueError, match=f"unsupported order {order}: "
+                                                 "the star-power trace underflows"):
+                renyi_numeric(reduced, order, params)
 
     def test_result_metadata(self):
         params = params_for_lambda(0.9)

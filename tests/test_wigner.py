@@ -80,6 +80,20 @@ class TestWignerStates:
                 state = wigner_state(i, j, params)
                 assert integrate(state.function) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("i, keep, point, tol", [
+        # the tiny coefficients of these towers carry their integrals: a
+        # 1e-15 relative prune at construction leaves this benchmark tower
+        # point 1.9e-4 off, (8,8) 7e4 and the (6,6) marginal 4e-3
+        (6, 2, dict(hbar=1.9236, mass=1.1124, omega=1.0861, mu=-0.03263,
+                    nu=-0.04764), 1e-9),
+        (8, 2, dict(mass=2.0), 5e-8),
+        (6, 1, dict(mu=3.0, nu=-0.3), 1e-8),
+    ], ids=["tower-6-6", "mass-2-8-8", "marginal-6-6"])
+    def test_deep_states_keep_every_coefficient(self, i, keep, point, tol):
+        w = wigner_state(i, i, ModelParams(**point)).function
+        assert abs(integrate(w) - 1.0) <= tol
+        assert abs(integrate(marginalize(w, keep)) - 1.0) <= tol
+
     def test_degeneracy_in_commutative_limit(self):
         params = ModelParams()
         assert energy_level(2, 0, params) == pytest.approx(
