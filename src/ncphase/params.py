@@ -89,15 +89,19 @@ def derive(params: ModelParams) -> DerivedQuantities:
     """Compute all derived scalars, cross-checking the equivalent lambda forms.
 
     ModelParams has already bounded mu*nu to (-hbar^2, hbar^2). Raises
-    ValueError when a derived scalar overflows double precision.
+    ValueError when the derived scalars are not all finite in double
+    precision with lam in (sqrt(3)/3, 1]: an overflow, a division by zero,
+    lambda forms that disagree, or a lam rounded out of its range. Far from
+    unit scales this happens at accepted points.
     """
     try:
         dq = _derive(params)
-    except OverflowError:
+    except ArithmeticError:  # OverflowError, ZeroDivisionError, cross-checks
         dq = None
-    if dq is None or not all(map(math.isfinite, vars(dq).values())):
+    if (dq is None or not all(map(math.isfinite, vars(dq).values()))
+            or not LAMBDA_MIN < dq.lam <= 1.0):
         raise ValueError("parameters out of range: derived scalars overflow "
-                         "double precision")
+                         "or lose precision in double precision")
     return dq
 
 

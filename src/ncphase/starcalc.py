@@ -23,10 +23,10 @@ and imaginary parts separately.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,16 +88,6 @@ class PhaseVariables:
                 [0.0, -h, -nu, 0.0],
             ]
         )
-
-
-def _prune(poly: Mapping[Monomial, complex]) -> PolyMap:
-    if not poly:
-        return {}
-    top = max(abs(c) for c in poly.values())
-    if top == 0.0:
-        return {}
-    cut = PRUNE_REL * top
-    return {k: c for k, c in poly.items() if abs(c) > cut}
 
 
 def _shift(mono: Monomial, axis: int, by: int) -> Monomial:
@@ -205,8 +195,17 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     return dict(zip(zip(*exps), values.tolist()))
 
 
-def _poly_diff(poly: PolyMap, axis: int) -> PolyMap:
-    return {_shift(k, axis, -1): c * k[axis] for k, c in poly.items() if k[axis]}
+def _coefficients(values: Iterable[complex]) -> np.ndarray:
+    """Coefficient vector, real when no coefficient has an imaginary part."""
+    coeffs = np.array(list(values), dtype=complex)
+    return coeffs if coeffs.imag.any() else coeffs.real
+
+
+def _terms(poly: PolyMap, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent matrix and coefficient vector of a polynomial."""
+    exps = np.fromiter(itertools.chain.from_iterable(poly), dtype=np.intp,
+                       count=dimension * len(poly))
+    return exps.reshape(-1, dimension), _coefficients(poly.values())
 
 
 def _power_table(x: np.ndarray, top: int) -> np.ndarray:
@@ -232,7 +231,7 @@ class GaussPoly:
         Q = np.asarray(self.exponent, dtype=float)
         if Q.shape != (d, d):
             raise ValueError(f"exponent must be {d}x{d}")
-        if not np.allclose(Q, Q.T, atol=1e-12 * (1.0 + abs(Q).max())):
+        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + abs(Q).max())):
             raise ValueError("exponent matrix must be symmetric")
         object.__setattr__(self, "exponent", 0.5 * (Q + Q.T))
         # only exact zeros go: the small coefficients of a Laguerre tower sit
@@ -273,7 +272,7 @@ class GaussPoly:
         if self.variables != other.variables:
             raise ValueError("cannot add functions over different variable blocks")
         scale = abs(self.exponent).max() + abs(other.exponent).max() + 1.0
-        if not np.allclose(self.exponent, other.exponent, atol=1e-12 * scale):
+        if not np.allclose(self.exponent, other.exponent, rtol=0.0, atol=1e-12 * scale):
             raise ValueError("cannot add functions with different Gaussian exponents")
         merged = {k: self.prefactor * c for k, c in self.poly.items()}
         _accumulate(merged, other.poly.items(), scale=other.prefactor)
@@ -313,10 +312,7 @@ class GaussPoly:
         if pts.shape[-1] != d:
             raise ValueError("points have the wrong trailing dimension")
         flat = pts.reshape(-1, d)
-        coeffs = np.array(list(self.poly.values()), dtype=complex)
-        if not coeffs.imag.any():
-            coeffs = coeffs.real
-        exps = np.array(list(self.poly), dtype=np.intp).reshape(-1, d)
+        exps, coeffs = _terms(self.poly, d)
         top = exps.max(axis=0, initial=0)
         acc = np.zeros(len(flat), dtype=coeffs.dtype)
         step = max(1, _VALUE_BLOCK // max(len(coeffs), top.max() + 1))
@@ -328,6 +324,67 @@ class GaussPoly:
             acc[start:start + step] = coeffs @ prod
         quad = np.einsum("ij,ij->i", flat @ self.exponent, flat)
         return self.prefactor * (acc * np.exp(quad)).reshape(pts.shape[:-1])
+
+
+def _outer_rows(tables: Sequence[np.ndarray], exps: np.ndarray) -> np.ndarray:
+    """Row t: outer product over the axes of tables[a][exps[t, a]], flattened
+    with the first axis slowest."""
+    rows = np.ones((len(exps), 1))
+    for table, column in zip(tables, exps.T):
+        rows = (rows[:, :, None] * table[column][:, None, :]).reshape(len(exps), -1)
+    return rows
+
+
+def _grid_poly(poly: PolyMap, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The polynomial on the tensor grid of axes, by sum factorization."""
+    d = len(axes)
+    lead = d // 2
+    exps, coeffs = _terms(poly, d)
+    top = exps.max(axis=0, initial=0)
+    tables = [_power_table(x, t) for x, t in zip(axes, top)]
+    exps, coeffs = (v[np.argsort(exps[:, :lead] @ _radix_weights(top[:lead] + 1))]
+                    for v in (exps, coeffs))
+    head = math.prod(len(x) for x in axes[:lead])
+    tail = math.prod(len(x) for x in axes[lead:])
+    out = np.zeros((head, tail), dtype=coeffs.dtype)
+    step = max(1, _VALUE_BLOCK // max(head, tail))
+    for start in range(0, len(coeffs), step):
+        rows = slice(start, start + step)
+        e = exps[rows]
+        # the terms of a block that share their leading exponents are adjacent
+        groups = np.flatnonzero(np.concatenate(
+            ([True], (e[1:, :lead] != e[:-1, :lead]).any(axis=1))))
+        partial = np.add.reduceat(
+            coeffs[rows, None] * _outer_rows(tables[lead:], e[:, lead:]), groups)
+        out += _outer_rows(tables[:lead], e[groups, :lead]).T @ partial
+    return out.ravel()
+
+
+def grid_values(funcs: Sequence[GaussPoly], axes: Sequence[np.ndarray]
+                ) -> list[np.ndarray]:
+    """Values of functions with one shared Gaussian exponent on a tensor grid.
+
+    The grid holds every point (axes[0][i0], axes[1][i1], ...), flat with the
+    first axis slowest, as np.meshgrid(*axes, indexing="ij") ravels it.
+    GaussPoly.value gives the same values at scattered points. Here the
+    terms, sorted by their exponents on the leading half of the axes, are
+    summed per leading exponent against outer products of the trailing
+    axes' power tables; one matrix product with the leading axes' tables
+    contracts the rest. exp(z Q z) is computed once for all functions. Terms
+    go in blocks that keep each temporary within _VALUE_BLOCK entries.
+    """
+    variables, Q = funcs[0].variables, funcs[0].exponent
+    if any(f.variables != variables or not np.array_equal(f.exponent, Q)
+           for f in funcs):
+        raise ValueError("grid evaluation needs one shared Gaussian exponent")
+    if len(axes) != variables.dimension:
+        raise ValueError("grid evaluation needs one axis per variable")
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    quad = np.zeros([len(x) for x in axes])
+    for a, b in zip(*np.nonzero(Q)):
+        quad += Q[a, b] * (mesh[a] * mesh[b])
+    gauss = np.exp(quad).ravel()
+    return [f.prefactor * (_grid_poly(f.poly, axes) * gauss) for f in funcs]
 
 
 @dataclass(frozen=True)
@@ -446,54 +503,203 @@ def _pair_matrix(variables: PhaseVariables) -> dict[tuple[int, int], complex]:
     return out
 
 
-def _gauss_diff(poly: PolyMap, axis: int, Q: np.ndarray) -> PolyMap:
-    """Polynomial part of d/dz_axis [poly * exp(z Q z)]."""
-    out = _poly_diff(poly, axis)
-    for j in range(Q.shape[0]):
-        if Q[axis, j] != 0.0:
-            q = 2.0 * Q[axis, j]
-            _accumulate(out, ((_shift(k, j, 1), c * q) for k, c in poly.items()))
-    return _prune(out)
+def _run_sums(keys: np.ndarray, values: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Each run of equal keys in sorted keys once, with its values summed in order.
+
+    np.bincount adds a run's values one at a time from +0.0, the order of a
+    dict updated with out.get(k, 0.0) + c, so the sums are the dict's.
+    """
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    run = np.cumsum(first) - 1
+    uniq = keys[first]
+    if not np.iscomplexobj(values):
+        return uniq, np.bincount(run, values, len(uniq))
+    sums = np.empty(len(uniq), dtype=complex)
+    sums.real = np.bincount(run, values.real, len(uniq))
+    sums.imag = np.bincount(run, values.imag, len(uniq))
+    return uniq, sums
+
+
+def _key_sums(keys: np.ndarray, values: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order, each with its values summed in input
+    order (the stable sort keeps it)."""
+    order = keys.argsort(kind="stable")
+    return _run_sums(keys[order], values[order])
+
+
+def _times(a, b):
+    """a * b elementwise, complex products by CPython's formula."""
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _pruned(keys: np.ndarray, values: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Terms with |c| above PRUNE_REL times the largest |c|; exact zeros go."""
+    size = np.abs(values)
+    keep = size > PRUNE_REL * size.max(initial=0.0)
+    return keys[keep], values[keep]
+
+
+def _series_terms(deg: int, unit: Sequence[int], pair: dict[tuple[int, int], complex]
+                  ) -> list[tuple[int, int, complex]]:
+    """(alpha, beta, coefficient / n!) of the series up to order deg.
+
+    alpha and beta are packed: entry a counts unit[a]. The order-n
+    coefficients sum the products of pairing entries over the n-step paths
+    to (alpha, beta), in the order the paths are found.
+    """
+    level: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
+    out = [(0, 0, 1.0 + 0.0j)]
+    steps = [(unit[a], unit[b], pab) for (a, b), pab in pair.items()]
+    factorial = 1.0
+    for order in range(1, deg + 1):
+        factorial *= order
+        nxt: dict[tuple[int, int], complex] = {}
+        for (al, be), coeff in level.items():
+            for ua, ub, pab in steps:
+                key = (al + ua, be + ub)
+                nxt[key] = nxt.get(key, 0.0) + coeff * pab
+        level = nxt
+        out += [(al, be, coeff / factorial) for (al, be), coeff in level.items()]
+    return out
+
+
+def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], axes: Sequence[int],
+                  gQ: np.ndarray, weight: np.ndarray, radix: np.ndarray
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Polynomial part of d/dz_axis [poly * exp(z gQ z)] for each packed
+    (poly, axis), each pruned at PRUNE_REL of its own largest coefficient.
+    Each poly comes in ascending key order, and so does each result.
+
+    All passes run together, poly n offset to the n-th block of keys.
+    Each output key adds the polynomial's derivative first and then
+    2 gQ[axis, j] z_j poly for j = 0, 1, ..., as the dict loop did: the
+    shifted terms come in key order, and a term reaching a given key
+    through a larger j has a larger key.
+    """
+    size = int(weight[0] * radix[0])
+    lengths = [len(k) for k, _ in polys]
+    offset = np.arange(len(polys) + 1) * size
+    keys = np.concatenate([k for k, _ in polys]) + np.repeat(offset[:-1], lengths)
+    vals = np.concatenate([v for _, v in polys])
+    axis = np.repeat(axes, lengths)
+    power = keys // weight[axis] % radix[axis]  # offsets are multiples of size
+    has = power > 0
+    q = 2.0 * gQ[axis]
+    nz = q != 0.0
+    keys, vals = _key_sums(
+        np.concatenate((keys[has] - weight[axis[has]], (keys[:, None] + weight)[nz])),
+        np.concatenate((vals[has] * power[has], (vals[:, None] * q)[nz])))
+    bounds = np.searchsorted(keys, offset)
+    if len(keys):
+        size_of = np.abs(vals)
+        top = np.maximum.reduceat(size_of, np.minimum(bounds[:-1], len(keys) - 1))
+        keep = size_of > PRUNE_REL * np.repeat(top, np.diff(bounds))
+        bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
+        keys, vals = keys[keep], vals[keep]
+    return [(keys[lo:hi] - base, vals[lo:hi])
+            for base, lo, hi in zip(offset, bounds[:-1], bounds[1:])]
 
 
 def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
                  pair: dict[tuple[int, int], complex]) -> PolyMap:
     """Terminating series for (polynomial f) star (g), derivatives of f on the
-    left slot of the pairing. Terminates at the total degree of f."""
-    zero = (0,) * gQ.shape[0]
-    deg = max((sum(k) for k in fpoly), default=0)
+    left slot of the pairing. Terminates at the total degree of f.
 
-    def derivative(cache: dict[Monomial, PolyMap], step, alpha: Monomial) -> PolyMap:
-        if alpha not in cache:
-            axis = next(i for i, n in enumerate(alpha) if n)
-            cache[alpha] = step(derivative(cache, step, _shift(alpha, axis, -1)), axis)
-        return cache[alpha]
+    The order-n term adds coeff(alpha, beta)/n! D^alpha f D^beta g over the
+    multi-index pairs reached by n pairing steps. g and its Gaussian
+    derivatives are packed mixed-radix keys (`_radix_weights`) with
+    coefficient arrays. D^beta g is one pass along the first nonzero axis of
+    beta from the multi-index one lower there, and the passes of one order
+    run together (`_gauss_passes`). All products run as one gather and one
+    stable sort, and the result is pruned once. Every sum adds in the order
+    of the dict loop this replaced, so the coefficients are that loop's to
+    the last bit, up to the sign of zero.
+    """
+    if not fpoly or not gpoly:
+        return {}
+    d = gQ.shape[0]
+    deg = max(sum(k) for k in fpoly)
+    gexps, gvals = _terms(gpoly, d)
+    radix = np.array(list(fpoly)).max(axis=0) + gexps.max(axis=0) + deg + 1
+    weight = _radix_weights(radix)
+    # multi-indices alpha, beta packed with deg + 1 per entry; each
+    # derivative D^alpha is taken along the first nonzero entry of alpha
+    # from the multi-index one lower there
+    unit = _radix_weights(np.full(d, deg + 1)).tolist()
 
-    f_cache: dict[Monomial, PolyMap] = {zero: dict(fpoly)}
-    g_cache: dict[Monomial, PolyMap] = {zero: dict(gpoly)}
-    g_step = functools.partial(_gauss_diff, Q=gQ)
+    def lower(alpha: int) -> tuple[int, int]:
+        axis = next(a for a in range(d) if alpha // unit[a] % (deg + 1))
+        return alpha - unit[axis], axis
 
-    terms: dict[tuple[Monomial, Monomial], complex] = {(zero, zero): 1.0 + 0.0j}
-    out: PolyMap = {}
-    factorial = 1.0
-    for order in range(deg + 1):
-        if order:
-            factorial *= order
-            nxt: dict[tuple[Monomial, Monomial], complex] = {}
-            for (al, be), coeff in terms.items():
-                for (a, b), pab in pair.items():
-                    key = (_shift(al, a, 1), _shift(be, b, 1))
-                    nxt[key] = nxt.get(key, 0.0) + coeff * pab
-            terms = nxt
-        for (al, be), coeff in terms.items():
-            df = derivative(f_cache, _poly_diff, al)
-            if not df:
-                continue
-            dg = derivative(g_cache, g_step, be)
-            if not dg:
-                continue
-            _accumulate(out, _poly_mul(df, dg).items(), scale=coeff / factorial)
-    return _prune(out)
+    f_derivs: dict[int, PolyMap] = {0: fpoly}
+
+    def df(alpha: int) -> PolyMap:
+        if alpha not in f_derivs:
+            below, axis = lower(alpha)
+            f_derivs[alpha] = {_shift(k, axis, -1): c * k[axis]
+                               for k, c in df(below).items() if k[axis]}
+        return f_derivs[alpha]
+
+    terms = [(df(al), be, s) for al, be, s in _series_terms(deg, unit, pair)]
+    terms = [t for t in terms if t[0]]
+    # keys offset by a block per term, or per pass of one order, fit int64
+    blocks = max(len(terms), math.comb(deg + d - 1, d - 1))
+    if math.prod(radix.tolist()) * blocks >= 1 << 62:
+        raise ValueError("polynomial degrees too large for the star series")
+
+    # D^beta g for every beta the terms use and the multi-indices on its path
+    parent: dict[int, tuple[int, int]] = {}
+    todo = [be for _, be, _ in terms]
+    while todo:
+        be = todo.pop()
+        if be and be not in parent:
+            parent[be] = lower(be)
+            todo.append(parent[be][0])
+    keys = gexps @ weight
+    ascending = keys.argsort()  # _gauss_passes takes each poly in key order
+    g_derivs = {0: (keys[ascending], gvals[ascending])}
+    for order in range(1, deg + 1):
+        kids = [be for be in parent if sum(be // u % (deg + 1) for u in unit) == order]
+        if kids:
+            g_derivs.update(zip(kids, _gauss_passes(
+                [g_derivs[parent[be][0]] for be in kids],
+                [parent[be][1] for be in kids], gQ, weight, radix)))
+
+    # one row per (term, f-term); each row times its term's D^beta g, the
+    # products placed by row, then by position in that D^beta g
+    used = list(dict.fromkeys(be for _, be, _ in terms))
+    segment = {be: i for i, be in enumerate(used)}
+    seg_len = np.array([len(g_derivs[be][0]) for be in used])
+    seg_start = np.cumsum(seg_len) - seg_len
+    row_term, row_monos, row_coeffs, row_seg = zip(*(
+        (t, k, c, segment[be]) for t, (dfa, be, _) in enumerate(terms) for k, c in dfa.items()))
+    lengths = seg_len[list(row_seg)]
+    row = np.repeat(np.arange(len(row_seg)), lengths)
+    at = np.arange(len(row)) + np.repeat(seg_start[list(row_seg)] - np.cumsum(lengths) + lengths,
+                                         lengths)
+    keys = (np.array(row_monos) @ weight)[row] + np.concatenate(
+        [g_derivs[be][0] for be in used])[at]
+    vals = _times(_coefficients(row_coeffs)[row],
+                  np.concatenate([g_derivs[be][1] for be in used])[at])
+    # keyed by (key, term), one stable sort orders every sum: a term's
+    # product adds its f-terms in order, and the scaled products add in
+    # term order
+    keys, vals = _key_sums(keys * len(terms) + np.array(row_term)[row], vals)
+    keys, term = np.divmod(keys, len(terms))
+    scale = np.array([s for _, _, s in terms], dtype=complex)
+    keys, vals = _pruned(*_run_sums(keys, _times(scale[term], vals)))
+    exps = (keys[:, None] // weight % radix).tolist()
+    return dict(zip(map(tuple, exps), vals.tolist()))
 
 
 def _require_zero_exponent(g: GaussPoly, who: str) -> None:

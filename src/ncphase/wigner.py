@@ -11,6 +11,7 @@ c itself in the undeformed limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .starcalc import (
     PhaseVariables,
     PolyMap,
     QuadraticForm,
+    grid_values,
     star_product_poly_left,
     star_product_poly_right,
     _accumulate,
@@ -104,10 +106,11 @@ def energy_level(i: int, j: int, params: ModelParams) -> float:
     return params.hbar * params.omega * ((i + j + 1) * root + (i - j) * dq.eta)
 
 
-def _laguerre_coefficients(n: int) -> list[Fraction]:
+@functools.cache
+def _laguerre_coefficients(n: int) -> tuple[Fraction, ...]:
     """Coefficients of L_n by the three-term recurrence, exact."""
     if n == 0:
-        return [Fraction(1)]
+        return (Fraction(1),)
     prev = [Fraction(1)]
     curr = [Fraction(1), Fraction(-1)]
     for m in range(1, n):
@@ -119,7 +122,7 @@ def _laguerre_coefficients(n: int) -> list[Fraction]:
         for idx, cp in enumerate(prev):
             nxt[idx] -= m * cp
         prev, curr = curr, [c / (m + 1) for c in nxt]
-    return curr
+    return tuple(curr)
 
 
 def _laguerre_of_form(n: int, form_poly: PolyMap, scale: float, dim: int) -> PolyMap:
@@ -180,13 +183,20 @@ def reduce(state: WignerState, subsystem: int) -> ReducedState:
     return ReducedState(subsystem, function)
 
 
+def _residual_axes(function: GaussPoly,
+                   points_per_axis: int = RESIDUAL_GRID_POINTS,
+                   sigmas: float = RESIDUAL_GRID_SIGMAS) -> list[np.ndarray]:
+    """Per-axis points of the residual grid: +-sigmas marginal widths."""
+    cov = -0.5 * np.linalg.inv(function.exponent)
+    widths = np.sqrt(np.diag(cov))
+    return [np.linspace(-sigmas * s, sigmas * s, points_per_axis) for s in widths]
+
+
 def residual_grid(function: GaussPoly,
                   points_per_axis: int = RESIDUAL_GRID_POINTS,
                   sigmas: float = RESIDUAL_GRID_SIGMAS) -> np.ndarray:
     """Deterministic evaluation grid spanning +-sigmas marginal widths."""
-    cov = -0.5 * np.linalg.inv(function.exponent)
-    widths = np.sqrt(np.diag(cov))
-    axes = [np.linspace(-sigmas * s, sigmas * s, points_per_axis) for s in widths]
+    axes = _residual_axes(function, points_per_axis, sigmas)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -205,14 +215,18 @@ def genvalue_residual(state: WignerState, params: ModelParams,
 def _genvalue_residual_and_scale(state: WignerState, params: ModelParams,
                                  energy: float | None = None,
                                  ) -> tuple[float, float]:
-    """genvalue_residual and max|W| over its grid, from one evaluation of W."""
+    """genvalue_residual and max|W| over its grid, from one evaluation of W.
+
+    W, H*W and W*H share W's exponent, so all three are evaluated together on
+    the tensor grid by `grid_values`.
+    """
     h_poly = oscillator_hamiltonian(params)
     w_func = state.function
     e = state.energy if energy is None else energy
-    grid = residual_grid(w_func)
-    w_vals = w_func.value(grid)
-    left = star_product_poly_left(h_poly, w_func).value(grid)
-    right = star_product_poly_right(w_func, h_poly).value(grid)
+    left = star_product_poly_left(h_poly, w_func)
+    right = star_product_poly_right(w_func, h_poly)
+    w_vals, left, right = grid_values([w_func, left, right],
+                                      _residual_axes(w_func))
     res_left = np.abs(left - e * w_vals).max()
     res_right = np.abs(right - e * w_vals).max()
     return float(max(res_left, res_right)), float(np.abs(w_vals).max())

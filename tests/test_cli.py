@@ -103,6 +103,19 @@ class TestOverflow:
         assert "overflow" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_derived_scalar_division_by_zero(self, capsys):
+        # an accepted point where derive divides by a zero that rounding made
+        code, out, err = run(capsys, "entropy", "--hbar", "7.607880939073406e-103",
+                             "--mass", "1.3934693779598466e+89",
+                             "--omega", "4.268010897836484e-109",
+                             "--mu", "7.008624504449331e-99",
+                             "--nu", "1.9399340176629578e-107",
+                             "--kind", "renyi", "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert "parameters out of range" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_hbar_square_overflow(self, capsys):
         code, out, err = run(capsys, "verify", "--hbar", "1e300")
         assert code == 2
@@ -417,7 +430,8 @@ class TestVerifyCommand:
         import ncphase.cli as cli
         from ncphase import ModelParams, marginalize, integrate, cell_size
         from ncphase import genvalue_residual, reduce, wigner_state
-        from ncphase.wigner import residual_grid
+        from ncphase.starcalc import grid_values
+        from ncphase.wigner import _residual_axes, residual_grid
 
         built = []
         monkeypatch.setattr(cli, "wigner_state",
@@ -432,8 +446,8 @@ class TestVerifyCommand:
         for i, j in pairs:
             state = wigner_state(i, j, params)
             res = genvalue_residual(state, params, energy=state.energy * 1.0)
-            grid = residual_grid(state.function)
-            worst = max(worst, res / np.abs(state.function.value(grid)).max())
+            w_vals = grid_values([state.function], _residual_axes(state.function))[0]
+            worst = max(worst, res / np.abs(w_vals).max())
         want = {"genvalue-residual": worst}
         cell = cell_size(params)
         states = {ij: wigner_state(*ij, params) for ij in pairs}

@@ -152,6 +152,37 @@ def test_lambda_uv_range_property(u, v):
     assert LAMBDA_MIN < lam <= 1.0 + 1e-15
 
 
+# positive scales and signed deformations over the whole double range
+_SCALES = st.floats(min_value=5e-324, max_value=1.7e308)
+_SIGNED = st.floats(min_value=-1.7e308, max_value=1.7e308)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hbar=_SCALES, mass=_SCALES, omega=_SCALES, mu=_SIGNED, nu=_SIGNED)
+def test_derive_is_total_over_the_accepted_domain(hbar, mass, omega, mu, nu):
+    """An accepted point gives finite scalars with lam in range, or the
+    documented ValueError; no other exception escapes."""
+    try:
+        params = ModelParams(hbar=hbar, mass=mass, omega=omega, mu=mu, nu=nu)
+    except ValueError:
+        return
+    try:
+        dq = derive(params)
+    except ValueError:
+        return
+    assert all(map(math.isfinite, vars(dq).values()))
+    assert LAMBDA_MIN < dq.lam <= 1.0
+
+
+def test_derive_division_by_zero_is_a_value_error():
+    # accepted far from unit scales: (1+d^2)^2 - d^2 eta^2 rounds to zero
+    params = ModelParams(hbar=7.607880939073406e-103, mass=1.3934693779598466e+89,
+                         omega=4.268010897836484e-109, mu=7.008624504449331e-99,
+                         nu=1.9399340176629578e-107)
+    with pytest.raises(ValueError, match="parameters out of range"):
+        derive(params)
+
+
 def test_load_params(tmp_path):
     cfg = tmp_path / "point.cfg"
     cfg.write_text("# comment\nhbar = 1.0\nmu = 0.3\nnu = 0.1\n")

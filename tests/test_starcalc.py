@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncphase import (
     GaussPoly,
@@ -22,7 +25,13 @@ from ncphase import (
     wigner_state,
 )
 from ncphase import starcalc
-from ncphase.starcalc import _MUL_ARRAY_MIN, _MUL_BLOCK, _infer_form, _poly_mul
+from ncphase.starcalc import (
+    _MUL_ARRAY_MIN,
+    _MUL_BLOCK,
+    _infer_form,
+    _poly_mul,
+    grid_values,
+)
 
 V2 = PhaseVariables(2, hbar=1.0)
 
@@ -195,6 +204,18 @@ class TestGaussPolyAlgebra:
         g2 = GaussPoly.gaussian(V2, 1.0, -2.0 * np.eye(2))
         with pytest.raises(ValueError):
             g1 + g2
+
+    def test_add_rejects_exponents_a_relative_tolerance_would_pass(self):
+        # within numpy's default rtol = 1e-5, but 4.5e-5 off at z = (3, 3)
+        g1 = GaussPoly.gaussian(V2, 1.0, -np.eye(2))
+        g2 = GaussPoly.gaussian(V2, 1.0, -np.eye(2) * (1.0 + 5e-6))
+        with pytest.raises(ValueError, match="different Gaussian exponents"):
+            g1 + g2
+
+    def test_exponent_symmetry_has_no_relative_tolerance(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussPoly.gaussian(V2, 1.0, np.array([[-1.0, 1.0], [1.0 + 5e-6, -1.0]]))
+        GaussPoly.gaussian(V2, 1.0, np.array([[-1.0, 1.0], [1.0 + 1e-13, -1.0]]))
 
     def test_add_folds_prefactors(self):
         g1 = GaussPoly(V2, 2.0, -np.eye(2), {(1, 0): 1.0})
@@ -391,6 +412,233 @@ class TestPolyMul:
         monkeypatch.setattr(wg, "_poly_mul", reference_poly_mul)
         want = wigner_state(6, 6, params).function.poly
         assert hex_terms(got) == hex_terms(want)
+
+
+def reference_poly_diff(poly, axis):
+    return {starcalc._shift(k, axis, -1): c * k[axis] for k, c in poly.items() if k[axis]}
+
+
+def reference_prune(poly):
+    if not poly:
+        return {}
+    top = max(abs(c) for c in poly.values())
+    if top == 0.0:
+        return {}
+    cut = starcalc.PRUNE_REL * top
+    return {k: c for k, c in poly.items() if abs(c) > cut}
+
+
+def reference_gauss_diff(poly, axis, Q):
+    """Polynomial part of d/dz_axis [poly * exp(z Q z)], pruned."""
+    out = reference_poly_diff(poly, axis)
+    for j in range(Q.shape[0]):
+        if Q[axis, j] != 0.0:
+            q = 2.0 * Q[axis, j]
+            starcalc._accumulate(out, ((starcalc._shift(k, j, 1), c * q)
+                                       for k, c in poly.items()))
+    return reference_prune(out)
+
+
+def reference_star_series(fpoly, gpoly, gQ, pair):
+    """The dict loop `_star_series` replaced: each (alpha, beta) term's
+    product added into one dict, Gaussian derivatives pruned after each
+    pass and the result pruned once."""
+    shift = starcalc._shift
+    zero = (0,) * gQ.shape[0]
+    deg = max((sum(k) for k in fpoly), default=0)
+
+    def derivative(cache, step, alpha):
+        if alpha not in cache:
+            axis = next(i for i, n in enumerate(alpha) if n)
+            cache[alpha] = step(derivative(cache, step, shift(alpha, axis, -1)), axis)
+        return cache[alpha]
+
+    f_cache = {zero: dict(fpoly)}
+    g_cache = {zero: dict(gpoly)}
+
+    def g_step(poly, axis):
+        return reference_gauss_diff(poly, axis, gQ)
+
+    terms = {(zero, zero): 1.0 + 0.0j}
+    out = {}
+    factorial = 1.0
+    for order in range(deg + 1):
+        if order:
+            factorial *= order
+            nxt = {}
+            for (al, be), coeff in terms.items():
+                for (a, b), pab in pair.items():
+                    key = (shift(al, a, 1), shift(be, b, 1))
+                    nxt[key] = nxt.get(key, 0.0) + coeff * pab
+            terms = nxt
+        for (al, be), coeff in terms.items():
+            df = derivative(f_cache, reference_poly_diff, al)
+            if not df:
+                continue
+            dg = derivative(g_cache, g_step, be)
+            if not dg:
+                continue
+            starcalc._accumulate(out, reference_poly_mul(df, dg).items(),
+                                 scale=coeff / factorial)
+    return reference_prune(out)
+
+
+def both_series(f, g, Q, variables):
+    """(array, reference) series for f star g and for g star f."""
+    pair = starcalc._pair_matrix(variables)
+    flipped = {k: -p for k, p in pair.items()}
+    return [(starcalc._star_series(f, g, Q, p), reference_star_series(f, g, Q, p))
+            for p in (pair, flipped)]
+
+
+ANCHORS = [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999)]
+
+
+class TestStarSeries:
+    @pytest.mark.parametrize("mu,nu", ANCHORS)
+    @pytest.mark.parametrize("i,j", [(0, 0), (1, 0), (2, 1), (0, 3), (3, 3), (6, 0)])
+    def test_matches_dict_loop_on_eigenstates(self, mu, nu, i, j):
+        # the same keys and, up to the sign of zero, the same coefficients,
+        # also at (1, 0.999), where the cancellations leave only rounding
+        from ncphase import oscillator_hamiltonian
+        params = ModelParams(mu=mu, nu=nu)
+        w = wigner_state(i, j, params).function
+        h = oscillator_hamiltonian(params).poly
+        for got, want in both_series(h, w.poly, w.exponent, w.variables):
+            assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]),
+           f_kind=st.sampled_from(["real", "complex"]),
+           g_kind=st.sampled_from(["real", "complex"]))
+    def test_matches_dict_loop_on_random_polynomials(self, seed, dim, f_kind, g_kind):
+        rng = np.random.default_rng(seed)
+        variables = PhaseVariables(dim, hbar=float(rng.uniform(0.3, 2.0)),
+                                   mu=float(rng.normal()), nu=float(rng.normal()))
+        # f of total degree <= 3: the series has one order per degree
+        f = {k: c for k, c in random_poly(rng, 6, dim, 3, f_kind).items() if sum(k) <= 3}
+        f = f or {(0,) * dim: 1.0}
+        g = random_poly(rng, int(rng.integers(1, 25)), dim, 5, g_kind)
+        a = rng.normal(size=(dim, dim))
+        Q = -(a.T @ a + 0.1 * np.eye(dim))
+        if rng.random() < 0.3:  # sparse exponents skip shift terms
+            Q = np.diag(np.diag(Q))
+        for got, want in both_series(f, g, Q, variables):
+            assert got == want
+
+    def test_empty_operands(self):
+        v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
+        one = {(0, 0, 0, 0): 1.0}
+        for got, want in both_series({}, one, -np.eye(4), v4) + both_series(one, {}, -np.eye(4), v4):
+            assert got == want == {}
+
+    def test_exponents_too_large_to_pack(self):
+        v2 = PhaseVariables(2, hbar=1.0)
+        pair = starcalc._pair_matrix(v2)
+        with pytest.raises(ValueError, match="too large"):
+            starcalc._star_series({(1, 1): 1.0}, {(2**31, 2**31): 1.0}, -np.eye(2), pair)
+
+
+def exact_value(func: GaussPoly, points) -> np.ndarray:
+    """The polynomial part summed in exact rationals at each point, times the
+    prefactor and exp(z Q z) in floating point."""
+    terms = [(k, Fraction(complex(c).real), Fraction(complex(c).imag))
+             for k, c in func.poly.items()]
+    out = []
+    for z in np.asarray(points):
+        zf = [Fraction(float(v)) for v in z]
+        re = im = Fraction(0)
+        for k, cr, ci in terms:
+            mono = math.prod(x ** e for x, e in zip(zf, k))
+            re += cr * mono
+            im += ci * mono
+        out.append(complex(float(re), float(im)))
+    quad = np.einsum("ni,ij,nj->n", points, func.exponent, points)
+    return func.prefactor * np.array(out) * np.exp(quad)
+
+
+def tensor_points(axes) -> np.ndarray:
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_value(self, rng, dim, kind):
+        variables = PhaseVariables(dim, hbar=1.0)
+        a = rng.normal(size=(dim, dim))
+        Q = -(a.T @ a + 0.5 * np.eye(dim))
+        funcs = [GaussPoly(variables, float(rng.uniform(0.5, 2.0)), Q,
+                           random_poly(rng, 40, dim, 6, kind)) for _ in range(3)]
+        axes = [np.sort(rng.normal(size=n)) for n in (5, 7, 4, 6)[:dim]]
+        pts = tensor_points(axes)
+        for func, got in zip(funcs, grid_values(funcs, axes)):
+            want = func.value(pts)
+            assert got.shape == want.shape
+            assert np.iscomplexobj(got) == (kind == "complex")
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # at (1, 0.999) the exponent's entries near 1e3 cancel in z Q z and in
+    # the polynomial, and the two evaluators part from (2,1) on (5e-5 of
+    # max|W| at (3,3)), each as far from exact sums as the other
+    @pytest.mark.parametrize("mu,nu", ANCHORS[:3])
+    @pytest.mark.parametrize("i,j", [(0, 0), (1, 0), (2, 1), (0, 3), (3, 3)])
+    def test_matches_value_on_the_residual_grid(self, mu, nu, i, j):
+        from ncphase import oscillator_hamiltonian
+        from ncphase.wigner import _residual_axes, residual_grid
+        params = ModelParams(mu=mu, nu=nu)
+        w = wigner_state(i, j, params).function
+        hw = star_product_poly_left(oscillator_hamiltonian(params), w)
+        grid = residual_grid(w)
+        for func, got in zip((w, hw), grid_values([w, hw], _residual_axes(w))):
+            want = func.value(grid)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_closer_to_exact_sums_than_value(self):
+        # where the two evaluators disagree most, the grid is nearer the
+        # exact polynomial sums: at (5,5), value() is 8e-13 of max|W| off
+        from ncphase.wigner import _residual_axes, residual_grid
+        w = wigner_state(5, 5, ModelParams(mu=0.2, nu=0.1)).function
+        grid = residual_grid(w)
+        got = grid_values([w], _residual_axes(w))[0]
+        old = w.value(grid)
+        worst = np.argsort(-np.abs(got - old))[:6]
+        want = exact_value(w, grid[worst])
+        error = np.abs(got[worst] - want).max()
+        assert error <= 1e-13 * np.abs(old).max()
+        assert error <= np.abs(old[worst] - want).max()
+
+    def test_result_does_not_depend_on_the_batch(self, rng):
+        from conftest import random_gauss_poly
+        f = random_gauss_poly(rng, 4, max_degree=5)
+        g = GaussPoly(f.variables, 2.0, f.exponent, random_poly(rng, 30, 4, 4, "complex"))
+        axes = [np.linspace(-1.0, 1.0, 5)] * 4
+        alone = grid_values([f], axes)[0]
+        assert np.array_equal(grid_values([g, f], axes)[1], alone)
+
+    def test_terms_spanning_several_blocks(self):
+        from ncphase.starcalc import _VALUE_BLOCK
+        from ncphase.wigner import _residual_axes, residual_grid
+        w = wigner_state(4, 4, ModelParams(mu=0.3, nu=0.1)).function
+        assert len(w.poly) * 11 * 11 > 4 * _VALUE_BLOCK
+        got = grid_values([w], _residual_axes(w))[0]
+        want = w.value(residual_grid(w))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_empty_polynomial(self):
+        f = GaussPoly(V2, 2.0, -np.eye(2), {})
+        got = grid_values([f], [np.ones(3), np.ones(4)])[0]
+        assert got.shape == (12,) and np.isrealobj(got) and not got.any()
+
+    def test_exponents_must_match(self):
+        f = GaussPoly.gaussian(V2, 1.0, -np.eye(2))
+        g = GaussPoly.gaussian(V2, 1.0, -np.eye(2) * (1.0 + 1e-15))
+        axes = [np.zeros(2), np.zeros(2)]
+        with pytest.raises(ValueError, match="shared Gaussian exponent"):
+            grid_values([f, g], axes)
+        with pytest.raises(ValueError, match="one axis per variable"):
+            grid_values([f], axes[:1])
 
 
 class TestGaussianStar:

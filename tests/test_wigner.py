@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from ncphase import (
     oscillator_hamiltonian,
     reduce,
     star_product_poly_left,
+    star_product_poly_right,
     wigner_state,
 )
-from ncphase.wigner import _genvalue_residual_and_scale, residual_grid
+from ncphase.starcalc import grid_values
+from ncphase.wigner import _genvalue_residual_and_scale, _residual_axes, residual_grid
 
 
 def grid_scale(state):
@@ -115,6 +118,15 @@ class TestWignerStates:
         vals = state.function.value(residual_grid(state.function))
         assert vals.min() > 0.0
 
+    def test_laguerre_coefficients_are_memoized(self):
+        from ncphase.wigner import _laguerre_coefficients
+        coeffs = _laguerre_coefficients(6)
+        assert coeffs is _laguerre_coefficients(6)
+        assert isinstance(coeffs, tuple)
+        # L_6(x) = sum_k (-1)^k C(6, k) x^k / k!
+        assert coeffs == tuple(Fraction((-1) ** k * math.comb(6, k), math.factorial(k))
+                               for k in range(7))
+
     def test_index_cap(self):
         with pytest.raises(ValueError):
             wigner_state(13, 0, ModelParams())
@@ -178,7 +190,7 @@ class TestGenvalueResidual:
     @pytest.mark.parametrize("mu,nu", [(0.0, 0.0), (0.2, 0.1), (1.0, 0.0)])
     def test_eigenstates_pass(self, mu, nu):
         params = ModelParams(mu=mu, nu=nu)
-        for i, j in [(0, 0), (1, 0), (2, 1)]:
+        for i, j in [(0, 0), (1, 0), (2, 1), (3, 3), (4, 4), (5, 5)]:
             state = wigner_state(i, j, params)
             assert genvalue_residual(state, params) <= 1e-8 * grid_scale(state)
 
@@ -196,7 +208,14 @@ class TestGenvalueResidual:
             e = state.energy * (1.0 + energy_shift)
             res, scale = _genvalue_residual_and_scale(state, params, energy=e)
             assert res == genvalue_residual(state, params, energy=e)
-            assert scale == grid_scale(state)
+            # the scale is max|W| from the grid evaluation of the residual
+            w = state.function
+            w_vals = grid_values([w], _residual_axes(w))[0]
+            assert scale == np.abs(w_vals).max()
+            h = oscillator_hamiltonian(params)
+            products = (star_product_poly_left(h, w), star_product_poly_right(w, h))
+            assert res == max(np.abs(grid_values([hw], _residual_axes(w))[0] - e * w_vals).max()
+                              for hw in products)
 
     def test_hamiltonian_polynomial(self):
         h = oscillator_hamiltonian(ModelParams(mass=2.0, omega=3.0))
