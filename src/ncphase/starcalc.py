@@ -600,12 +600,13 @@ def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], axes: Sequence
         np.concatenate((keys[has] - weight[axis[has]], (keys[:, None] + weight)[nz])),
         np.concatenate((vals[has] * power[has], (vals[:, None] * q)[nz])))
     bounds = np.searchsorted(keys, offset)
-    if len(keys):
-        size_of = np.abs(vals)
-        top = np.maximum.reduceat(size_of, np.minimum(bounds[:-1], len(keys) - 1))
-        keep = size_of > PRUNE_REL * np.repeat(top, np.diff(bounds))
-        bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
-        keys, vals = keys[keep], vals[keep]
+    size_of = np.abs(vals)
+    filled = bounds[:-1] < bounds[1:]
+    top = np.zeros(len(polys))
+    top[filled] = np.maximum.reduceat(size_of, bounds[:-1][filled])
+    keep = size_of > PRUNE_REL * np.repeat(top, np.diff(bounds))
+    bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
+    keys, vals = keys[keep], vals[keep]
     return [(keys[lo:hi] - base, vals[lo:hi])
             for base, lo, hi in zip(offset, bounds[:-1], bounds[1:])]
 

@@ -521,10 +521,28 @@ class TestStarSeries:
         g = random_poly(rng, int(rng.integers(1, 25)), dim, 5, g_kind)
         a = rng.normal(size=(dim, dim))
         Q = -(a.T @ a + 0.1 * np.eye(dim))
-        if rng.random() < 0.3:  # sparse exponents skip shift terms
+        kind = rng.random()
+        if kind < 0.3:  # sparse exponents skip shift terms
             Q = np.diag(np.diag(Q))
+        elif kind < 0.5:  # a pure polynomial: some derivatives vanish
+            Q = np.zeros((dim, dim))
         for got, want in both_series(f, g, Q, variables):
             assert got == want
+
+    def test_each_pass_prunes_against_its_own_largest_coefficient(self):
+        # d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term is under
+        # 1e-15 of 3e6, whatever pass follows, empty or not
+        from ncphase.starcalc import _gauss_passes, _radix_weights
+        radix = np.array([5, 5])
+        weight = _radix_weights(radix)
+        poly = (np.array([1, 2, 3]), np.array([1.0, 5e-13, 1e6]))
+        empty = (np.empty(0, dtype=np.int64), np.empty(0))
+        for before, after in [(0, 0), (0, 1), (1, 1), (2, 0)]:
+            polys = [empty] * before + [poly] + [empty] * after
+            out = _gauss_passes(polys, [1] * len(polys), np.zeros((2, 2)), weight, radix)
+            keys, vals = out.pop(before)
+            assert keys.tolist() == [0, 2] and vals.tolist() == [1.0, 3e6]
+            assert all(len(k) == 0 for k, _ in out)
 
     def test_empty_operands(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
