@@ -8,9 +8,10 @@ run as arrays one even degree at a time over the multi-indices it reaches.
 Dense quadrature exists only in the test suite as an independent oracle.
 
 The array kernels give the same bits as the per-term loops they replaced:
-every product keeps its operand order, every sum adds its terms one by one in
-the loop's order (never pairwise), and marginalize keeps the key order and the
-exact-zero drop of an in-place dict accumulation.
+every product keeps its operand order, and every sum adds its terms one by one
+in the loop's order (never pairwise). marginalize returns its monomials in
+ascending order, as the star series does, and drops a monomial whose sum is
+exactly zero, as the dict accumulation did.
 """
 
 from __future__ import annotations
@@ -20,23 +21,16 @@ from math import comb, pi, sqrt
 
 import numpy as np
 
-from .starcalc import GaussPoly, Monomial, PhaseVariables, PolyMap, _radix_weights
+from .starcalc import (GaussPoly, Monomial, PhaseVariables, PolyMap, _key_sums,
+                       _radix_weights, _ragged, _terms)
 
 MAX_MOMENT_DEGREE = 48
 
 _IMAG_TOL = 1e-10
 
 # marginalize expands at most this many terms per block of monomials (or one
-# monomial), and sums at most this many padded entries per matrix; the running
-# sums carry over from block to block
+# monomial); the running sums carry over from block to block
 _MARG_BLOCK = 1 << 12
-
-
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and offset of every entry when item k owns counts[k] entries."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts
-    return owner, np.arange(len(owner)) - first[owner]
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -139,12 +133,12 @@ def _check_negative_definite(Q: np.ndarray) -> None:
 
 def _real_coefficients(poly: PolyMap, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponent matrix and real coefficients of poly, in its key order."""
-    coeffs = np.array(list(poly.values()), dtype=complex)
-    imag = np.abs(coeffs.imag)
-    if imag.any() and imag.max() > _IMAG_TOL * max(1.0, np.abs(coeffs).max()):
-        raise ValueError("cannot integrate a function with complex coefficients")
-    exps = np.array(list(poly), dtype=np.int64).reshape(len(poly), dimension)
-    return exps, coeffs.real
+    exps, coeffs = _terms(poly, dimension)
+    if np.iscomplexobj(coeffs):
+        if np.abs(coeffs.imag).max() > _IMAG_TOL * max(1.0, np.abs(coeffs).max()):
+            raise ValueError("cannot integrate a function with complex coefficients")
+        coeffs = coeffs.real
+    return exps, coeffs
 
 
 def integrate(func: GaussPoly) -> float:
@@ -194,53 +188,19 @@ def _shifted_powers(a: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, ...]:
     return j[nonzero], r[nonzero], s[nonzero], coeff[nonzero], start, count
 
 
-def _ordered_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys that _accumulate leaves in a dict, in its order, with their sums.
-
-    _accumulate adds each key's terms in input order from +0.0 and removes a
-    key whose running sum is exactly 0.0, which its next term enters again,
-    at the back. Here the terms are sorted by key, stably; each key's terms
-    fill one column of a matrix padded with +0.0, and np.add.accumulate down
-    the columns gives every running sum. Summing from the first term instead
-    of from +0.0 can only turn a zero sum into -0.0, which tests equal to
-    0.0, and the padding changes no nonzero sum. A key enters the dict for
-    the last time at its first term after its last zero running sum.
-    """
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
-    lengths = np.diff(np.append(starts, len(keys)))
-    sums = np.empty(len(starts))
-    enter = np.empty(len(starts), dtype=np.int64)
-    by_length = np.argsort(-lengths, kind="stable")
-    lo = 0
-    while lo < len(by_length):
-        rows = lengths[by_length[lo]]
-        cols = by_length[lo:lo + max(1, _MARG_BLOCK // rows)]
-        lo += len(cols)
-        col, row = _ragged(lengths[cols])
-        run = np.zeros((rows, len(cols)))
-        run[row, col] = values[starts[cols][col] + row]
-        run = np.add.accumulate(run, axis=0)
-        sums[cols] = run[-1]
-        # a surviving key's sum is nonzero from its last term on, padding included
-        zero = run == 0.0
-        last = rows - 1 - zero[::-1].argmax(axis=0)
-        enter[cols] = starts[cols] + np.where(zero.any(axis=0), last + 1, 0)
-    alive = sums != 0.0
-    rank = np.argsort(order[enter[alive]])
-    return keys[starts[alive][rank]], sums[alive][rank]
-
-
 def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
                    A: np.ndarray, table: MomentTable) -> PolyMap:
-    """Polynomial part of marginalize, with the dict loop's bits and key order.
+    """Polynomial part of marginalize: the dict loop's coefficients to the
+    last bit, in ascending monomial order.
 
     A monomial coeff * u^k0 v^k1 x^n0 y^n1, with (x, y) = w - A (u, v) and w
     distributed by table, adds coeff * c0 * c1 * E[w0^j0 w1^j1] to
     u^(k0+r0+r1) v^(k1+s0+s1) for each term (j0, r0, s0, c0) of x^n0 and
     (j1, r1, s1, c1) of y^n1. Terms run monomial by monomial, then x-term,
-    then y-term, and those with a zero moment are skipped.
+    then y-term, and those with a zero moment are skipped. `_key_sums` adds
+    each block behind the running sums in that order; a sum that passes
+    through exactly zero and goes on from it matches the dict loop, which
+    removed the key and started it again from 0.0. Exact-zero sums drop.
     """
     if not len(coeffs):
         return {}
@@ -272,9 +232,11 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
         mono, e0, e1, m = mono[live], e0[live], e1[live], m[live]
         block_keys = base[mono] + (R0[e0] + R1[e1]) * radix + S0[e0] + S1[e1]
         block_values = coeffs[mono] * C0[e0] * C1[e1] * m
-        keys, sums = _ordered_sums(np.concatenate((keys, block_keys)),
-                                   np.concatenate((sums, block_values)))
+        keys, sums = _key_sums(np.concatenate((keys, block_keys)),
+                               np.concatenate((sums, block_values)))
         lo = hi
+    nonzero = sums != 0.0
+    keys, sums = keys[nonzero], sums[nonzero]
     exps = zip((keys // radix).tolist(), (keys % radix).tolist())
     return dict(zip(exps, sums.tolist()))
 

@@ -58,7 +58,7 @@ class PhaseVariables:
 
     dimension 4 means (x1, x2, p1, p2); dimension 2 means the reduced single
     pair (x1, p1), where only the hbar term of the star product survives, so
-    mu and nu are forced to zero.
+    a nonzero mu or nu is refused there.
     """
 
     dimension: int
@@ -72,8 +72,7 @@ class PhaseVariables:
         if not self.hbar > 0.0:
             raise ValueError("hbar must be strictly positive")
         if self.dimension == 2 and (self.mu != 0.0 or self.nu != 0.0):
-            object.__setattr__(self, "mu", 0.0)
-            object.__setattr__(self, "nu", 0.0)
+            raise ValueError("a 2-variable block has no mu or nu deformation")
 
     def deformation_matrix(self) -> np.ndarray:
         """Antisymmetric commutator matrix B with [z_a, z_b] = i*B_ab."""
@@ -444,14 +443,18 @@ class QuadraticForm:
         """Recover a two-square decomposition of a PSD matrix of rank <= 2.
 
         The split into two squares is not unique; any rotation of the pair
-        leaves |k| and all star-exponentials unchanged.
+        leaves |k| and all star-exponentials unchanged. In four variables an
+        eigenvalue below tol times the largest entry counts as zero, so that
+        a third square is ruled out; a 2x2 matrix has at most two squares,
+        so there every positive eigenvalue is kept, however anisotropic.
         """
         S = np.asarray(S, dtype=float)
         scale = abs(S).max() or 1.0
         vals, vecs = np.linalg.eigh(S)
         if vals.min() < -tol * scale:
             raise ValueError("matrix is not positive semidefinite")
-        big = [i for i in range(len(vals)) if vals[i] > tol * scale]
+        cut = tol * scale if variables.dimension == 4 else 0.0
+        big = [i for i in range(len(vals)) if vals[i] > cut]
         if len(big) > 2:
             raise ValueError("matrix has rank > 2: not a two-square form")
         n = variables.dimension // 2
@@ -529,6 +532,13 @@ def _key_sums(keys: np.ndarray, values: np.ndarray
     order (the stable sort keeps it)."""
     order = keys.argsort(kind="stable")
     return _run_sums(keys[order], values[order])
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and offset of every entry when item k owns counts[k] entries."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - first[owner]
 
 
 def _times(a, b):
@@ -684,10 +694,9 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     seg_start = np.cumsum(seg_len) - seg_len
     row_term, row_monos, row_coeffs, row_seg = zip(*(
         (t, k, c, segment[be]) for t, (dfa, be, _) in enumerate(terms) for k, c in dfa.items()))
-    lengths = seg_len[list(row_seg)]
-    row = np.repeat(np.arange(len(row_seg)), lengths)
-    at = np.arange(len(row)) + np.repeat(seg_start[list(row_seg)] - np.cumsum(lengths) + lengths,
-                                         lengths)
+    row_seg = np.array(row_seg)
+    row, offset = _ragged(seg_len[row_seg])
+    at = seg_start[row_seg[row]] + offset
     keys = (np.array(row_monos) @ weight)[row] + np.concatenate(
         [g_derivs[be][0] for be in used])[at]
     vals = _times(_coefficients(row_coeffs)[row],

@@ -141,8 +141,8 @@ def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
 
     The function is (-1)^(i+j)/(pi^2 h+ h-) * exp(-2H+/(h+ w) - 2H-/(h- w))
     * L_i(4H+/(h+ w)) * L_j(4H-/(h- w)), all expanded in the sparse
-    polynomial class; indices above 12 are rejected to keep the expansion
-    within double-precision comfort.
+    polynomial class; indices above 12 are rejected. README "Known limits"
+    lists where the accepted indices and points lose accuracy.
     """
     for name, idx in (("i", i), ("j", j)):
         if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:

@@ -43,6 +43,21 @@ class TestEntropyCommand:
         assert numeric["method"] == "star-power-numeric"
         assert numeric["value"] == pytest.approx(closed["value"], abs=1e-9)
 
+    @pytest.mark.parametrize("kind,want", [(["von-neumann"], 0.1582),
+                                           (["renyi", "--order", "2"], 0.0706)])
+    def test_numeric_method_at_an_anisotropic_point(self, capsys, kind, want):
+        # (u, v) = (1, 0.1) far from unit scales: the reduced exponent's
+        # eigenvalues are 1.5e-11 apart in ratio, and both squares count
+        base = ["entropy", "--mass", "1000", "--omega", "1000", "--mu", "1e-6",
+                "--nu", "1e5", "--kind", *kind]
+        code, closed_out, _ = run(capsys, *base)
+        assert code == 0
+        code, numeric_out, _ = run(capsys, *base, "--method", "numeric")
+        assert code == 0
+        closed = json.loads(closed_out)["value"]
+        assert closed == pytest.approx(want, abs=5e-5)
+        assert json.loads(numeric_out)["value"] == pytest.approx(closed, abs=1e-9)
+
     def test_fractional_order_unsupported(self, capsys):
         code, _, err = run(capsys, "entropy", "--kind", "renyi",
                            "--order", "2.5")

@@ -255,6 +255,52 @@ class TestNumericRoute:
         assert res.method == "star-power-numeric"
 
 
+class TestScaleInvariance:
+    """Entropies depend on (u, v) = (m w mu / hbar, nu / (hbar m w)) alone.
+
+    A point with hbar, mass and omega each up to 1e3 from 1 must give the
+    values of the unit-scale point with the same (u, v): lam and the closed
+    forms to 1e-12, each star-power route to 1e-9.
+    """
+
+    @staticmethod
+    def routes(params):
+        """Closed and numeric values at params; None where the numeric
+        route refuses the point (no star logarithm within 1e-9 of lam = 1)."""
+        lam = derive(params).lam
+        reduced = reduce(wigner_state(0, 0, params), 1)
+        try:
+            vn = von_neumann_numeric(reduced, params).value
+        except ValueError:
+            vn = None
+        out = {"lam": lam, "vn": von_neumann_entanglement(lam).value, "vn-numeric": vn}
+        for order in (2, 3, 4, 5):
+            out[f"renyi-{order}"] = renyi_entanglement(order, lam).value
+            out[f"tsallis-{order}"] = tsallis_entanglement(order, lam).value
+            out[f"renyi-{order}-numeric"] = renyi_numeric(reduced, order, params).value
+            out[f"tsallis-{order}-numeric"] = tsallis_numeric(reduced, order, params).value
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(scales=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+           u=st.floats(-5.0, 5.0), product=st.floats(-0.998, 0.998),
+           swap=st.booleans())
+    def test_scaled_point_matches_unit_scale(self, scales, u, product, swap):
+        hbar, mass, omega = (10.0 ** e for e in scales)
+        v = product / max(abs(u), 1.0)  # |u v| < 0.999
+        if swap:
+            u, v = v, u
+        want = self.routes(ModelParams(mu=u, nu=v))
+        got = self.routes(ModelParams(hbar=hbar, mass=mass, omega=omega,
+                                      mu=u * hbar / (mass * omega),
+                                      nu=v * hbar * mass * omega))
+        assert (got["vn-numeric"] is None) == (want["vn-numeric"] is None)
+        for name, value in want.items():
+            if value is not None:
+                tol = 1e-9 if name.endswith("numeric") else 1e-12
+                assert abs(got[name] - value) <= tol, name
+
+
 class TestTotalEntropy:
     @pytest.mark.parametrize("mu,nu", [(0.0, 0.0), (0.2, 0.1), (1.0, 0.0)])
     def test_pure_states_vanish(self, mu, nu):

@@ -42,6 +42,20 @@ def two_square_1d(ax: float, bp: float) -> QuadraticForm:
                          c=(0.0,), d=(math.sqrt(bp),))
 
 
+class TestPhaseVariables:
+    def test_reduced_block_refuses_a_deformation(self):
+        for mu, nu in [(0.3, 0.5), (0.3, 0.0), (0.0, -0.5)]:
+            with pytest.raises(ValueError, match="no mu or nu"):
+                PhaseVariables(2, mu=mu, nu=nu)
+
+    def test_reduced_and_full_blocks(self):
+        v2 = PhaseVariables(2, hbar=1.5)
+        assert (v2.mu, v2.nu) == (0.0, 0.0)
+        assert np.array_equal(v2.deformation_matrix(), [[0.0, 1.5], [-1.5, 0.0]])
+        v4 = PhaseVariables(4, hbar=1.5, mu=0.3, nu=0.5)
+        assert (v4.mu, v4.nu) == (0.3, 0.5)
+
+
 class TestKConstant:
     def test_simplest_diagonal_case(self):
         # H = a x^2 + b p^2 gives k = hbar sqrt(a b)
@@ -513,8 +527,10 @@ class TestStarSeries:
            g_kind=st.sampled_from(["real", "complex"]))
     def test_matches_dict_loop_on_random_polynomials(self, seed, dim, f_kind, g_kind):
         rng = np.random.default_rng(seed)
-        variables = PhaseVariables(dim, hbar=float(rng.uniform(0.3, 2.0)),
-                                   mu=float(rng.normal()), nu=float(rng.normal()))
+        hbar, mu, nu = float(rng.uniform(0.3, 2.0)), float(rng.normal()), float(rng.normal())
+        # a 2-variable block has no mu or nu
+        variables = (PhaseVariables(4, hbar=hbar, mu=mu, nu=nu) if dim == 4
+                     else PhaseVariables(2, hbar=hbar))
         # f of total degree <= 3: the series has one order per degree
         f = {k: c for k, c in random_poly(rng, 6, dim, 3, f_kind).items() if sum(k) <= 3}
         f = f or {(0,) * dim: 1.0}
@@ -683,6 +699,16 @@ class TestGaussianStar:
         sq = gaussian_star(reduced, reduced)
         total = integrate(sq)
         assert total == pytest.approx(0.9 / (2 * math.pi), rel=1e-12)
+
+    def test_two_square_split_of_an_anisotropic_pair(self):
+        # eigenvalues 1.5e-11 apart in ratio, below the rank cut of four
+        # variables: both squares stay, and k is hbar sqrt(det S)
+        S = np.diag([2.0e5, 3.0e-6])
+        form = QuadraticForm.from_matrix(V2, S)
+        assert np.allclose(form.matrix, S, rtol=1e-15, atol=0.0)
+        assert abs(form.k) == pytest.approx(math.sqrt(2.0e5 * 3.0e-6), rel=1e-15)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            QuadraticForm.from_matrix(V2, np.diag([1.0, -1.0]))
 
     def test_mismatched_exponents_rejected(self):
         g1 = GaussPoly.gaussian(V2, 1.0, -np.diag([1.0, 2.0]))
