@@ -34,7 +34,7 @@ _MARG_BLOCK = 1 << 12
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys; on numpy 2.4, np.unique takes 3-10x longer here."""
+    """Sorted distinct keys (numpy 2.4's unique takes 3-10x longer here)."""
     keys = np.sort(keys)
     return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
 

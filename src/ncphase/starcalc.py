@@ -45,10 +45,7 @@ _MATCH_RTOL = 1e-10
 # and power-table height: caps each temporary at 256 kB whatever the grid
 _VALUE_BLOCK = 1 << 15
 
-# _poly_mul: products of fewer term pairs than _MUL_ARRAY_MIN run the dict
-# loop, since the array kernel's fixed cost outweighs its per-pair saving
-# below it; the kernel takes at least _MUL_BLOCK term pairs per block
-_MUL_ARRAY_MIN = 256
+# _poly_mul takes at least _MUL_BLOCK term pairs per block
 _MUL_BLOCK = 1 << 13
 
 
@@ -105,93 +102,58 @@ def _accumulate(out: PolyMap, terms: Iterable[tuple[Monomial, complex]],
             out[k] = s
 
 
-def _poly_mul_dict(a: PolyMap, b: PolyMap) -> PolyMap:
-    out: PolyMap = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-            out[k] = out.get(k, 0.0) + c1 * c2
-    return out
-
-
-def _coefficient_parts(poly: PolyMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real parts, imaginary parts and is-complex flags of the coefficients."""
-    values = list(poly.values())
-    z = np.array(values, dtype=complex)
-    flags = np.fromiter((isinstance(c, complex) for c in values), bool, len(values))
-    return z.real.copy(), z.imag.copy(), flags
-
-
 def _radix_weights(radix: np.ndarray) -> np.ndarray:
     """Place values of a mixed-radix key whose last axis varies fastest."""
     weight = np.ones_like(radix)
-    weight[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    weight[:-1] = np.multiply.accumulate(radix[:0:-1])[::-1]
     return weight
 
 
-def _first_seen_sums(keys: np.ndarray, parts: list[np.ndarray]
-                     ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Distinct keys in first-seen order, each part summed per key in input order.
-
-    bincount starts every sum at +0.0. A running sum that starts at +0.0 is
-    never -0.0, so adding a carried partial sum to +0.0 leaves it exact.
-    """
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    seen = np.argsort(first)
-    rank = np.empty_like(seen)
-    rank[seen] = np.arange(len(seen))
-    slot = rank[inverse.ravel()]
-    return uniq[seen], [np.bincount(slot, weights=p, minlength=len(seen)) for p in parts]
+def _first_seen_sums(keys: np.ndarray, values: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in first-seen order, each with its values summed in input
+    order (`_run_sums` after a stable sort, which keeps that order)."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    uniq, sums = _run_sums(ordered, values[order])
+    seen = order[np.searchsorted(ordered, uniq)].argsort()
+    return uniq[seen], sums[seen]
 
 
 def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
-    """Product of two sparse polynomials, bit-identical to the dict loop.
+    """Product of two sparse polynomials, summed as the dict loop sums.
 
-    Same coefficients to the last bit and the same key order (first seen over
-    the term pairs in row-major order). Small products run the dict loop. Larger ones pack
-    each monomial into one mixed-radix integer and take the term pairs in
-    blocks: the running result goes in front of each block, np.unique finds
-    the keys and their first occurrences, and np.bincount sums real and
-    imaginary parts in input order, which is the dict loop's summation order.
+    Keys come in the loop's order (first seen over the term pairs in row-major
+    order) and each coefficient is added in the loop's order, to the same
+    bits. Any coefficient with a nonzero imaginary part (`_terms`) makes the
+    whole product complex. Each monomial less its operand's per-axis minimum
+    packs into one mixed-radix integer. The rows of a go in blocks, the
+    running result in front of each block, and `_first_seen_sums` adds them;
+    a carried sum is never -0.0, so adding it to +0.0 leaves it exact.
     """
-    if len(a) * len(b) < _MUL_ARRAY_MIN:
-        return _poly_mul_dict(a, b)
-    ar, ai, a_cplx = _coefficient_parts(a)
-    br, bi, b_cplx = _coefficient_parts(b)
-    is_complex = a_cplx.any() or b_cplx.any()
-    if is_complex and not (a_cplx.all() or b_cplx.all()):
-        # the dict loop types each key by its own pairs; keep that exact
-        return _poly_mul_dict(a, b)
-    ea = np.array(list(a), dtype=np.int64)
-    eb = np.array(list(b), dtype=np.int64)
+    if not a or not b:
+        return {}
+    d = len(next(iter(a)))
+    (ea, ca), (eb, cb) = _terms(a, d), _terms(b, d)
+    low_a, low_b = ea.min(axis=0), eb.min(axis=0)
+    ea, eb = ea - low_a, eb - low_b
     radix = ea.max(axis=0) + eb.max(axis=0) + 1
     if math.prod(radix.tolist()) >= 1 << 62:  # packed keys must fit int64
-        return _poly_mul_dict(a, b)
+        raise ValueError("polynomial degrees too large to pack")
     weight = _radix_weights(radix)
     ka, kb = ea @ weight, eb @ weight
 
-    keys = np.empty(0, dtype=np.int64)
-    parts = [np.empty(0)] * (2 if is_complex else 1)
+    keys, values = np.empty(0, dtype=ka.dtype), np.empty(0)
     start = 0
-    while start < len(a):
+    while start < len(ka):
         # at least as many new pairs as running keys, so sorts stay amortized
-        rows = slice(start, start + max(1, max(_MUL_BLOCK, len(keys)) // len(b)))
+        rows = slice(start, start + max(1, max(_MUL_BLOCK, len(keys)) // len(kb)))
         start = rows.stop
-        a_re, a_im = ar[rows, None], ai[rows, None]
-        # CPython's complex product, one rounding per operation
-        block = ([a_re * br - a_im * bi, a_re * bi + a_im * br] if is_complex
-                 else [a_re * br])
-        parts = [np.concatenate((p, q.ravel())) for p, q in zip(parts, block)]
-        keys = np.concatenate((keys, (ka[rows, None] + kb).ravel()))
-        keys, parts = _first_seen_sums(keys, parts)
-
-    if is_complex:
-        values = np.empty(len(keys), dtype=complex)
-        values.real, values.imag = parts
-    else:
-        (values,) = parts
-    exps = [((keys // w) % r).tolist() for w, r in zip(weight, radix)]
-    return dict(zip(zip(*exps), values.tolist()))
+        keys, values = _first_seen_sums(
+            np.concatenate((keys, (ka[rows, None] + kb).ravel())),
+            np.concatenate((values, _times(ca[rows, None], cb).ravel())))
+    exps = keys // weight[:, None] % radix[:, None] + (low_a + low_b)[:, None]
+    return dict(zip(zip(*exps.tolist()), values.tolist()))
 
 
 def _coefficients(values: Iterable[complex]) -> np.ndarray:

@@ -12,6 +12,7 @@ c itself in the undeformed limit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,9 +130,8 @@ def _laguerre_of_form(n: int, form_poly: PolyMap, scale: float, dim: int) -> Pol
     """L_n(scale * H) expanded over the monomials of the quadratic form H."""
     coeffs = _laguerre_coefficients(n)
     out: PolyMap = {(0,) * dim: float(coeffs[0])}
-    power: PolyMap = {(0,) * dim: 1.0}
-    for k in range(1, n + 1):
-        power = _poly_mul(power, form_poly)
+    powers = itertools.accumulate(itertools.repeat(form_poly, n), _poly_mul)
+    for k, power in enumerate(powers, 1):
         _accumulate(out, power.items(), scale=float(coeffs[k]) * scale**k)
     return out
 
@@ -157,7 +157,8 @@ def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
         + (-2.0 / (dq.h_minus * w)) * h_minus.matrix
     lag_i = _laguerre_of_form(i, h_plus.poly().poly, 4.0 / (dq.h_plus * w), 4)
     lag_j = _laguerre_of_form(j, h_minus.poly().poly, 4.0 / (dq.h_minus * w), 4)
-    poly = _poly_mul(lag_i, lag_j)
+    # L_0 = 1, so a zero index leaves the other factor as it is
+    poly = lag_j if i == 0 else lag_i if j == 0 else _poly_mul(lag_i, lag_j)
     prefactor = (-1.0) ** (i + j) / (math.pi**2 * dq.h_plus * dq.h_minus)
     function = GaussPoly(phase_variables(params), prefactor, exponent, poly)
     return WignerState(i, j, function, energy_level(i, j, params), params)

@@ -26,7 +26,6 @@ from ncphase import (
 )
 from ncphase import starcalc
 from ncphase.starcalc import (
-    _MUL_ARRAY_MIN,
     _MUL_BLOCK,
     _infer_form,
     _poly_mul,
@@ -347,6 +346,13 @@ def random_poly(rng, terms: int, dim: int, top: int, kind: str) -> dict:
     return out
 
 
+def small_poly(dim: int, kind: str):
+    """Up to 12 terms; a complex coefficient has a nonzero imaginary part."""
+    real = st.floats(-1e3, 1e3)
+    coeff = real if kind == "real" else st.builds(complex, real, real.filter(bool))
+    return st.dictionaries(st.tuples(*[st.integers(0, 30)] * dim), coeff, max_size=12)
+
+
 def assert_bit_identical(a, b):
     got = _poly_mul(a, b)
     want = reference_poly_mul(a, b)
@@ -366,11 +372,29 @@ class TestPolyMul:
         assert_bit_identical(a, b)
         assert_bit_identical(b, a)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 4]),
+           kinds=st.tuples(*[st.sampled_from(["real", "complex"])] * 2))
+    def test_small_products_match_dict_loop(self, data, dim, kinds):
+        a, b = (data.draw(small_poly(dim, kind)) for kind in kinds)
+        assert_bit_identical(a, b)
+
     def test_mixed_coefficient_types_in_one_operand(self, rng):
+        """One complex coefficient makes the whole product complex: the dict
+        loop's keys in its order, its real parts, its imaginary parts where it
+        gave a complex value and +0.0 where it gave a real one."""
         a = random_poly(rng, 40, 4, 4, "real")
         b = random_poly(rng, 40, 4, 4, "real")
         b.update(random_poly(rng, 20, 4, 4, "complex"))
-        assert_bit_identical(a, b)
+        for x, y in [(a, b), (b, a)]:
+            got, want = _poly_mul(x, y), reference_poly_mul(x, y)
+            assert {type(c) for c in want.values()} == {float, complex}
+            assert list(got) == list(want)
+            for k, c in got.items():
+                assert isinstance(c, complex)
+                w = complex(want[k])
+                assert c.real.hex() == w.real.hex()
+                assert c.imag.hex() == w.imag.hex()
 
     def test_empty_operand(self, rng):
         a = random_poly(rng, 300, 4, 5, "real")
@@ -380,28 +404,22 @@ class TestPolyMul:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_one_term_operand(self, rng, kind):
         one = random_poly(rng, 1, 4, 3, kind)
-        b = random_poly(rng, 2 * _MUL_ARRAY_MIN, 4, 8, "real")
-        assert len(b) >= _MUL_ARRAY_MIN
+        b = random_poly(rng, 512, 4, 8, "real")
         assert_bit_identical(one, b)
         assert_bit_identical(b, one)
-
-    @pytest.mark.parametrize("pairs", [_MUL_ARRAY_MIN - 1, _MUL_ARRAY_MIN])
-    def test_small_product_cutoff(self, rng, monkeypatch, pairs):
-        import ncphase.starcalc as sc
-        a = {(i, 0): float(rng.normal()) for i in range(pairs)}
-        b = {(0, 1): float(rng.normal())}
-        calls = []
-        loop = sc._poly_mul_dict
-        monkeypatch.setattr(sc, "_poly_mul_dict",
-                            lambda x, y: calls.append(1) or loop(x, y))
-        assert_bit_identical(a, b)
-        assert bool(calls) == (pairs < _MUL_ARRAY_MIN)
 
     def test_exponents_too_large_to_pack(self):
         big = 10**5
         a = {(big + i, big, big, big): 1.0 + i for i in range(20)}
         b = {(i, big, big, 2 * big): 2.0 - i for i in range(20)}
         assert_bit_identical(a, b)
+
+    def test_exponent_spread_too_large_to_pack(self):
+        spread = 10**5  # radix 2 * 10**5 + 1 on each of 4 axes overflows int64
+        a = {(0, 0, 0, 0): 1.0, (spread,) * 4: 2.0}
+        b = {(0, 0, 0, 0): 3.0, (spread,) * 4: 4.0}
+        with pytest.raises(ValueError, match="too large to pack"):
+            _poly_mul(a, b)
 
     def test_more_keys_than_one_block(self, rng):
         a = random_poly(rng, 200, 4, 15, "complex")
@@ -426,6 +444,29 @@ class TestPolyMul:
         monkeypatch.setattr(wg, "_poly_mul", reference_poly_mul)
         want = wigner_state(6, 6, params).function.poly
         assert hex_terms(got) == hex_terms(want)
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (3, 0), (0, 2), (2, 3)])
+    def test_wigner_state_matches_plain_laguerre_loop(self, i, j):
+        """Powers of H from H itself, and a zero index taken as the factor 1,
+        give the plain loop's bits: powers from 1, then L_i * L_j."""
+        from ncphase.wigner import _laguerre_coefficients
+        params = ModelParams(mu=0.2, nu=0.1)
+        dq = derive(params)
+
+        def laguerre(n, form, scale):
+            coeffs = _laguerre_coefficients(n)
+            out, power = {(0,) * 4: float(coeffs[0])}, {(0,) * 4: 1.0}
+            for k in range(1, n + 1):
+                power = reference_poly_mul(power, form)
+                starcalc._accumulate(out, power.items(), scale=float(coeffs[k]) * scale**k)
+            return out
+
+        h_plus, h_minus = hamiltonians_pm(params)
+        want = reference_poly_mul(
+            laguerre(i, h_plus.poly().poly, 4.0 / (dq.h_plus * params.omega)),
+            laguerre(j, h_minus.poly().poly, 4.0 / (dq.h_minus * params.omega)))
+        got = wigner_state(i, j, params).function.poly
+        assert hex_terms(got) == hex_terms({k: c for k, c in want.items() if c != 0})
 
 
 def reference_poly_diff(poly, axis):
