@@ -456,18 +456,6 @@ def star_exp(form: QuadraticForm, t: float) -> GaussPoly:
     return GaussPoly.gaussian(form.variables, pref, scale * form.matrix)
 
 
-def _pair_matrix(variables: PhaseVariables) -> dict[tuple[int, int], complex]:
-    """Nonzero entries of the bidifferential pairing (i/2) B."""
-    B = variables.deformation_matrix()
-    out = {}
-    d = variables.dimension
-    for a in range(d):
-        for b in range(d):
-            if B[a, b] != 0.0:
-                out[(a, b)] = 0.5j * B[a, b]
-    return out
-
-
 def _run_sums(keys: np.ndarray, values: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Each run of equal keys in sorted keys once, with its values summed in order.
@@ -521,56 +509,36 @@ def _pruned(keys: np.ndarray, values: np.ndarray
     return keys[keep], values[keep]
 
 
-def _series_terms(deg: int, unit: Sequence[int], pair: dict[tuple[int, int], complex]
-                  ) -> list[tuple[int, int, complex]]:
-    """(alpha, beta, coefficient / n!) of the series up to order deg.
-
-    alpha and beta are packed: entry a counts unit[a]. The order-n
-    coefficients sum the products of pairing entries over the n-step paths
-    to (alpha, beta), in the order the paths are found.
-    """
-    level: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
-    out = [(0, 0, 1.0 + 0.0j)]
-    steps = [(unit[a], unit[b], pab) for (a, b), pab in pair.items()]
-    factorial = 1.0
-    for order in range(1, deg + 1):
-        factorial *= order
-        nxt: dict[tuple[int, int], complex] = {}
-        for (al, be), coeff in level.items():
-            for ua, ub, pab in steps:
-                key = (al + ua, be + ub)
-                nxt[key] = nxt.get(key, 0.0) + coeff * pab
-        level = nxt
-        out += [(al, be, coeff / factorial) for (al, be), coeff in level.items()]
-    return out
-
-
-def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], axes: Sequence[int],
-                  gQ: np.ndarray, weight: np.ndarray, radix: np.ndarray
+def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], rows: Sequence[int],
+                  half: np.ndarray, gQ: np.ndarray, weight: np.ndarray, radix: np.ndarray
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Polynomial part of d/dz_axis [poly * exp(z gQ z)] for each packed
-    (poly, axis), each pruned at PRUNE_REL of its own largest coefficient.
-    Each poly comes in ascending key order, and so does each result.
+    """Polynomial part of E_a [poly * exp(z gQ z)], E_a = sum_b half[a, b] d/dz_b,
+    for each packed (poly, a) with a from rows, each pruned at PRUNE_REL of
+    its own largest coefficient and in ascending key order.
 
-    All passes run together, poly n offset to the n-th block of keys.
-    Each output key adds the polynomial's derivative first and then
-    2 gQ[axis, j] z_j poly for j = 0, 1, ..., as the dict loop did: the
-    shifted terms come in key order, and a term reaching a given key
-    through a larger j has a larger key.
+    E_a adds sum_b half[a, b] d poly/dz_b and (2 half gQ)[a, j] z_j poly for
+    every j. All passes run together, poly n offset to the n-th block of keys.
     """
     size = int(weight[0] * radix[0])
-    lengths = [len(k) for k, _ in polys]
+    lengths = np.array([len(k) for k, _ in polys])
     offset = np.arange(len(polys) + 1) * size
     keys = np.concatenate([k for k, _ in polys]) + np.repeat(offset[:-1], lengths)
     vals = np.concatenate([v for _, v in polys])
-    axis = np.repeat(axes, lengths)
-    power = keys // weight[axis] % radix[axis]  # offsets are multiples of size
+    start = np.cumsum(lengths) - lengths
+
+    def steps(coeff):
+        # (entry, axis, coefficient) for each nonzero coeff[pass, axis]
+        p, b = np.nonzero(coeff)
+        owner, at = _ragged(lengths[p])
+        return start[p][owner] + at, b[owner], coeff[p, b][owner]
+
+    n, b, c = steps(half[rows])
+    power = keys[n] // weight[b] % radix[b]  # offsets are multiples of size
     has = power > 0
-    q = 2.0 * gQ[axis]
-    nz = q != 0.0
+    m, j, u = steps((2.0 * half @ gQ)[rows])
     keys, vals = _key_sums(
-        np.concatenate((keys[has] - weight[axis[has]], (keys[:, None] + weight)[nz])),
-        np.concatenate((vals[has] * power[has], (vals[:, None] * q)[nz])))
+        np.concatenate(((keys[n] - weight[b])[has], keys[m] + weight[j])),
+        np.concatenate(((vals[n] * c * power)[has], vals[m] * u)))
     bounds = np.searchsorted(keys, offset)
     size_of = np.abs(vals)
     filled = bounds[:-1] < bounds[1:]
@@ -584,19 +552,19 @@ def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], axes: Sequence
 
 
 def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
-                 pair: dict[tuple[int, int], complex]) -> PolyMap:
-    """Terminating series for (polynomial f) star (g), derivatives of f on the
-    left slot of the pairing. Terminates at the total degree of f.
+                 half: np.ndarray) -> PolyMap:
+    """Terminating series for (polynomial f) star (g), f in the left slot of
+    the pairing (i/2) B with half = B/2.
 
-    The order-n term adds coeff(alpha, beta)/n! D^alpha f D^beta g over the
-    multi-index pairs reached by n pairing steps. g and its Gaussian
-    derivatives are packed mixed-radix keys (`_radix_weights`) with
-    coefficient arrays. D^beta g is one pass along the first nonzero axis of
-    beta from the multi-index one lower there, and the passes of one order
-    run together (`_gauss_passes`). All products run as one gather and one
-    stable sort, and the result is pruned once. Every sum adds in the order
-    of the dict loop this replaced, so the coefficients are that loop's to
-    the last bit, up to the sign of zero.
+    exp(<-d_a (i/2) B_ab ->d_b) = sum_alpha (<-d^alpha / alpha!) (i E)^alpha
+    with E_a = half[a, b] ->d_b, since the E_a commute; so the series adds
+    i^|alpha| / alpha! d^alpha f E^alpha g over the alpha with d^alpha f
+    nonzero, and ends at the total degree of f. g and each E^alpha g are
+    packed mixed-radix keys (`_radix_weights`) with coefficient arrays.
+    E^alpha g is one pass from alpha less its first nonzero axis, and the
+    passes of one order run together (`_gauss_passes`). Every (alpha,
+    f-term) row times its E^alpha g is one gather, summed by one `_key_sums`
+    and pruned once.
     """
     if not fpoly or not gpoly:
         return {}
@@ -604,72 +572,39 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     deg = max(sum(k) for k in fpoly)
     gexps, gvals = _terms(gpoly, d)
     radix = np.array(list(fpoly)).max(axis=0) + gexps.max(axis=0) + deg + 1
-    weight = _radix_weights(radix)
-    # multi-indices alpha, beta packed with deg + 1 per entry; each
-    # derivative D^alpha is taken along the first nonzero entry of alpha
-    # from the multi-index one lower there
-    unit = _radix_weights(np.full(d, deg + 1)).tolist()
-
-    def lower(alpha: int) -> tuple[int, int]:
-        axis = next(a for a in range(d) if alpha // unit[a] % (deg + 1))
-        return alpha - unit[axis], axis
-
-    f_derivs: dict[int, PolyMap] = {0: fpoly}
-
-    def df(alpha: int) -> PolyMap:
-        if alpha not in f_derivs:
-            below, axis = lower(alpha)
-            f_derivs[alpha] = {_shift(k, axis, -1): c * k[axis]
-                               for k, c in df(below).items() if k[axis]}
-        return f_derivs[alpha]
-
-    terms = [(df(al), be, s) for al, be, s in _series_terms(deg, unit, pair)]
-    terms = [t for t in terms if t[0]]
-    # keys offset by a block per term, or per pass of one order, fit int64
-    blocks = max(len(terms), math.comb(deg + d - 1, d - 1))
-    if math.prod(radix.tolist()) * blocks >= 1 << 62:
+    # keys offset by a block per pass of one order fit int64
+    if math.prod(radix.tolist()) * math.comb(deg + d - 1, d - 1) >= 1 << 62:
         raise ValueError("polynomial degrees too large for the star series")
+    weight = _radix_weights(radix)
 
-    # D^beta g for every beta the terms use and the multi-indices on its path
-    parent: dict[int, tuple[int, int]] = {}
-    todo = [be for _, be, _ in terms]
-    while todo:
-        be = todo.pop()
-        if be and be not in parent:
-            parent[be] = lower(be)
-            todo.append(parent[be][0])
-    keys = gexps @ weight
-    ascending = keys.argsort()  # _gauss_passes takes each poly in key order
-    g_derivs = {0: (keys[ascending], gvals[ascending])}
-    for order in range(1, deg + 1):
-        kids = [be for be in parent if sum(be // u % (deg + 1) for u in unit) == order]
-        if kids:
-            g_derivs.update(zip(kids, _gauss_passes(
-                [g_derivs[parent[be][0]] for be in kids],
-                [parent[be][1] for be in kids], gQ, weight, radix)))
+    # (alpha, d^alpha f, E^alpha g) order by order; alpha + e_a comes only
+    # from alpha, with a at or before the first nonzero axis of alpha
+    level = [((0,) * d, fpoly, (gexps @ weight, gvals))]
+    series = list(level)
+    for _ in range(deg):
+        kids = []
+        for alpha, df, eg in level:
+            first = next((a for a, n in enumerate(alpha) if n), d - 1)
+            for a in range(first + 1):
+                dfa = {_shift(k, a, -1): c * k[a] for k, c in df.items() if k[a]}
+                if dfa:
+                    kids.append((_shift(alpha, a, 1), dfa, eg, a))
+        passes = _gauss_passes([eg for *_, eg, _ in kids], [a for *_, a in kids],
+                               half, gQ, weight, radix)
+        level = [(alpha, dfa, eg) for (alpha, dfa, *_), eg in zip(kids, passes)]
+        series += level
 
-    # one row per (term, f-term); each row times its term's D^beta g, the
-    # products placed by row, then by position in that D^beta g
-    used = list(dict.fromkeys(be for _, be, _ in terms))
-    segment = {be: i for i, be in enumerate(used)}
-    seg_len = np.array([len(g_derivs[be][0]) for be in used])
-    seg_start = np.cumsum(seg_len) - seg_len
-    row_term, row_monos, row_coeffs, row_seg = zip(*(
-        (t, k, c, segment[be]) for t, (dfa, be, _) in enumerate(terms) for k, c in dfa.items()))
-    row_seg = np.array(row_seg)
+    # one row per (alpha, f-term), times every term of its E^alpha g
+    seg_len = np.array([len(eg[0]) for *_, eg in series])
+    row_seg = np.repeat(np.arange(len(series)), [len(df) for _, df, _ in series])
+    monos = np.array([k for _, df, _ in series for k in df])
+    coeffs = np.array([c * 1j ** sum(alpha) / math.prod(map(math.factorial, alpha))
+                       for alpha, df, _ in series for c in df.values()], dtype=complex)
     row, offset = _ragged(seg_len[row_seg])
-    at = seg_start[row_seg[row]] + offset
-    keys = (np.array(row_monos) @ weight)[row] + np.concatenate(
-        [g_derivs[be][0] for be in used])[at]
-    vals = _times(_coefficients(row_coeffs)[row],
-                  np.concatenate([g_derivs[be][1] for be in used])[at])
-    # keyed by (key, term), one stable sort orders every sum: a term's
-    # product adds its f-terms in order, and the scaled products add in
-    # term order
-    keys, vals = _key_sums(keys * len(terms) + np.array(row_term)[row], vals)
-    keys, term = np.divmod(keys, len(terms))
-    scale = np.array([s for _, _, s in terms], dtype=complex)
-    keys, vals = _pruned(*_run_sums(keys, _times(scale[term], vals)))
+    at = (np.cumsum(seg_len) - seg_len)[row_seg[row]] + offset
+    keys = (monos @ weight)[row] + np.concatenate([eg[0] for *_, eg in series])[at]
+    vals = coeffs[row] * np.concatenate([eg[1] for *_, eg in series])[at]
+    keys, vals = _pruned(*_key_sums(keys, vals))
     exps = (keys[:, None] // weight % radix).tolist()
     return dict(zip(map(tuple, exps), vals.tolist()))
 
@@ -688,8 +623,8 @@ def star_product_poly_left(left: GaussPoly, right: GaussPoly) -> GaussPoly:
     if left.variables != right.variables:
         raise ValueError("operands live on different variable blocks")
     _require_zero_exponent(left, "left factor")
-    pair = _pair_matrix(left.variables)
-    poly = _star_series(left.poly, right.poly, right.exponent, pair)
+    half = 0.5 * left.variables.deformation_matrix()
+    poly = _star_series(left.poly, right.poly, right.exponent, half)
     return GaussPoly(left.variables, left.prefactor * right.prefactor,
                      right.exponent, poly)
 
@@ -697,14 +632,15 @@ def star_product_poly_left(left: GaussPoly, right: GaussPoly) -> GaussPoly:
 def star_product_poly_right(left: GaussPoly, right: GaussPoly) -> GaussPoly:
     """left star right with a pure-polynomial right factor.
 
-    Reuses the left-factor series with the pairing transposed (B is
-    antisymmetric, so the roles swap with a sign).
+    Reuses the left-factor series with the roles swapped: the right factor's
+    derivatives pair with E_a = -(B/2)[a, b] d/dz_b on the left factor (B is
+    antisymmetric), so the series takes half = -B/2.
     """
     if left.variables != right.variables:
         raise ValueError("operands live on different variable blocks")
     _require_zero_exponent(right, "right factor")
-    pair = {(a, b): -p for (a, b), p in _pair_matrix(left.variables).items()}
-    poly = _star_series(right.poly, left.poly, left.exponent, pair)
+    half = -0.5 * left.variables.deformation_matrix()
+    poly = _star_series(right.poly, left.poly, left.exponent, half)
     return GaussPoly(left.variables, left.prefactor * right.prefactor,
                      left.exponent, poly)
 

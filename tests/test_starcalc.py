@@ -469,38 +469,91 @@ class TestPolyMul:
         assert hex_terms(got) == hex_terms({k: c for k, c in want.items() if c != 0})
 
 
+def _product(x, y):
+    return x * y if x and y else 0
+
+
+def _sum(x, y):
+    return x + y if x and y else x or y
+
+
+class Exact:
+    """A complex rational re + i*im, each part a Fraction or the int 0.
+
+    Zero parts skip their products, so real and imaginary operands cost one
+    Fraction product.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(x) -> "Exact":
+        if isinstance(x, Exact):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Exact(x)
+        x = complex(x)
+        return Exact(Fraction(x.real) if x.real else 0, Fraction(x.imag) if x.imag else 0)
+
+    def __add__(self, other):
+        other = Exact.of(other)
+        return Exact(_sum(self.re, other.re), _sum(self.im, other.im))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Exact(_product(self.re, other), _product(self.im, other))
+        other = Exact.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Exact(_sum(_product(a, c), -_product(b, d)),
+                     _sum(_product(a, d), _product(b, c)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, n: int):
+        return Exact(self.re and Fraction(self.re, n), self.im and Fraction(self.im, n))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
 def reference_poly_diff(poly, axis):
     return {starcalc._shift(k, axis, -1): c * k[axis] for k, c in poly.items() if k[axis]}
 
 
-def reference_prune(poly):
-    if not poly:
-        return {}
-    top = max(abs(c) for c in poly.values())
-    if top == 0.0:
-        return {}
-    cut = starcalc.PRUNE_REL * top
-    return {k: c for k, c in poly.items() if abs(c) > cut}
+def add_into(out, terms):
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
 
 
 def reference_gauss_diff(poly, axis, Q):
-    """Polynomial part of d/dz_axis [poly * exp(z Q z)], pruned."""
+    """Polynomial part of d/dz_axis [poly * exp(z Q z)]."""
     out = reference_poly_diff(poly, axis)
-    for j in range(Q.shape[0]):
-        if Q[axis, j] != 0.0:
-            q = 2.0 * Q[axis, j]
-            starcalc._accumulate(out, ((starcalc._shift(k, j, 1), c * q)
-                                       for k, c in poly.items()))
-    return reference_prune(out)
+    for j in range(len(Q)):
+        if Q[axis][j] != 0:
+            add_into(out, ((starcalc._shift(k, j, 1), c * (2 * Q[axis][j]))
+                           for k, c in poly.items()))
+    return out
 
 
-def reference_star_series(fpoly, gpoly, gQ, pair):
-    """The dict loop `_star_series` replaced: each (alpha, beta) term's
-    product added into one dict, Gaussian derivatives pruned after each
-    pass and the result pruned once."""
+def exact_star_orders(fpoly, gpoly, gQ, pair):
+    """The order-n terms of f star g by the (alpha, beta) path sum, in exact
+    complex rationals and unpruned.
+
+    Each n-step path of pairing entries pair[a, b] adds its product to the
+    pair of multi-indices it reaches, and each pair adds coeff / n!
+    D^alpha f D^beta g, with D^beta acting on g exp(z gQ z); the f parts
+    of one beta are summed before the product. Negating the pairing
+    negates the odd orders.
+    """
     shift = starcalc._shift
-    zero = (0,) * gQ.shape[0]
+    zero = (0,) * len(gQ)
     deg = max((sum(k) for k in fpoly), default=0)
+    Q = [[Fraction(float(q)) for q in row] for row in gQ]
 
     def derivative(cache, step, alpha):
         if alpha not in cache:
@@ -508,15 +561,15 @@ def reference_star_series(fpoly, gpoly, gQ, pair):
             cache[alpha] = step(derivative(cache, step, shift(alpha, axis, -1)), axis)
         return cache[alpha]
 
-    f_cache = {zero: dict(fpoly)}
-    g_cache = {zero: dict(gpoly)}
+    f_cache = {zero: {k: Exact.of(c) for k, c in fpoly.items()}}
+    g_cache = {zero: {k: Exact.of(c) for k, c in gpoly.items()}}
 
     def g_step(poly, axis):
-        return reference_gauss_diff(poly, axis, gQ)
+        return reference_gauss_diff(poly, axis, Q)
 
-    terms = {(zero, zero): 1.0 + 0.0j}
-    out = {}
-    factorial = 1.0
+    terms = {(zero, zero): Exact(1)}
+    orders = []
+    factorial = 1
     for order in range(deg + 1):
         if order:
             factorial *= order
@@ -524,26 +577,43 @@ def reference_star_series(fpoly, gpoly, gQ, pair):
             for (al, be), coeff in terms.items():
                 for (a, b), pab in pair.items():
                     key = (shift(al, a, 1), shift(be, b, 1))
-                    nxt[key] = nxt.get(key, 0.0) + coeff * pab
+                    nxt[key] = nxt.get(key, 0) + coeff * pab
             terms = nxt
+        f_parts = {}
         for (al, be), coeff in terms.items():
-            df = derivative(f_cache, reference_poly_diff, al)
-            if not df:
-                continue
-            dg = derivative(g_cache, g_step, be)
-            if not dg:
-                continue
-            starcalc._accumulate(out, reference_poly_mul(df, dg).items(),
-                                 scale=coeff / factorial)
-    return reference_prune(out)
+            scale = coeff / factorial
+            add_into(f_parts.setdefault(be, {}),
+                     ((k, c * scale) for k, c in derivative(f_cache, reference_poly_diff, al).items()))
+        orders.append({})
+        for be, part in f_parts.items():
+            if part:
+                add_into(orders[-1], reference_poly_mul(part, derivative(g_cache, g_step, be)).items())
+    return orders
 
 
-def both_series(f, g, Q, variables):
-    """(array, reference) series for f star g and for g star f."""
-    pair = starcalc._pair_matrix(variables)
-    flipped = {k: -p for k, p in pair.items()}
-    return [(starcalc._star_series(f, g, Q, p), reference_star_series(f, g, Q, p))
-            for p in (pair, flipped)]
+def series_and_exact(f, g, Q, variables):
+    """(array series, exact path sum) for half = B/2 and for half = -B/2,
+    the pairing of star_product_poly_left and of star_product_poly_right."""
+    B = variables.deformation_matrix()
+    pair = {(a, b): Exact(0, Fraction(float(B[a, b])) / 2) for a, b in zip(*np.nonzero(B))}
+    orders = exact_star_orders(f, g, Q, pair)
+    out = []
+    for sign in (1, -1):
+        exact = {}
+        for n, term in enumerate(orders):
+            add_into(exact, term.items() if sign**n == 1 else
+                     ((k, c * -1) for k, c in term.items()))
+        out.append((starcalc._star_series(f, g, Q, sign * 0.5 * B), exact))
+    return out
+
+
+def assert_near_exact(got, exact, rel=1e-14):
+    """Every coefficient within rel * max|exact|, a key missing on one side
+    counting as 0."""
+    want = {k: complex(c) for k, c in exact.items()}
+    scale = max(map(abs, want.values()), default=0.0)
+    for k in got.keys() | want.keys():
+        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= rel * scale, k
 
 
 ANCHORS = [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999)]
@@ -553,14 +623,14 @@ class TestStarSeries:
     @pytest.mark.parametrize("mu,nu", ANCHORS)
     @pytest.mark.parametrize("i,j", [(0, 0), (1, 0), (2, 1), (0, 3), (3, 3), (6, 0)])
     def test_matches_dict_loop_on_eigenstates(self, mu, nu, i, j):
-        # the same keys and, up to the sign of zero, the same coefficients,
-        # also at (1, 0.999), where the cancellations leave only rounding
+        # the path sum of the dict loop, in exact arithmetic: also at
+        # (1, 0.999), where the exponent's entries near 1e3 cancel
         from ncphase import oscillator_hamiltonian
         params = ModelParams(mu=mu, nu=nu)
         w = wigner_state(i, j, params).function
         h = oscillator_hamiltonian(params).poly
-        for got, want in both_series(h, w.poly, w.exponent, w.variables):
-            assert got == want
+        for got, exact in series_and_exact(h, w.poly, w.exponent, w.variables):
+            assert_near_exact(got, exact)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]),
@@ -583,20 +653,22 @@ class TestStarSeries:
             Q = np.diag(np.diag(Q))
         elif kind < 0.5:  # a pure polynomial: some derivatives vanish
             Q = np.zeros((dim, dim))
-        for got, want in both_series(f, g, Q, variables):
-            assert got == want
+        for got, exact in series_and_exact(f, g, Q, variables):
+            assert_near_exact(got, exact)
 
     def test_each_pass_prunes_against_its_own_largest_coefficient(self):
-        # d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term is under
-        # 1e-15 of 3e6, whatever pass follows, empty or not
+        # E_0 = d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term is
+        # under 1e-15 of 3e6, whatever pass follows, empty or not
         from ncphase.starcalc import _gauss_passes, _radix_weights
         radix = np.array([5, 5])
         weight = _radix_weights(radix)
+        half = np.array([[0.0, 1.0], [-1.0, 0.0]])
         poly = (np.array([1, 2, 3]), np.array([1.0, 5e-13, 1e6]))
         empty = (np.empty(0, dtype=np.int64), np.empty(0))
         for before, after in [(0, 0), (0, 1), (1, 1), (2, 0)]:
             polys = [empty] * before + [poly] + [empty] * after
-            out = _gauss_passes(polys, [1] * len(polys), np.zeros((2, 2)), weight, radix)
+            out = _gauss_passes(polys, [0] * len(polys), half, np.zeros((2, 2)),
+                                weight, radix)
             keys, vals = out.pop(before)
             assert keys.tolist() == [0, 2] and vals.tolist() == [1.0, 3e6]
             assert all(len(k) == 0 for k, _ in out)
@@ -604,14 +676,14 @@ class TestStarSeries:
     def test_empty_operands(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
         one = {(0, 0, 0, 0): 1.0}
-        for got, want in both_series({}, one, -np.eye(4), v4) + both_series(one, {}, -np.eye(4), v4):
-            assert got == want == {}
+        for got, exact in (series_and_exact({}, one, -np.eye(4), v4)
+                           + series_and_exact(one, {}, -np.eye(4), v4)):
+            assert got == exact == {}
 
     def test_exponents_too_large_to_pack(self):
-        v2 = PhaseVariables(2, hbar=1.0)
-        pair = starcalc._pair_matrix(v2)
+        half = 0.5 * PhaseVariables(2, hbar=1.0).deformation_matrix()
         with pytest.raises(ValueError, match="too large"):
-            starcalc._star_series({(1, 1): 1.0}, {(2**31, 2**31): 1.0}, -np.eye(2), pair)
+            starcalc._star_series({(1, 1): 1.0}, {(2**31, 2**31): 1.0}, -np.eye(2), half)
 
 
 def exact_value(func: GaussPoly, points) -> np.ndarray:

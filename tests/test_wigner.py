@@ -194,6 +194,15 @@ class TestGenvalueResidual:
             state = wigner_state(i, j, params)
             assert genvalue_residual(state, params) <= 1e-8 * grid_scale(state)
 
+    @pytest.mark.parametrize("mu,nu", [(1.0, 0.999), (1.0, 0.9999)])
+    def test_low_states_in_the_near_singular_band(self, mu, nu):
+        # exponent entries near 1e3 and 1e4: E_a = (B/2)[a, b] d/dz_b meets
+        # them as (B/2) Q, of order 1, so the residual keeps its digits
+        params = ModelParams(mu=mu, nu=nu)
+        for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            res, scale = _genvalue_residual_and_scale(wigner_state(i, j, params), params)
+            assert res <= 1e-10 * scale
+
     def test_wrong_energy_fails_loudly(self):
         params = ModelParams(mu=0.2, nu=0.1)
         state = wigner_state(0, 0, params)
