@@ -582,12 +582,13 @@ def exact_star_orders(fpoly, gpoly, gQ, pair):
         f_parts = {}
         for (al, be), coeff in terms.items():
             scale = coeff / factorial
-            add_into(f_parts.setdefault(be, {}),
-                     ((k, c * scale) for k, c in derivative(f_cache, reference_poly_diff, al).items()))
+            df = derivative(f_cache, reference_poly_diff, al)
+            add_into(f_parts.setdefault(be, {}), ((k, c * scale) for k, c in df.items()))
         orders.append({})
         for be, part in f_parts.items():
             if part:
-                add_into(orders[-1], reference_poly_mul(part, derivative(g_cache, g_step, be)).items())
+                dg = derivative(g_cache, g_step, be)
+                add_into(orders[-1], reference_poly_mul(part, dg).items())
     return orders
 
 
