@@ -22,7 +22,7 @@ from .params import ModelParams, derive, load_params
 from .starcalc import gaussian_star, star_exp, star_log_gaussian
 from .wigner import (
     MAX_INDEX,
-    _genvalue_residual_and_scale,
+    _genvalue_residuals_and_scales,
     energy_level,
     hamiltonians_pm,
     reduce,
@@ -242,21 +242,18 @@ def _verify_checks(params: ModelParams, perturb_energy: float) -> list[dict]:
     states = {(i, j): wigner_state(i, j, params) for i in range(2) for j in range(2)}
 
     # genvalue equation, indices <= 1, optionally with an injected energy fault
+    energies = [state.energy * (1.0 + perturb_energy) for state in states.values()]
     worst = 0.0
-    for state in states.values():
-        e = state.energy * (1.0 + perturb_energy)
-        res, scale = _genvalue_residual_and_scale(state, params, energy=e)
+    for res, scale in _genvalue_residuals_and_scales(list(states.values()), params,
+                                                     energies):
         worst = max(worst, res / scale)
     record("genvalue-residual", worst, 1e-8)
 
     # orthogonality and normalization, indices <= 1
     cell = cell_size(params)
-    worst = 0.0
-    for (k, l), skl in states.items():
-        for (i, j), sij in states.items():
-            got = moments.integrate(skl.function.pointwise_mul(sij.function))
-            want = (1.0 / cell) if (k, l) == (i, j) else 0.0
-            worst = max(worst, abs(got - want) * cell)
+    funcs = [state.function for state in states.values()]
+    overlaps = moments.gram(funcs, funcs)
+    worst = float(np.abs(overlaps - np.eye(len(funcs)) / cell).max() * cell)
     for sij in states.values():
         worst = max(worst, abs(moments.integrate(sij.function) - 1.0))
     record("orthogonality-normalization", worst, 1e-9)
@@ -310,7 +307,7 @@ def _verify_checks(params: ModelParams, perturb_energy: float) -> list[dict]:
     g2 = star_exp(h_plus, -0.35 / abs(h_plus.k)).pointwise_mul(
         star_exp(h_minus, -0.15 / abs(h_minus.k)))
     lhs_v = moments.integrate(gaussian_star(g1, g2, forms=modes))
-    rhs_v = moments.integrate(g1.pointwise_mul(g2))
+    rhs_v = float(moments.gram([g1], [g2])[0, 0])
     record("trace-property", abs(lhs_v - rhs_v) / abs(rhs_v), 1e-9)
 
     return checks

@@ -245,7 +245,7 @@ def von_neumann_numeric(reduced: ReducedState,
     scaled = reduced.function.scaled(2.0 * math.pi * hbar)
     const, quad = star_log_gaussian(scaled, form=form)
     norm = moments.integrate(reduced.function)
-    cross = moments.integrate(reduced.function.pointwise_mul(quad))
+    cross = float(moments.gram([reduced.function], [quad])[0, 0])
     value = -(const * norm + cross)
     return EntropyResult("von-neumann", 1, value, derive(params).lam,
                          "star-power-numeric")
@@ -267,7 +267,7 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
     func = state.function if isinstance(state, WignerState) else state
     cell = minimal_cell(params)
     if alpha == 2:
-        total = moments.integrate(func.pointwise_mul(func))
+        total = float(moments.gram([func], [func])[0, 0])
     elif func.is_pure_gaussian():
         h_plus, h_minus = hamiltonians_pm(params)
         power = star_power(func, alpha, forms=[h_plus, h_minus])

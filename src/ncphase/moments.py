@@ -11,18 +11,21 @@ The array kernels give the same bits as the per-term loops they replaced:
 every product keeps its operand order, and every sum adds its terms one by one
 in the loop's order (never pairwise). marginalize returns its monomials in
 ascending order, as the star series does, and drops a monomial whose sum is
-exactly zero, as the dict accumulation did.
+exactly zero, as the dict accumulation did. gram integrates products without
+building them; it differs from integrate of the built product only in the
+order of the final sum over monomials.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb, pi, sqrt
+from math import comb, pi, prod, sqrt
+from typing import Sequence
 
 import numpy as np
 
 from .starcalc import (GaussPoly, Monomial, PhaseVariables, PolyMap, _key_sums,
-                       _radix_weights, _ragged, _terms)
+                       _pair_sums, _radix_weights, _ragged, _terms)
 
 MAX_MOMENT_DEGREE = 48
 
@@ -124,33 +127,92 @@ class MomentTable:
         return self.covariance[first, last] + 0.0
 
 
-def _check_negative_definite(Q: np.ndarray) -> None:
+def _gaussian_weight(Q: np.ndarray, moments: bool = True
+                     ) -> tuple[float, MomentTable | None]:
+    """Mass pi^(d/2)/sqrt(det(-Q)) of exp(z Q z), and the moments of its
+    normalized weight when asked (a constant needs none)."""
     try:
         np.linalg.cholesky(-Q)
     except np.linalg.LinAlgError:
         raise ValueError("exponent matrix must be negative definite") from None
+    mass = pi ** (Q.shape[0] / 2) / sqrt(np.linalg.det(-Q))
+    return mass, MomentTable(-0.5 * np.linalg.inv(Q)) if moments else None
 
 
-def _real_coefficients(poly: PolyMap, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent matrix and real coefficients of poly, in its key order."""
-    exps, coeffs = _terms(poly, dimension)
-    if np.iscomplexobj(coeffs):
-        if np.abs(coeffs.imag).max() > _IMAG_TOL * max(1.0, np.abs(coeffs).max()):
-            raise ValueError("cannot integrate a function with complex coefficients")
-        coeffs = coeffs.real
-    return exps, coeffs
+def _real(coeffs: np.ndarray, segment: np.ndarray | int = 0, count: int = 1
+          ) -> np.ndarray:
+    """coeffs as reals, refused where the imaginary parts of one segment (of
+    all coeffs by default) are not negligible against its largest |coeff|."""
+    if not np.iscomplexobj(coeffs):
+        return coeffs
+    segment = np.broadcast_to(segment, coeffs.shape)
+    imag, size = np.zeros(count), np.ones(count)
+    np.maximum.at(imag, segment, np.abs(coeffs.imag))
+    np.maximum.at(size, segment, np.abs(coeffs))
+    if (imag > _IMAG_TOL * size).any():
+        raise ValueError("cannot integrate a function with complex coefficients")
+    return coeffs.real
 
 
 def integrate(func: GaussPoly) -> float:
     """Integral of a GaussPoly over all of its variables, exactly."""
-    Q = func.exponent
-    _check_negative_definite(Q)
-    d = Q.shape[0]
-    mass = pi ** (d / 2) / sqrt(np.linalg.det(-Q))
-    exps, coeffs = _real_coefficients(func.poly, d)
-    if exps.any():  # a constant has moment 1 and needs no covariance
-        coeffs = coeffs * MomentTable(-0.5 * np.linalg.inv(Q)).moments(exps)
+    exps, coeffs = _terms(func.poly, func.variables.dimension)
+    mass, table = _gaussian_weight(func.exponent, exps.any())
+    coeffs = _real(coeffs)
+    if table:
+        coeffs = coeffs * table.moments(exps)
     return func.prefactor * mass * _sequential_sum(coeffs)
+
+
+def _family_terms(funcs: Sequence[GaussPoly]) -> tuple[np.ndarray, ...]:
+    """Stacked exponents and coefficients of the polynomials of funcs, with
+    each term's owner, and their prefactors."""
+    d = funcs[0].variables.dimension
+    parts = [_terms(f.poly, d) for f in funcs]
+    owner = np.repeat(np.arange(len(funcs)), [len(c) for _, c in parts])
+    return (np.concatenate([e for e, _ in parts]), np.concatenate([c for _, c in parts]),
+            owner, np.array([f.prefactor for f in funcs]))
+
+
+def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
+    """Matrix of the integrals of f_a * g_b, exactly, building no product.
+
+    The fs share one Gaussian exponent and the gs another. Each (a, b) is one
+    segment of packed keys, segment then monomial less the per-axis minima.
+    `starcalc._pair_sums` adds every term pair in blocks behind the running
+    per-(segment, monomial) sums, each in the order `pointwise_mul` adds it,
+    and `_key_sums` leaves them in ascending order. One MomentTable covers
+    the distinct monomials, and np.bincount adds each segment's
+    coefficient-moment products one by one from +0.0. So entry (a, b) is
+    integrate(f_a.pointwise_mul(g_b)) with that last sum taken in ascending
+    monomial order, and it raises the same errors.
+    """
+    for side in (fs, gs):
+        if not side or any(h.variables != fs[0].variables
+                           or not np.array_equal(h.exponent, side[0].exponent)
+                           for h in side):
+            raise ValueError("gram needs one shared Gaussian exponent per side")
+    (ef, cf, of, pf), (eg, cg, og, pg) = _family_terms(fs), _family_terms(gs)
+    mass, table = _gaussian_weight(fs[0].exponent + gs[0].exponent, ef.any() or eg.any())
+    if not (len(cf) and len(cg)):  # no term pairs
+        return np.zeros((len(fs), len(gs)))
+    low_f, low_g = ef.min(axis=0), eg.min(axis=0)
+    ef, eg = ef - low_f, eg - low_g
+    radix = ef.max(axis=0) + eg.max(axis=0) + 1
+    span, count = prod(radix.tolist()), len(fs) * len(gs)
+    if count * span >= 1 << 62:  # packed keys must fit int64
+        raise ValueError("polynomial degrees too large to pack")
+    weight = _radix_weights(radix)
+    keys, sums = _pair_sums(of * (len(gs) * span) + ef @ weight, cf,
+                            og * span + eg @ weight, cg, _key_sums)
+    segment, mono = np.divmod(keys, span)
+    sums = _real(sums, segment, count)
+    if table:
+        distinct = _distinct(mono)
+        exps = distinct[:, None] // weight % radix + (low_f + low_g)
+        sums = sums * table.moments(exps)[np.searchsorted(distinct, mono)]
+    totals = np.bincount(segment, sums, count).reshape(len(fs), len(gs))
+    return np.multiply.outer(pf, pg) * mass * totals
 
 
 @cache
@@ -260,14 +322,13 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
     QKK = Q[np.ix_(keep_idx, keep_idx)]
     QII = Q[np.ix_(int_idx, int_idx)]
     QKI = Q[np.ix_(keep_idx, int_idx)]
-    _check_negative_definite(QII)
+    mass_i, table = _gaussian_weight(QII)
 
     # completing the square: z_I = w - A z_K with A = QII^{-1} QKI^T
     A = np.linalg.solve(QII, QKI.T)
     Q_red = QKK - QKI @ A
-    mass_i = pi / sqrt(np.linalg.det(-QII))
-    table = MomentTable(-0.5 * np.linalg.inv(QII))
-    exps, coeffs = _real_coefficients(func.poly, 4)
+    exps, coeffs = _terms(func.poly, 4)
+    coeffs = _real(coeffs)
     poly = _marginal_poly(exps[:, keep_idx], exps[:, int_idx], coeffs, A, table)
 
     reduced_vars = PhaseVariables(2, hbar=func.variables.hbar)

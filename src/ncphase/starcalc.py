@@ -120,6 +120,25 @@ def _first_seen_sums(keys: np.ndarray, values: np.ndarray
     return uniq[seen], sums[seen]
 
 
+def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray,
+               sums) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ka[i] + kb[j] with the products ca[i] * cb[j] summed per key.
+
+    The rows i go in blocks, the running result in front of each block, and
+    sums (`_first_seen_sums` or `_key_sums`) adds them in input order; a
+    carried sum is never -0.0, so adding it to +0.0 leaves it exact.
+    """
+    keys, values = np.empty(0, dtype=ka.dtype), np.empty(0)
+    start = 0
+    while start < len(ka):
+        # at least as many new pairs as running keys, so sorts stay amortized
+        rows = slice(start, start + max(1, max(_MUL_BLOCK, len(keys)) // len(kb)))
+        start = rows.stop
+        keys, values = sums(np.concatenate((keys, (ka[rows, None] + kb).ravel())),
+                            np.concatenate((values, _times(ca[rows, None], cb).ravel())))
+    return keys, values
+
+
 def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     """Product of two sparse polynomials, summed as the dict loop sums.
 
@@ -127,9 +146,8 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     order) and each coefficient is added in the loop's order, to the same
     bits. Any coefficient with a nonzero imaginary part (`_terms`) makes the
     whole product complex. Each monomial less its operand's per-axis minimum
-    packs into one mixed-radix integer. The rows of a go in blocks, the
-    running result in front of each block, and `_first_seen_sums` adds them;
-    a carried sum is never -0.0, so adding it to +0.0 leaves it exact.
+    packs into one mixed-radix integer, and `_pair_sums` adds the term pairs
+    with `_first_seen_sums`.
     """
     if not a or not b:
         return {}
@@ -141,17 +159,7 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     if math.prod(radix.tolist()) >= 1 << 62:  # packed keys must fit int64
         raise ValueError("polynomial degrees too large to pack")
     weight = _radix_weights(radix)
-    ka, kb = ea @ weight, eb @ weight
-
-    keys, values = np.empty(0, dtype=ka.dtype), np.empty(0)
-    start = 0
-    while start < len(ka):
-        # at least as many new pairs as running keys, so sorts stay amortized
-        rows = slice(start, start + max(1, max(_MUL_BLOCK, len(keys)) // len(kb)))
-        start = rows.stop
-        keys, values = _first_seen_sums(
-            np.concatenate((keys, (ka[rows, None] + kb).ravel())),
-            np.concatenate((values, _times(ca[rows, None], cb).ravel())))
+    keys, values = _pair_sums(ea @ weight, ca, eb @ weight, cb, _first_seen_sums)
     exps = keys // weight[:, None] % radix[:, None] + (low_a + low_b)[:, None]
     return dict(zip(zip(*exps.tolist()), values.tolist()))
 

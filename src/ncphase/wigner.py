@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -216,18 +217,30 @@ def genvalue_residual(state: WignerState, params: ModelParams,
 def _genvalue_residual_and_scale(state: WignerState, params: ModelParams,
                                  energy: float | None = None,
                                  ) -> tuple[float, float]:
-    """genvalue_residual and max|W| over its grid, from one evaluation of W.
+    """genvalue_residual and max|W| over its grid, from one evaluation of W."""
+    e = state.energy if energy is None else energy
+    return _genvalue_residuals_and_scales([state], params, [e])[0]
 
-    W, H*W and W*H share W's exponent, so all three are evaluated together on
-    the tensor grid by `grid_values`.
+
+def _genvalue_residuals_and_scales(states: Sequence[WignerState], params: ModelParams,
+                                   energies: Sequence[float],
+                                   ) -> list[tuple[float, float]]:
+    """(genvalue_residual, max|W|) of each state at its energy in energies.
+
+    The states share W's exponent, so one `grid_values` call evaluates every
+    W, H*W and W*H on one grid, with one Hamiltonian and one Gaussian factor;
+    each state's values are those of a call for it alone.
     """
     h_poly = oscillator_hamiltonian(params)
-    w_func = state.function
-    e = state.energy if energy is None else energy
-    left = star_product_poly_left(h_poly, w_func)
-    right = star_product_poly_right(w_func, h_poly)
-    w_vals, left, right = grid_values([w_func, left, right],
-                                      _residual_axes(w_func))
-    res_left = np.abs(left - e * w_vals).max()
-    res_right = np.abs(right - e * w_vals).max()
-    return float(max(res_left, res_right)), float(np.abs(w_vals).max())
+    funcs = []
+    for state in states:
+        w_func = state.function
+        funcs += [w_func, star_product_poly_left(h_poly, w_func),
+                  star_product_poly_right(w_func, h_poly)]
+    values = grid_values(funcs, _residual_axes(states[0].function))
+    out = []
+    for e, w_vals, left, right in zip(energies, values[::3], values[1::3], values[2::3]):
+        res_left = np.abs(left - e * w_vals).max()
+        res_right = np.abs(right - e * w_vals).max()
+        out.append((float(max(res_left, res_right)), float(np.abs(w_vals).max())))
+    return out

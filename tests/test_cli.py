@@ -445,6 +445,7 @@ class TestVerifyCommand:
         import ncphase.cli as cli
         from ncphase import ModelParams, marginalize, integrate, cell_size
         from ncphase import genvalue_residual, reduce, wigner_state
+        from ncphase.moments import gram
         from ncphase.starcalc import grid_values
         from ncphase.wigner import _residual_axes, residual_grid
 
@@ -466,12 +467,12 @@ class TestVerifyCommand:
         want = {"genvalue-residual": worst}
         cell = cell_size(params)
         states = {ij: wigner_state(*ij, params) for ij in pairs}
+        funcs = [s.function for s in states.values()]
+        overlaps = gram(funcs, funcs)
         worst = 0.0
-        for kl, skl in states.items():
-            for ij, sij in states.items():
-                got = integrate(skl.function.pointwise_mul(sij.function))
-                target = (1.0 / cell) if kl == ij else 0.0
-                worst = max(worst, abs(got - target) * cell)
+        for a, b in np.ndindex(overlaps.shape):
+            target = (1.0 / cell) if a == b else 0.0
+            worst = max(worst, abs(overlaps[a, b] - target) * cell)
         for sij in states.values():
             worst = max(worst, abs(integrate(sij.function) - 1.0))
         want["orthogonality-normalization"] = worst

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gauss_poly, trapezoid_integrate
 
-from ncphase import moments
+from ncphase import moments, starcalc
 from ncphase import (
     GaussPoly,
     ModelParams,
@@ -18,7 +20,8 @@ from ncphase import (
     reduce,
     wigner_state,
 )
-from ncphase.moments import MAX_MOMENT_DEGREE
+from ncphase.moments import MAX_MOMENT_DEGREE, gram
+from ncphase.starcalc import _terms
 
 V2 = PhaseVariables(2, hbar=1.0)
 V4 = PhaseVariables(4, hbar=1.0)
@@ -414,3 +417,120 @@ def test_sequential_sum_adds_left_to_right(rng):
         for v in values:
             want += v
         assert float(moments._sequential_sum(np.array(values))).hex() == want.hex()
+
+
+# ---------------------------------------------------------------------------
+# gram against the product route: integrate(f.pointwise_mul(g)) adds the same
+# per-monomial coefficients, but takes the final sum in first-seen monomial
+# order where gram takes it in ascending order, so the two agree to rounding
+# of that sum.
+
+ANCHORS = [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999)]
+
+
+def absolute_contributions(f, g):
+    """Sum over the monomials of f*g of |prefactor * mass * coeff * moment|."""
+    product = f.pointwise_mul(g)
+    exps, coeffs = _terms(product.poly, product.variables.dimension)
+    Q = product.exponent
+    mass = math.pi ** (len(Q) / 2) / math.sqrt(np.linalg.det(-Q))
+    moment = MomentTable(-0.5 * np.linalg.inv(Q)).moments(exps)
+    return abs(product.prefactor * mass) * np.abs(coeffs * moment).sum()
+
+
+def assert_matches_products(fs, gs):
+    got = gram(fs, gs)
+    assert got.shape == (len(fs), len(gs))
+    for a, f in enumerate(fs):
+        for b, g in enumerate(gs):
+            want = integrate(f.pointwise_mul(g))
+            assert abs(got[a, b] - want) <= 1e-13 * absolute_contributions(f, g)
+
+
+def hex_matrix(m):
+    return [float(x).hex() for x in m.ravel()]
+
+
+def family(params, top=2):
+    return [wigner_state(i, j, params).function
+            for i in range(top + 1) for j in range(top + 1)]
+
+
+def real_poly(dim):
+    return st.dictionaries(st.tuples(*[st.integers(0, 5)] * dim),
+                           st.floats(-1e3, 1e3), max_size=8)
+
+
+def negative_definite(seed, dim):
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    return -(a.T @ a + 0.4 * np.eye(dim))
+
+
+class TestGram:
+    @pytest.mark.parametrize("mu,nu", ANCHORS)
+    def test_eigenstate_families_match_products(self, mu, nu):
+        fs = family(ModelParams(mu=mu, nu=nu))
+        assert_matches_products(fs, fs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 4]),
+           seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_random_families_match_products(self, data, dim, seeds):
+        variables = PhaseVariables(dim, hbar=1.0)
+        sides = []
+        for seed in seeds:
+            Q = negative_definite(seed, dim)
+            polys = data.draw(st.lists(real_poly(dim), min_size=1, max_size=3))
+            prefactors = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(polys),
+                                            max_size=len(polys)))
+            sides.append([GaussPoly(variables, pre, Q, poly)
+                          for pre, poly in zip(prefactors, polys)])
+        assert_matches_products(*sides)
+
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch):
+        fs = family(SMALL)
+        pairs = sum(len(f.poly) for f in fs) ** 2
+        assert pairs > 3 * starcalc._MUL_BLOCK
+        blocked = gram(fs, fs)
+        for block in (64, 1 << 40):
+            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+            assert hex_matrix(gram(fs, fs)) == hex_matrix(blocked)
+
+    def test_empty_polynomial(self):
+        Q = np.array([[-1.2, 0.3], [0.3, -0.8]])
+        empty = GaussPoly(V2, 0.7, Q, {})
+        full = GaussPoly(V2, 1.3, Q, {(0, 0): 1.0, (2, 1): -2.0})
+        other = GaussPoly(V2, 0.4, -np.eye(2), {(2, 0): 1.5})
+        assert gram([empty], [other])[0, 0] == 0.0
+        assert gram([other], [empty])[0, 0] == 0.0
+        got = gram([empty, full], [other])
+        assert got[0, 0] == 0.0
+        assert got[1, 0] == integrate(full.pointwise_mul(other))
+
+    def test_errors_match_integrate(self):
+        Q = -np.eye(2)
+        real = GaussPoly(V2, 1.0, Q, {(0, 0): 1.0, (1, 1): 0.5})
+        cases = [
+            # complex coefficients that do not cancel
+            ([GaussPoly(V2, 1.0, Q, {(0, 0): 1.0, (2, 0): 1e-3j})], [real]),
+            # a summed exponent that is not negative definite
+            ([GaussPoly(V2, 1.0, np.diag([-1.0, 2.0]), {(0, 0): 1.0})],
+             [GaussPoly(V2, 1.0, np.diag([-1.0, -0.5]), {(1, 0): 1.0})]),
+        ]
+        for fs, gs in cases:
+            with pytest.raises(ValueError) as want:
+                integrate(fs[0].pointwise_mul(gs[0]))
+            with pytest.raises(ValueError, match=f"^{want.value}$"):
+                gram(fs, gs)
+        # a negligible imaginary part is accepted by both
+        tiny = GaussPoly(V2, 1.0, Q, {(0, 0): 1.0 + 1e-14j})
+        assert gram([tiny], [real])[0, 0] == \
+            pytest.approx(integrate(tiny.pointwise_mul(real)), rel=1e-15)
+
+    def test_families_need_a_shared_exponent(self):
+        f = GaussPoly(V2, 1.0, -np.eye(2), {(0, 0): 1.0})
+        g = GaussPoly(V2, 1.0, -2.0 * np.eye(2), {(0, 0): 1.0})
+        with pytest.raises(ValueError, match="shared Gaussian exponent"):
+            gram([f, g], [f])
+        with pytest.raises(ValueError, match="shared Gaussian exponent"):
+            gram([f], [])
