@@ -33,9 +33,6 @@ import numpy as np
 Monomial = tuple[int, ...]
 PolyMap = dict[Monomial, complex]
 
-# relative pruning threshold applied after differentiation passes
-PRUNE_REL = 1e-15
-
 # |k*s| may touch 1 (pure-state projector limit) but not exceed it
 _UNIT_SLACK = 1e-9
 
@@ -509,11 +506,10 @@ def _times(a, b):
     return out
 
 
-def _pruned(keys: np.ndarray, values: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Terms with |c| above PRUNE_REL times the largest |c|; exact zeros go."""
-    size = np.abs(values)
-    keep = size > PRUNE_REL * size.max(initial=0.0)
+def _nonzero(keys: np.ndarray, values: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The terms whose coefficient is not exactly zero."""
+    keep = values != 0
     return keys[keep], values[keep]
 
 
@@ -521,8 +517,9 @@ def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], rows: Sequence
                   half: np.ndarray, gQ: np.ndarray, weight: np.ndarray, radix: np.ndarray
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Polynomial part of E_a [poly * exp(z gQ z)], E_a = sum_b half[a, b] d/dz_b,
-    for each packed (poly, a) with a from rows, each pruned at PRUNE_REL of
-    its own largest coefficient and in ascending key order.
+    for each packed (poly, a) with a from rows, in ascending key order with
+    exact zeros dropped. No other term is cut: a cut relative to the largest
+    coefficient would depend on the units of z.
 
     E_a adds sum_b half[a, b] d poly/dz_b and (2 half gQ)[a, j] z_j poly for
     every j. All passes run together, poly n offset to the n-th block of keys.
@@ -544,17 +541,10 @@ def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], rows: Sequence
     power = keys[n] // weight[b] % radix[b]  # offsets are multiples of size
     has = power > 0
     m, j, u = steps((2.0 * half @ gQ)[rows])
-    keys, vals = _key_sums(
+    keys, vals = _nonzero(*_key_sums(
         np.concatenate(((keys[n] - weight[b])[has], keys[m] + weight[j])),
-        np.concatenate(((vals[n] * c * power)[has], vals[m] * u)))
+        np.concatenate(((vals[n] * c * power)[has], vals[m] * u))))
     bounds = np.searchsorted(keys, offset)
-    size_of = np.abs(vals)
-    filled = bounds[:-1] < bounds[1:]
-    top = np.zeros(len(polys))
-    top[filled] = np.maximum.reduceat(size_of, bounds[:-1][filled])
-    keep = size_of > PRUNE_REL * np.repeat(top, np.diff(bounds))
-    bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
-    keys, vals = keys[keep], vals[keep]
     return [(keys[lo:hi] - base, vals[lo:hi])
             for base, lo, hi in zip(offset, bounds[:-1], bounds[1:])]
 
@@ -571,8 +561,9 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     packed mixed-radix keys (`_radix_weights`) with coefficient arrays.
     E^alpha g is one pass from alpha less its first nonzero axis, and the
     passes of one order run together (`_gauss_passes`). Every (alpha,
-    f-term) row times its E^alpha g is one gather, summed by one `_key_sums`
-    and pruned once.
+    f-term) row times its E^alpha g is one gather, summed by one `_key_sums`.
+    Only exact zeros are dropped, here and after each pass, so the terms
+    kept do not depend on units.
     """
     if not fpoly or not gpoly:
         return {}
@@ -612,7 +603,7 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     at = (np.cumsum(seg_len) - seg_len)[row_seg[row]] + offset
     keys = (monos @ weight)[row] + np.concatenate([eg[0] for *_, eg in series])[at]
     vals = coeffs[row] * np.concatenate([eg[1] for *_, eg in series])[at]
-    keys, vals = _pruned(*_key_sums(keys, vals))
+    keys, vals = _nonzero(*_key_sums(keys, vals))
     exps = (keys[:, None] // weight % radix).tolist()
     return dict(zip(map(tuple, exps), vals.tolist()))
 

@@ -28,7 +28,7 @@ from .starcalc import (
     QuadraticForm,
     grid_values,
     star_product_poly_left,
-    star_product_poly_right,
+    star_product_poly_right,  # unused here; perfbench's trace wraps this name
     _accumulate,
     _poly_mul,
 )
@@ -208,18 +208,12 @@ def genvalue_residual(state: WignerState, params: ModelParams,
     """Sup-norm of H*W - E W and W*H - E W over the deterministic grid.
 
     The grid has 11 points per axis within three marginal widths. Complex
-    parts of the star products enter the modulus, so a wrong energy or a
-    wrong state cannot hide in the real part.
+    parts of the star product enter the modulus, so a wrong energy or a
+    wrong state cannot hide in the real part. W*H - E W is the conjugate of
+    H*W - E W, so one product gives both norms.
     """
-    return _genvalue_residual_and_scale(state, params, energy)[0]
-
-
-def _genvalue_residual_and_scale(state: WignerState, params: ModelParams,
-                                 energy: float | None = None,
-                                 ) -> tuple[float, float]:
-    """genvalue_residual and max|W| over its grid, from one evaluation of W."""
     e = state.energy if energy is None else energy
-    return _genvalue_residuals_and_scales([state], params, [e])[0]
+    return _genvalue_residuals_and_scales([state], params, [e])[0][0]
 
 
 def _genvalue_residuals_and_scales(states: Sequence[WignerState], params: ModelParams,
@@ -227,20 +221,17 @@ def _genvalue_residuals_and_scales(states: Sequence[WignerState], params: ModelP
                                    ) -> list[tuple[float, float]]:
     """(genvalue_residual, max|W|) of each state at its energy in energies.
 
-    The states share W's exponent, so one `grid_values` call evaluates every
-    W, H*W and W*H on one grid, with one Hamiltonian and one Gaussian factor;
-    each state's values are those of a call for it alone.
+    Only H*W is built: for real coefficients the deformed Moyal product is
+    Hermitian, W*H = conj(H*W), and `wigner_state` builds only real ones, so
+    |W*H - E W| = |H*W - E W| at every point. The states share W's exponent,
+    so one `grid_values` call evaluates every W and H*W on one grid, with one
+    Hamiltonian and one Gaussian factor; each state's values are those of a
+    call for it alone.
     """
     h_poly = oscillator_hamiltonian(params)
     funcs = []
     for state in states:
-        w_func = state.function
-        funcs += [w_func, star_product_poly_left(h_poly, w_func),
-                  star_product_poly_right(w_func, h_poly)]
+        funcs += [state.function, star_product_poly_left(h_poly, state.function)]
     values = grid_values(funcs, _residual_axes(states[0].function))
-    out = []
-    for e, w_vals, left, right in zip(energies, values[::3], values[1::3], values[2::3]):
-        res_left = np.abs(left - e * w_vals).max()
-        res_right = np.abs(right - e * w_vals).max()
-        out.append((float(max(res_left, res_right)), float(np.abs(w_vals).max())))
-    return out
+    return [(float(np.abs(hw - e * w_vals).max()), float(np.abs(w_vals).max()))
+            for e, w_vals, hw in zip(energies, values[::2], values[1::2])]

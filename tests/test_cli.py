@@ -426,8 +426,13 @@ class TestVerifyCommand:
         for check in report["checks"]:
             assert check["error"] <= check["tolerance"]
 
-    def test_deformed_point_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--mu", "0.3", "--nu", "0.1")
+    @pytest.mark.parametrize("point", [
+        ("--mu", "0.3", "--nu", "0.1"),
+        # far from unit scales: the star series keeps every nonzero term
+        ("--mass", "1000", "--omega", "1000", "--mu", "1e-6", "--nu", "1e5"),
+    ], ids=["unit-scales", "far-from-unit-scales"])
+    def test_deformed_point_passes(self, capsys, point):
+        code, out, _ = run(capsys, "verify", *point)
         assert code == 0
         assert json.loads(out)["all_passed"]
 

@@ -656,10 +656,22 @@ class TestStarSeries:
             Q = np.zeros((dim, dim))
         for got, exact in series_and_exact(f, g, Q, variables):
             assert_near_exact(got, exact)
+        if f_kind == g_kind == "real":
+            # the product is Hermitian: g * f = conj(f * g) for real f and g,
+            # which lets the eigen check build H*W alone
+            fp = GaussPoly(variables, 1.0, np.zeros((dim, dim)), f)
+            gp = GaussPoly(variables, 1.0, Q, g)
+            left = star_product_poly_left(fp, gp).poly
+            right = star_product_poly_right(gp, fp).poly
+            # key for key and bit for bit, but for the sign of a zero part
+            assert list(right) == list(left)
+            assert ([c.conjugate() for c in map(complex, left.values())]
+                    == [complex(c) for c in right.values()])
 
-    def test_each_pass_prunes_against_its_own_largest_coefficient(self):
-        # E_0 = d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term is
-        # under 1e-15 of 3e6, whatever pass follows, empty or not
+    def test_each_pass_keeps_every_nonzero_coefficient(self):
+        # E_0 = d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term stays
+        # (a cut relative to 3e6 would drop it), whatever pass follows, empty
+        # or not
         from ncphase.starcalc import _gauss_passes, _radix_weights
         radix = np.array([5, 5])
         weight = _radix_weights(radix)
@@ -671,7 +683,7 @@ class TestStarSeries:
             out = _gauss_passes(polys, [0] * len(polys), half, np.zeros((2, 2)),
                                 weight, radix)
             keys, vals = out.pop(before)
-            assert keys.tolist() == [0, 2] and vals.tolist() == [1.0, 3e6]
+            assert keys.tolist() == [0, 1, 2] and vals.tolist() == [1.0, 1e-12, 3e6]
             assert all(len(k) == 0 for k, _ in out)
 
     def test_empty_operands(self):

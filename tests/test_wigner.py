@@ -20,7 +20,7 @@ from ncphase import (
     wigner_state,
 )
 from ncphase.starcalc import grid_values
-from ncphase.wigner import _genvalue_residual_and_scale, _residual_axes, residual_grid
+from ncphase.wigner import _genvalue_residuals_and_scales, _residual_axes, residual_grid
 
 
 def grid_scale(state):
@@ -200,7 +200,8 @@ class TestGenvalueResidual:
         # them as (B/2) Q, of order 1, so the residual keeps its digits
         params = ModelParams(mu=mu, nu=nu)
         for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            res, scale = _genvalue_residual_and_scale(wigner_state(i, j, params), params)
+            state = wigner_state(i, j, params)
+            [(res, scale)] = _genvalue_residuals_and_scales([state], params, [state.energy])
             assert res <= 1e-10 * scale
 
     def test_wrong_energy_fails_loudly(self):
@@ -215,7 +216,7 @@ class TestGenvalueResidual:
         for i, j in [(0, 0), (1, 1)]:
             state = wigner_state(i, j, params)
             e = state.energy * (1.0 + energy_shift)
-            res, scale = _genvalue_residual_and_scale(state, params, energy=e)
+            [(res, scale)] = _genvalue_residuals_and_scales([state], params, [e])
             assert res == genvalue_residual(state, params, energy=e)
             # the scale is max|W| from the grid evaluation of the residual
             w = state.function
