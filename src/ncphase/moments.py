@@ -12,8 +12,7 @@ every product keeps its operand order, and every sum adds its terms one by one
 in the loop's order (never pairwise). marginalize returns its monomials in
 ascending order, as the star series does, and drops a monomial whose sum is
 exactly zero, as the dict accumulation did. gram integrates products without
-building them; it differs from integrate of the built product only in the
-order of the final sum over monomials.
+building them, and equals integrate of the built product exactly.
 """
 
 from __future__ import annotations
@@ -183,9 +182,9 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
     per-(segment, monomial) sums, each in the order `pointwise_mul` adds it,
     and `_key_sums` leaves them in ascending order. One MomentTable covers
     the distinct monomials, and np.bincount adds each segment's
-    coefficient-moment products one by one from +0.0. So entry (a, b) is
-    integrate(f_a.pointwise_mul(g_b)) with that last sum taken in ascending
-    monomial order, and it raises the same errors.
+    coefficient-moment products one by one from +0.0, in ascending monomial
+    order as `integrate` does on a product. So entry (a, b) equals
+    integrate(f_a.pointwise_mul(g_b)) exactly, and it raises the same errors.
     """
     for side in (fs, gs):
         if not side or any(h.variables != fs[0].variables
@@ -204,7 +203,7 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
         raise ValueError("polynomial degrees too large to pack")
     weight = _radix_weights(radix)
     keys, sums = _pair_sums(of * (len(gs) * span) + ef @ weight, cf,
-                            og * span + eg @ weight, cg, _key_sums)
+                            og * span + eg @ weight, cg)
     segment, mono = np.divmod(keys, span)
     sums = _real(sums, segment, count)
     if table:

@@ -88,17 +88,6 @@ def _shift(mono: Monomial, axis: int, by: int) -> Monomial:
     return mono[:axis] + (mono[axis] + by,) + mono[axis + 1:]
 
 
-def _accumulate(out: PolyMap, terms: Iterable[tuple[Monomial, complex]],
-                scale: complex = 1.0) -> None:
-    """Add scale * c for each (monomial, c) into out in place; exact zeros drop."""
-    for k, c in terms:
-        s = out.get(k, 0.0) + scale * c
-        if s == 0.0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-
-
 def _radix_weights(radix: np.ndarray) -> np.ndarray:
     """Place values of a mixed-radix key whose last axis varies fastest."""
     weight = np.ones_like(radix)
@@ -106,24 +95,14 @@ def _radix_weights(radix: np.ndarray) -> np.ndarray:
     return weight
 
 
-def _first_seen_sums(keys: np.ndarray, values: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in first-seen order, each with its values summed in input
-    order (`_run_sums` after a stable sort, which keeps that order)."""
-    order = keys.argsort(kind="stable")
-    ordered = keys[order]
-    uniq, sums = _run_sums(ordered, values[order])
-    seen = order[np.searchsorted(ordered, uniq)].argsort()
-    return uniq[seen], sums[seen]
-
-
-def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray,
-               sums) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ka[i] + kb[j] with the products ca[i] * cb[j] summed per key.
+def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ka[i] + kb[j] in ascending order, with the products ca[i] * cb[j]
+    summed per key in row-major pair order.
 
     The rows i go in blocks, the running result in front of each block, and
-    sums (`_first_seen_sums` or `_key_sums`) adds them in input order; a
-    carried sum is never -0.0, so adding it to +0.0 leaves it exact.
+    `_key_sums` adds them in input order; a carried sum is never -0.0, so
+    adding it to +0.0 leaves it exact.
     """
     keys, values = np.empty(0, dtype=ka.dtype), np.empty(0)
     start = 0
@@ -131,20 +110,20 @@ def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray,
         # at least as many new pairs as running keys, so sorts stay amortized
         rows = slice(start, start + max(1, max(_MUL_BLOCK, len(keys)) // len(kb)))
         start = rows.stop
-        keys, values = sums(np.concatenate((keys, (ka[rows, None] + kb).ravel())),
-                            np.concatenate((values, _times(ca[rows, None], cb).ravel())))
+        keys, values = _key_sums(
+            np.concatenate((keys, (ka[rows, None] + kb).ravel())),
+            np.concatenate((values, _times(ca[rows, None], cb).ravel())))
     return keys, values
 
 
 def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     """Product of two sparse polynomials, summed as the dict loop sums.
 
-    Keys come in the loop's order (first seen over the term pairs in row-major
-    order) and each coefficient is added in the loop's order, to the same
-    bits. Any coefficient with a nonzero imaginary part (`_terms`) makes the
-    whole product complex. Each monomial less its operand's per-axis minimum
-    packs into one mixed-radix integer, and `_pair_sums` adds the term pairs
-    with `_first_seen_sums`.
+    Keys come in ascending order, and each coefficient is added in the loop's
+    order (the term pairs in row-major order), to the same bits. Any
+    coefficient with a nonzero imaginary part (`_terms`) makes the whole
+    product complex. Each monomial less its operand's per-axis minimum packs
+    into one mixed-radix integer, and `_pair_sums` adds the term pairs.
     """
     if not a or not b:
         return {}
@@ -156,7 +135,7 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     if math.prod(radix.tolist()) >= 1 << 62:  # packed keys must fit int64
         raise ValueError("polynomial degrees too large to pack")
     weight = _radix_weights(radix)
-    keys, values = _pair_sums(ea @ weight, ca, eb @ weight, cb, _first_seen_sums)
+    keys, values = _pair_sums(ea @ weight, ca, eb @ weight, cb)
     exps = keys // weight[:, None] % radix[:, None] + (low_a + low_b)[:, None]
     return dict(zip(zip(*exps.tolist()), values.tolist()))
 
@@ -241,7 +220,8 @@ class GaussPoly:
         if not np.allclose(self.exponent, other.exponent, rtol=0.0, atol=1e-12 * scale):
             raise ValueError("cannot add functions with different Gaussian exponents")
         merged = {k: self.prefactor * c for k, c in self.poly.items()}
-        _accumulate(merged, other.poly.items(), scale=other.prefactor)
+        for k, c in other.poly.items():
+            merged[k] = merged.get(k, 0.0) + other.prefactor * c
         return GaussPoly(self.variables, 1.0, self.exponent, merged)
 
     def pointwise_mul(self, other: "GaussPoly") -> "GaussPoly":
@@ -308,8 +288,8 @@ def _grid_poly(poly: PolyMap, axes: Sequence[np.ndarray]) -> np.ndarray:
     exps, coeffs = _terms(poly, d)
     top = exps.max(axis=0, initial=0)
     tables = [_power_table(x, t) for x, t in zip(axes, top)]
-    exps, coeffs = (v[np.argsort(exps[:, :lead] @ _radix_weights(top[:lead] + 1))]
-                    for v in (exps, coeffs))
+    order = np.argsort(exps[:, :lead] @ _radix_weights(top[:lead] + 1), kind="stable")
+    exps, coeffs = exps[order], coeffs[order]
     head = math.prod(len(x) for x in axes[:lead])
     tail = math.prod(len(x) for x in axes[lead:])
     out = np.zeros((head, tail), dtype=coeffs.dtype)
@@ -433,14 +413,10 @@ class QuadraticForm:
 
 
 def k_constant(form: QuadraticForm) -> float:
-    """Scalar k = (a.d - b.c) hbar + (a^c) mu + (b^d) nu of a two-square form."""
-    a, b, c, d = (np.array(v) for v in (form.a, form.b, form.c, form.d))
-    pv = form.variables
-    k = pv.hbar * (float(a @ d) - float(b @ c))
-    if pv.dimension == 4:
-        k += pv.mu * (a[0] * c[1] - a[1] * c[0])
-        k += pv.nu * (b[0] * d[1] - b[1] * d[0])
-    return k
+    """Scalar k = (a.d - b.c) hbar + (a^c) mu + (b^d) nu of a two-square form:
+    u B v for its forms u = (a, b) and v = (c, d)."""
+    B = form.variables.deformation_matrix()
+    return float(form.first_form @ B @ form.second_form)
 
 
 def star_exp(form: QuadraticForm, t: float) -> GaussPoly:

@@ -29,7 +29,6 @@ from .starcalc import (
     grid_values,
     star_product_poly_left,
     star_product_poly_right,  # unused here; perfbench's trace wraps this name
-    _accumulate,
     _poly_mul,
 )
 
@@ -128,12 +127,14 @@ def _laguerre_coefficients(n: int) -> tuple[Fraction, ...]:
 
 
 def _laguerre_of_form(n: int, form_poly: PolyMap, scale: float, dim: int) -> PolyMap:
-    """L_n(scale * H) expanded over the monomials of the quadratic form H."""
+    """L_n(scale * H) expanded over the monomials of the quadratic form H; H^k
+    has degree 2k, so no two powers share a monomial and none is summed."""
     coeffs = _laguerre_coefficients(n)
     out: PolyMap = {(0,) * dim: float(coeffs[0])}
     powers = itertools.accumulate(itertools.repeat(form_poly, n), _poly_mul)
     for k, power in enumerate(powers, 1):
-        _accumulate(out, power.items(), scale=float(coeffs[k]) * scale**k)
+        factor = float(coeffs[k]) * scale**k
+        out.update((m, factor * c) for m, c in power.items())
     return out
 
 

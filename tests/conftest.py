@@ -14,6 +14,25 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def reference_poly_mul(a, b):
+    """The plain dict loop: term pairs in row order, summed into one dict,
+    keys in the order first seen."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return out
+
+
+@pytest.fixture
+def dict_loop_states(monkeypatch):
+    """wigner_state multiplies with the plain dict loop, so each state's terms
+    come in the loop's first-seen order, not in ascending order."""
+    import ncphase.wigner as wg
+    monkeypatch.setattr(wg, "_poly_mul", reference_poly_mul)
+
+
 def params_for_lambda(lam: float, hbar=1.0, mass=1.0, omega=1.0) -> ModelParams:
     """A valid parameter point whose purity parameter equals lam.
 
