@@ -82,13 +82,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_entropy(args) -> int:
-    try:
-        params = _params_from_args(args)
-        dq = derive(params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-
+    params, dq = args.params, derive(args.params)
     kind = args.kind
     method = args.method
     try:
@@ -125,12 +119,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        params = _params_from_args(args)
-        derive(params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    params = args.params
     if not (0 <= args.imax <= MAX_INDEX and 0 <= args.jmax <= MAX_INDEX):
         print(f"error: indices must lie in 0..{MAX_INDEX}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -332,12 +321,7 @@ def _quad_matrix(quad) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
-    try:
-        params = _params_from_args(args)
-        derive(params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    params = args.params
     checks = _verify_checks(params, args.perturb_energy)
     all_passed = all(c["passed"] for c in checks)
     print(json.dumps({
@@ -392,6 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "hbar"):  # a command with parameter flags
+        try:
+            args.params = _params_from_args(args)
+            derive(args.params)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_PARAMS
     return args.func(args)
 
 

@@ -23,16 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .starcalc import (GaussPoly, Monomial, PhaseVariables, PolyMap, _key_sums,
-                       _pair_sums, _radix_weights, _ragged, _terms)
+from .starcalc import (GaussPoly, Monomial, PhaseVariables, PolyMap, _block_sums,
+                       _nonzero, _pair_sums, _radix_weights, _ragged, _terms)
 
 MAX_MOMENT_DEGREE = 48
 
 _IMAG_TOL = 1e-10
-
-# marginalize expands at most this many terms per block of monomials (or one
-# monomial); the running sums carry over from block to block
-_MARG_BLOCK = 1 << 12
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -258,10 +254,10 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     distributed by table, adds coeff * c0 * c1 * E[w0^j0 w1^j1] to
     u^(k0+r0+r1) v^(k1+s0+s1) for each term (j0, r0, s0, c0) of x^n0 and
     (j1, r1, s1, c1) of y^n1. Terms run monomial by monomial, then x-term,
-    then y-term, and those with a zero moment are skipped. `_key_sums` adds
-    each block behind the running sums in that order; a sum that passes
-    through exactly zero and goes on from it matches the dict loop, which
-    removed the key and started it again from 0.0. Exact-zero sums drop.
+    then y-term, and those with a zero moment are skipped; `_block_sums`
+    adds them in that order, a row per monomial. A sum that passes through
+    exactly zero and goes on from it matches the dict loop, which removed
+    the key and started it again from 0.0. Exact-zero sums drop.
     """
     if not len(coeffs):
         return {}
@@ -277,12 +273,8 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     base = kept[:, 0] * radix + kept[:, 1]
 
     count = count0[n0] * count1[n1]
-    ends = np.cumsum(count)
-    keys, sums = np.empty(0, dtype=np.int64), np.empty(0)
-    lo = 0
-    while lo < len(coeffs):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _MARG_BLOCK,
-                                             side="right")))
+
+    def entries(lo, hi):
         mono, offset = _ragged(count[lo:hi])
         mono += lo
         width = count1[n1[mono]]
@@ -291,13 +283,10 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
         m = moment[J0[e0], J1[e1]]
         live = m != 0.0
         mono, e0, e1, m = mono[live], e0[live], e1[live], m[live]
-        block_keys = base[mono] + (R0[e0] + R1[e1]) * radix + S0[e0] + S1[e1]
-        block_values = coeffs[mono] * C0[e0] * C1[e1] * m
-        keys, sums = _key_sums(np.concatenate((keys, block_keys)),
-                               np.concatenate((sums, block_values)))
-        lo = hi
-    nonzero = sums != 0.0
-    keys, sums = keys[nonzero], sums[nonzero]
+        return (base[mono] + (R0[e0] + R1[e1]) * radix + S0[e0] + S1[e1],
+                coeffs[mono] * C0[e0] * C1[e1] * m)
+
+    keys, sums = _nonzero(*_block_sums(count, entries))
     exps = zip((keys // radix).tolist(), (keys % radix).tolist())
     return dict(zip(exps, sums.tolist()))
 

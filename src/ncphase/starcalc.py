@@ -42,7 +42,7 @@ _MATCH_RTOL = 1e-10
 # and power-table height: caps each temporary at 256 kB whatever the grid
 _VALUE_BLOCK = 1 << 15
 
-# _poly_mul takes at least _MUL_BLOCK term pairs per block
+# _block_sums adds at least _MUL_BLOCK entries per block
 _MUL_BLOCK = 1 << 13
 
 
@@ -95,25 +95,36 @@ def _radix_weights(radix: np.ndarray) -> np.ndarray:
     return weight
 
 
+def _block_sums(counts: np.ndarray, entries) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order, each with the values of its entries
+    summed in input order, where row r owns counts[r] entries and
+    entries(lo, hi) gives the keys and values of rows lo..hi-1.
+
+    A block takes whole rows up to max(_MUL_BLOCK, running keys) entries, or
+    one row where that row alone holds more, so sorts stay amortized and
+    temporaries bounded. `_key_sums` adds each block behind the running
+    sums; a carried sum is never -0.0, so adding it to +0.0 leaves it exact,
+    and every sum is the one-pass sum.
+    """
+    ends = np.cumsum(counts)
+    keys, values = np.empty(0, dtype=np.int64), np.empty(0)
+    lo = 0
+    while lo < len(ends):
+        limit = ends[lo] - counts[lo] + max(_MUL_BLOCK, len(keys))
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        block_keys, block_values = entries(lo, hi)
+        keys, values = _key_sums(np.concatenate((keys, block_keys)),
+                                 np.concatenate((values, block_values)))
+        lo = hi
+    return keys, values
+
+
 def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Keys ka[i] + kb[j] in ascending order, with the products ca[i] * cb[j]
-    summed per key in row-major pair order.
-
-    The rows i go in blocks, the running result in front of each block, and
-    `_key_sums` adds them in input order; a carried sum is never -0.0, so
-    adding it to +0.0 leaves it exact.
-    """
-    keys, values = np.empty(0, dtype=ka.dtype), np.empty(0)
-    start = 0
-    while start < len(ka):
-        # at least as many new pairs as running keys, so sorts stay amortized
-        rows = slice(start, start + max(1, max(_MUL_BLOCK, len(keys)) // len(kb)))
-        start = rows.stop
-        keys, values = _key_sums(
-            np.concatenate((keys, (ka[rows, None] + kb).ravel())),
-            np.concatenate((values, _times(ca[rows, None], cb).ravel())))
-    return keys, values
+    summed per key in row-major pair order (`_block_sums`, a row per i)."""
+    return _block_sums(np.full(len(ka), len(kb)), lambda lo, hi: (
+        (ka[lo:hi, None] + kb).ravel(), _times(ca[lo:hi, None], cb).ravel()))
 
 
 def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
@@ -199,11 +210,10 @@ class GaussPoly:
     def degree(self) -> int:
         return max((sum(k) for k in self.poly), default=0)
 
-    def is_pure_gaussian(self, tol: float = 1e-14) -> bool:
-        """True when the polynomial part is a constant."""
-        const = self.constant_coefficient()
-        rest = sum(abs(c) for k, c in self.poly.items() if any(k))
-        return rest <= tol * max(1.0, abs(const))
+    def is_pure_gaussian(self) -> bool:
+        """True when the polynomial part is a constant: no monomial but the
+        constant one (construction drops exact zeros), whatever the units."""
+        return not any(map(any, self.poly))
 
     def constant_coefficient(self) -> complex:
         d = self.variables.dimension
@@ -489,40 +499,30 @@ def _nonzero(keys: np.ndarray, values: np.ndarray
     return keys[keep], values[keep]
 
 
-def _gauss_passes(polys: Sequence[tuple[np.ndarray, np.ndarray]], rows: Sequence[int],
-                  half: np.ndarray, gQ: np.ndarray, weight: np.ndarray, radix: np.ndarray
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Polynomial part of E_a [poly * exp(z gQ z)], E_a = sum_b half[a, b] d/dz_b,
-    for each packed (poly, a) with a from rows, in ascending key order with
-    exact zeros dropped. No other term is cut: a cut relative to the largest
-    coefficient would depend on the units of z.
+def _gauss_operator(half_row: np.ndarray, shift_row: np.ndarray,
+                    weight: np.ndarray, radix: np.ndarray):
+    """E_a = sum_b half_row[b] d/dz_b on poly * exp(z gQ z), as a map from the
+    packed keys and coefficients of poly to those of the polynomial part of
+    the result, in ascending key order with exact zeros dropped. No other
+    term is cut: a cut relative to the largest coefficient would depend on
+    the units of z.
 
-    E_a adds sum_b half[a, b] d poly/dz_b and (2 half gQ)[a, j] z_j poly for
-    every j. All passes run together, poly n offset to the n-th block of keys.
+    E_a adds half_row[b] d poly/dz_b for every b and shift_row[j] z_j poly
+    for every j, with shift_row = (2 half gQ)[a]; the derivative terms come
+    first, axis by axis, then the shift terms.
     """
-    size = int(weight[0] * radix[0])
-    lengths = np.array([len(k) for k, _ in polys])
-    offset = np.arange(len(polys) + 1) * size
-    keys = np.concatenate([k for k, _ in polys]) + np.repeat(offset[:-1], lengths)
-    vals = np.concatenate([v for _, v in polys])
-    start = np.cumsum(lengths) - lengths
+    b = np.flatnonzero(half_row)
+    down, digit, c = weight[b, None], radix[b, None], half_row[b, None]
+    j = np.flatnonzero(shift_row)
+    up, u = weight[j, None], shift_row[j, None]
 
-    def steps(coeff):
-        # (entry, axis, coefficient) for each nonzero coeff[pass, axis]
-        p, b = np.nonzero(coeff)
-        owner, at = _ragged(lengths[p])
-        return start[p][owner] + at, b[owner], coeff[p, b][owner]
-
-    n, b, c = steps(half[rows])
-    power = keys[n] // weight[b] % radix[b]  # offsets are multiples of size
-    has = power > 0
-    m, j, u = steps((2.0 * half @ gQ)[rows])
-    keys, vals = _nonzero(*_key_sums(
-        np.concatenate(((keys[n] - weight[b])[has], keys[m] + weight[j])),
-        np.concatenate(((vals[n] * c * power)[has], vals[m] * u))))
-    bounds = np.searchsorted(keys, offset)
-    return [(keys[lo:hi] - base, vals[lo:hi])
-            for base, lo, hi in zip(offset, bounds[:-1], bounds[1:])]
+    def apply(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        power = keys // down % digit
+        has = power > 0
+        return _nonzero(*_key_sums(
+            np.concatenate(((keys - down)[has], (keys + up).ravel())),
+            np.concatenate(((vals * c * power)[has], (vals * u).ravel()))))
+    return apply
 
 
 def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
@@ -535,11 +535,10 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     i^|alpha| / alpha! d^alpha f E^alpha g over the alpha with d^alpha f
     nonzero, and ends at the total degree of f. g and each E^alpha g are
     packed mixed-radix keys (`_radix_weights`) with coefficient arrays.
-    E^alpha g is one pass from alpha less its first nonzero axis, and the
-    passes of one order run together (`_gauss_passes`). Every (alpha,
-    f-term) row times its E^alpha g is one gather, summed by one `_key_sums`.
-    Only exact zeros are dropped, here and after each pass, so the terms
-    kept do not depend on units.
+    E^alpha g is one pass (`_gauss_operator`) over E^(alpha less its first
+    nonzero axis) g. Every (alpha, f-term) row times its E^alpha g is one
+    gather, summed by `_block_sums`. Only exact zeros are dropped, here and
+    after each pass, so the terms kept do not depend on units.
     """
     if not fpoly or not gpoly:
         return {}
@@ -547,10 +546,11 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     deg = max(sum(k) for k in fpoly)
     gexps, gvals = _terms(gpoly, d)
     radix = np.array(list(fpoly)).max(axis=0) + gexps.max(axis=0) + deg + 1
-    # keys offset by a block per pass of one order fit int64
-    if math.prod(radix.tolist()) * math.comb(deg + d - 1, d - 1) >= 1 << 62:
+    if math.prod(radix.tolist()) >= 1 << 62:  # packed keys must fit int64
         raise ValueError("polynomial degrees too large for the star series")
     weight = _radix_weights(radix)
+    E = [_gauss_operator(row, shift, weight, radix)
+         for row, shift in zip(half, 2.0 * half @ gQ)]
 
     # (alpha, d^alpha f, E^alpha g) order by order; alpha + e_a comes only
     # from alpha, with a at or before the first nonzero axis of alpha
@@ -563,29 +563,34 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
             for a in range(first + 1):
                 dfa = {_shift(k, a, -1): c * k[a] for k, c in df.items() if k[a]}
                 if dfa:
-                    kids.append((_shift(alpha, a, 1), dfa, eg, a))
-        passes = _gauss_passes([eg for *_, eg, _ in kids], [a for *_, a in kids],
-                               half, gQ, weight, radix)
-        level = [(alpha, dfa, eg) for (alpha, dfa, *_), eg in zip(kids, passes)]
+                    kids.append((_shift(alpha, a, 1), dfa, E[a](*eg)))
+        level = kids
         series += level
 
-    # one row per (alpha, f-term), times every term of its E^alpha g
+    # one row per (alpha, f-term), owning every term of its E^alpha g
     seg_len = np.array([len(eg[0]) for *_, eg in series])
     row_seg = np.repeat(np.arange(len(series)), [len(df) for _, df, _ in series])
-    monos = np.array([k for _, df, _ in series for k in df])
+    row_keys = np.array([k for _, df, _ in series for k in df]) @ weight
     coeffs = np.array([c * 1j ** sum(alpha) / math.prod(map(math.factorial, alpha))
                        for alpha, df, _ in series for c in df.values()], dtype=complex)
-    row, offset = _ragged(seg_len[row_seg])
-    at = (np.cumsum(seg_len) - seg_len)[row_seg[row]] + offset
-    keys = (monos @ weight)[row] + np.concatenate([eg[0] for *_, eg in series])[at]
-    vals = coeffs[row] * np.concatenate([eg[1] for *_, eg in series])[at]
-    keys, vals = _nonzero(*_key_sums(keys, vals))
+    counts = seg_len[row_seg]
+    row_start = (np.cumsum(seg_len) - seg_len)[row_seg]
+    eg_keys = np.concatenate([eg[0] for *_, eg in series])
+    eg_vals = np.concatenate([eg[1] for *_, eg in series])
+
+    def entries(lo, hi):
+        row, offset = _ragged(counts[lo:hi])
+        row += lo
+        at = row_start[row] + offset
+        return row_keys[row] + eg_keys[at], coeffs[row] * eg_vals[at]
+
+    keys, vals = _nonzero(*_block_sums(counts, entries))
     exps = (keys[:, None] // weight % radix).tolist()
     return dict(zip(map(tuple, exps), vals.tolist()))
 
 
 def _require_zero_exponent(g: GaussPoly, who: str) -> None:
-    if abs(g.exponent).max() > 1e-14:
+    if g.exponent.any():
         raise ValueError(f"{who} must have a zero Gaussian part")
 
 
@@ -681,9 +686,9 @@ def gaussian_star(left: GaussPoly, right: GaussPoly,
     d = left.variables.dimension
 
     # a constant operand is a scalar multiple of the star identity
-    if abs(Ql).max() < 1e-14:
+    if not Ql.any():
         return GaussPoly.gaussian(right.variables, pref_l * pref_r, Qr)
-    if abs(Qr).max() < 1e-14:
+    if not Qr.any():
         return GaussPoly.gaussian(left.variables, pref_l * pref_r, Ql)
 
     if forms is None:
@@ -757,7 +762,7 @@ def star_log_gaussian(g: GaussPoly,
     if pref <= 0.0:
         raise ValueError("star logarithm requires a positive prefactor")
     d = g.variables.dimension
-    if abs(Q).max() < 1e-14:
+    if not Q.any():
         return math.log(pref), GaussPoly(g.variables, 1.0, np.zeros((d, d)), {})
     if form is None:
         form = _infer_form(g)

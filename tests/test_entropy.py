@@ -301,6 +301,36 @@ class TestScaleInvariance:
                 assert abs(got[name] - value) <= tol, name
 
 
+class TestClassChecksAreUnitFree:
+    """Whether a function is a pure Gaussian, or has a zero Gaussian part, is
+    read from its structure, not from its entries against a fixed 1e-14:
+    at hbar = 1e15 every exponent entry of the reduced ground state is below
+    1e-14, and at hbar = 1e16 so is every coefficient of W(1,1) but the
+    constant one."""
+
+    @staticmethod
+    def numeric(params):
+        reduced = reduce(wigner_state(0, 0, params), 1)
+        return [renyi_numeric(reduced, 2, params).value,
+                renyi_numeric(reduced, 3, params).value,
+                tsallis_numeric(reduced, 2, params).value,
+                von_neumann_numeric(reduced, params).value]
+
+    @pytest.mark.parametrize("hbar", [1e15, 1e30])
+    def test_numeric_routes_far_from_unit_scale(self, hbar):
+        want = self.numeric(ModelParams(mu=0.2, nu=0.1))
+        got = self.numeric(ModelParams(hbar=hbar, mu=0.2 * hbar, nu=0.1 * hbar))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9), (got, want)
+
+    @pytest.mark.parametrize("mu,nu", [(0.0, 0.0), (0.2, 0.1)])
+    def test_total_entropy_far_from_unit_scale(self, mu, nu):
+        hbar = 1e16
+        params = ModelParams(hbar=hbar, mu=mu * hbar, nu=nu * hbar)
+        assert abs(renyi_total(wigner_state(0, 0, params), 3, params).value) <= 1e-12
+        with pytest.raises(ValueError, match="Gaussian states only"):
+            renyi_total(wigner_state(1, 1, params), 3, params)
+
+
 class TestTotalEntropy:
     @pytest.mark.parametrize("mu,nu", [(0.0, 0.0), (0.2, 0.1), (1.0, 0.0)])
     def test_pure_states_vanish(self, mu, nu):

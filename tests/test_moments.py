@@ -328,14 +328,22 @@ class TestMarginalizeKernel:
         # than three blocks; a small block size runs the carry on more cases
         w = wigner_state(6, 6, ModelParams(mu=1e-3, nu=7e-4)).function
         want, _, terms = reference_marginalize(w, 1)
-        assert terms > 3 * moments._MARG_BLOCK
+        assert terms > 3 * starcalc._MUL_BLOCK
         assert_same_marginal(marginalize(w, 1), want)
-        monkeypatch.setattr(moments, "_MARG_BLOCK", 64)
+        monkeypatch.setattr(starcalc, "_MUL_BLOCK", 64)
         for pair, params in [((2, 2), ORIGIN), ((4, 0), ORIGIN), ((3, 3), SMALL)]:
             w = wigner_state(*pair, params).function
             for keep in (1, 2):
                 assert_same_marginal(marginalize(w, keep),
                                      reference_marginalize(w, keep)[0])
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, keep):
+        w = wigner_state(4, 4, SMALL).function
+        blocked = marginalize(w, keep)
+        for block in (64, 1 << 40):
+            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+            assert_same_function(marginalize(w, keep), blocked)
 
     def test_degree_cap(self):
         # only the integrated pair's degree counts: 48 passes, 49 raises

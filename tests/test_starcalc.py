@@ -671,21 +671,54 @@ class TestStarSeries:
 
     def test_each_pass_keeps_every_nonzero_coefficient(self):
         # E_0 = d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term stays
-        # (a cut relative to 3e6 would drop it), whatever pass follows, empty
-        # or not
-        from ncphase.starcalc import _gauss_passes, _radix_weights
+        # (a cut relative to 3e6 would drop it)
+        from ncphase.starcalc import _gauss_operator, _radix_weights
         radix = np.array([5, 5])
-        weight = _radix_weights(radix)
         half = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        poly = (np.array([1, 2, 3]), np.array([1.0, 5e-13, 1e6]))
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        for before, after in [(0, 0), (0, 1), (1, 1), (2, 0)]:
-            polys = [empty] * before + [poly] + [empty] * after
-            out = _gauss_passes(polys, [0] * len(polys), half, np.zeros((2, 2)),
-                                weight, radix)
-            keys, vals = out.pop(before)
-            assert keys.tolist() == [0, 1, 2] and vals.tolist() == [1.0, 1e-12, 3e6]
-            assert all(len(k) == 0 for k, _ in out)
+        E0 = _gauss_operator(half[0], np.zeros(2), _radix_weights(radix), radix)
+        keys, vals = E0(np.array([1, 2, 3]), np.array([1.0, 5e-13, 1e6]))
+        assert keys.tolist() == [0, 1, 2] and vals.tolist() == [1.0, 1e-12, 3e6]
+
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch):
+        from ncphase import oscillator_hamiltonian
+        params = ModelParams(mu=0.2, nu=0.1)
+        h = oscillator_hamiltonian(params)
+        w = wigner_state(4, 4, params).function
+        blocked = star_product_poly_left(h, w).poly
+        for block in (64, 1 << 40):
+            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+            assert hex_terms(star_product_poly_left(h, w).poly) == hex_terms(blocked)
+
+    def test_gather_sums_in_bounded_blocks(self, monkeypatch):
+        # the gather adds its (alpha, f-term) rows in several blocks, none
+        # more than max(_MUL_BLOCK, running keys) plus one row
+        from ncphase import oscillator_hamiltonian
+        params = ModelParams(mu=0.2, nu=0.1)
+        h = oscillator_hamiltonian(params)
+        w = wigner_state(6, 6, params).function
+        gathers = []
+        block_sums, key_sums = starcalc._block_sums, starcalc._key_sums
+
+        def spy_block_sums(counts, entries):
+            gathers.append((counts.max(), []))
+            return block_sums(counts, entries)
+
+        def spy_key_sums(keys, values):
+            out = key_sums(keys, values)
+            if gathers:  # the passes before the gather sum on their own
+                gathers[-1][1].append((len(keys), len(out[0])))
+            return out
+
+        monkeypatch.setattr(starcalc, "_block_sums", spy_block_sums)
+        monkeypatch.setattr(starcalc, "_key_sums", spy_key_sums)
+        star_product_poly_left(h, w)
+        assert len(gathers) == 1
+        row, sums = gathers[0]
+        assert len(sums) > 1
+        running = 0
+        for size, distinct in sums:
+            assert size - running <= max(_MUL_BLOCK, running) + row
+            running = distinct
 
     def test_empty_operands(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
