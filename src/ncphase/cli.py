@@ -380,7 +380,7 @@ def main(argv=None) -> int:
         try:
             args.params = _params_from_args(args)
             derive(args.params)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:  # OSError: an unreadable --config
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_PARAMS
     return args.func(args)

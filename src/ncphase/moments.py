@@ -174,13 +174,13 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
 
     The fs share one Gaussian exponent and the gs another. Each (a, b) is one
     segment of packed keys, segment then monomial less the per-axis minima.
-    `starcalc._pair_sums` adds every term pair in blocks behind the running
-    per-(segment, monomial) sums, each in the order `pointwise_mul` adds it,
-    and `_key_sums` leaves them in ascending order. One MomentTable covers
-    the distinct monomials, and np.bincount adds each segment's
-    coefficient-moment products one by one from +0.0, in ascending monomial
-    order as `integrate` does on a product. So entry (a, b) equals
-    integrate(f_a.pointwise_mul(g_b)) exactly, and it raises the same errors.
+    `starcalc._pair_sums` adds every term pair into per-(segment, monomial)
+    sums, each in the order `pointwise_mul` adds it, and returns them in
+    ascending key order. One MomentTable covers the distinct monomials, and
+    np.bincount adds each segment's coefficient-moment products one by one
+    from +0.0, in ascending monomial order as `integrate` does on a product.
+    So entry (a, b) equals integrate(f_a.pointwise_mul(g_b)) exactly, and it
+    raises the same errors.
     """
     for side in (fs, gs):
         if not side or any(h.variables != fs[0].variables
@@ -199,7 +199,7 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
         raise ValueError("polynomial degrees too large to pack")
     weight = _radix_weights(radix)
     keys, sums = _pair_sums(of * (len(gs) * span) + ef @ weight, cf,
-                            og * span + eg @ weight, cg)
+                            og * span + eg @ weight, cg, count * span)
     segment, mono = np.divmod(keys, span)
     sums = _real(sums, segment, count)
     if table:
@@ -271,6 +271,7 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     J1, R1, S1, C1, start1, count1 = _shifted_powers(A[1], _distinct(n1))
     radix = kept[:, 1].max() + n0.max() + n1.max() + 1
     base = kept[:, 0] * radix + kept[:, 1]
+    span = (kept[:, 0].max() + n0.max() + n1.max() + 1) * radix
 
     count = count0[n0] * count1[n1]
 
@@ -286,7 +287,7 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
         return (base[mono] + (R0[e0] + R1[e1]) * radix + S0[e0] + S1[e1],
                 coeffs[mono] * C0[e0] * C1[e1] * m)
 
-    keys, sums = _nonzero(*_block_sums(count, entries))
+    keys, sums = _nonzero(*_block_sums(count, entries, span))
     exps = zip((keys // radix).tolist(), (keys % radix).tolist())
     return dict(zip(exps, sums.tolist()))
 

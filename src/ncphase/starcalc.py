@@ -42,8 +42,14 @@ _MATCH_RTOL = 1e-10
 # and power-table height: caps each temporary at 256 kB whatever the grid
 _VALUE_BLOCK = 1 << 15
 
-# _block_sums adds at least _MUL_BLOCK entries per block
+# _block_sums blocks hold whole rows up to _MUL_BLOCK entries, or up to the
+# running keys on its sort path where those are more
 _MUL_BLOCK = 1 << 13
+
+# _block_sums sums a key space up to this size in one dense array instead of
+# sorting: at most 16 MB of complex sums and a 1 MB mask, paged in only where
+# keys land
+_DENSE_KEYS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -95,36 +101,53 @@ def _radix_weights(radix: np.ndarray) -> np.ndarray:
     return weight
 
 
-def _block_sums(counts: np.ndarray, entries) -> tuple[np.ndarray, np.ndarray]:
+def _block_sums(counts: np.ndarray, entries, span: int
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys in ascending order, each with the values of its entries
-    summed in input order, where row r owns counts[r] entries and
-    entries(lo, hi) gives the keys and values of rows lo..hi-1.
+    summed in input order, where row r owns counts[r] entries, entries(lo, hi)
+    gives the keys and values of rows lo..hi-1, and every key lies in
+    [0, span).
 
     A block takes whole rows up to max(_MUL_BLOCK, running keys) entries, or
-    one row where that row alone holds more, so sorts stay amortized and
-    temporaries bounded. `_key_sums` adds each block behind the running
-    sums; a carried sum is never -0.0, so adding it to +0.0 leaves it exact,
-    and every sum is the one-pass sum.
+    one row where that row alone holds more, so temporaries stay bounded.
+    Up to _DENSE_KEYS keys there are no running keys: np.add.at adds each
+    block into one zeroed array indexed by key, one entry at a time in input
+    order, and a mask of the keys seen reads them back in ascending order,
+    zero sums included. Above it, `_key_sums` sorts each block in behind the
+    running sums (larger blocks keep the sorts amortized); a carried sum is
+    never -0.0, so adding it to +0.0 leaves it exact. Either way every sum
+    is the one-pass sum.
     """
     ends = np.cumsum(counts)
     keys, values = np.empty(0, dtype=np.int64), np.empty(0)
+    seen = sums = None
     lo = 0
     while lo < len(ends):
         limit = ends[lo] - counts[lo] + max(_MUL_BLOCK, len(keys))
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
         block_keys, block_values = entries(lo, hi)
-        keys, values = _key_sums(np.concatenate((keys, block_keys)),
-                                 np.concatenate((values, block_values)))
+        if span > _DENSE_KEYS:
+            keys, values = _key_sums(np.concatenate((keys, block_keys)),
+                                     np.concatenate((values, block_values)))
+        else:
+            if sums is None:  # real or complex as the entries are
+                seen, sums = np.zeros(span, dtype=bool), np.zeros(span, block_values.dtype)
+            np.add.at(sums, block_keys, block_values)
+            seen[block_keys] = True
         lo = hi
+    if sums is not None:
+        keys = np.flatnonzero(seen)
+        values = sums[keys]
     return keys, values
 
 
-def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray,
+               span: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys ka[i] + kb[j] in ascending order, with the products ca[i] * cb[j]
-    summed per key in row-major pair order (`_block_sums`, a row per i)."""
+    summed per key in row-major pair order (`_block_sums`, a row per i, keys
+    below span)."""
     return _block_sums(np.full(len(ka), len(kb)), lambda lo, hi: (
-        (ka[lo:hi, None] + kb).ravel(), _times(ca[lo:hi, None], cb).ravel()))
+        (ka[lo:hi, None] + kb).ravel(), _times(ca[lo:hi, None], cb).ravel()), span)
 
 
 def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
@@ -143,10 +166,11 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     low_a, low_b = ea.min(axis=0), eb.min(axis=0)
     ea, eb = ea - low_a, eb - low_b
     radix = ea.max(axis=0) + eb.max(axis=0) + 1
-    if math.prod(radix.tolist()) >= 1 << 62:  # packed keys must fit int64
+    span = math.prod(radix.tolist())
+    if span >= 1 << 62:  # packed keys must fit int64
         raise ValueError("polynomial degrees too large to pack")
     weight = _radix_weights(radix)
-    keys, values = _pair_sums(ea @ weight, ca, eb @ weight, cb)
+    keys, values = _pair_sums(ea @ weight, ca, eb @ weight, cb, span)
     exps = keys // weight[:, None] % radix[:, None] + (low_a + low_b)[:, None]
     return dict(zip(zip(*exps.tolist()), values.tolist()))
 
@@ -546,7 +570,8 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     deg = max(sum(k) for k in fpoly)
     gexps, gvals = _terms(gpoly, d)
     radix = np.array(list(fpoly)).max(axis=0) + gexps.max(axis=0) + deg + 1
-    if math.prod(radix.tolist()) >= 1 << 62:  # packed keys must fit int64
+    span = math.prod(radix.tolist())
+    if span >= 1 << 62:  # packed keys must fit int64
         raise ValueError("polynomial degrees too large for the star series")
     weight = _radix_weights(radix)
     E = [_gauss_operator(row, shift, weight, radix)
@@ -584,7 +609,7 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
         at = row_start[row] + offset
         return row_keys[row] + eg_keys[at], coeffs[row] * eg_vals[at]
 
-    keys, vals = _nonzero(*_block_sums(counts, entries))
+    keys, vals = _nonzero(*_block_sums(counts, entries, span))
     exps = (keys[:, None] // weight % radix).tolist()
     return dict(zip(map(tuple, exps), vals.tolist()))
 

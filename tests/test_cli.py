@@ -101,6 +101,16 @@ class TestEntropyCommand:
                            "--nu", "0", "--kind", "renyi", "--order", "2")
         assert json.loads(out)["value"] > 0.0
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_file_exit_code(self, capsys, tmp_path, name):
+        # a missing file, or a directory: one error line, exit 2, no traceback
+        code, out, err = run(capsys, "entropy", "--config", str(tmp_path / name),
+                             "--kind", "renyi", "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestOverflow:
     """Parameters or orders past double range end with exit 2 or 3 and one

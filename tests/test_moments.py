@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gauss_poly, trapezoid_integrate
+from conftest import SUM_PATHS, random_gauss_poly, trapezoid_integrate
 
 from ncphase import moments, starcalc
 from ncphase import (
@@ -341,9 +341,11 @@ class TestMarginalizeKernel:
     def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, keep):
         w = wigner_state(4, 4, SMALL).function
         blocked = marginalize(w, keep)
-        for block in (64, 1 << 40):
-            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
-            assert_same_function(marginalize(w, keep), blocked)
+        for dense_keys in SUM_PATHS:
+            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
+            for block in (64, 1 << 40):
+                monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+                assert_same_function(marginalize(w, keep), blocked)
 
     def test_degree_cap(self):
         # only the integrated pair's degree counts: 48 passes, 49 raises
@@ -437,11 +439,14 @@ ANCHORS = [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999)]
 
 
 def assert_matches_products(fs, gs):
-    got = gram(fs, gs)
-    assert got.shape == (len(fs), len(gs))
-    for a, f in enumerate(fs):
-        for b, g in enumerate(gs):
-            assert got[a, b] == integrate(f.pointwise_mul(g))
+    """On both paths of `starcalc._block_sums`."""
+    want = [[integrate(f.pointwise_mul(g)) for g in gs] for f in fs]
+    with pytest.MonkeyPatch.context() as mp:
+        for dense_keys in SUM_PATHS:
+            mp.setattr(starcalc, "_DENSE_KEYS", dense_keys)
+            got = gram(fs, gs)
+            assert got.shape == (len(fs), len(gs))
+            assert got.tolist() == want
 
 
 def hex_matrix(m):
@@ -489,9 +494,11 @@ class TestGram:
         pairs = sum(len(f.poly) for f in fs) ** 2
         assert pairs > 3 * starcalc._MUL_BLOCK
         blocked = gram(fs, fs)
-        for block in (64, 1 << 40):
-            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
-            assert hex_matrix(gram(fs, fs)) == hex_matrix(blocked)
+        for dense_keys in SUM_PATHS:
+            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
+            for block in (64, 1 << 40):
+                monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+                assert hex_matrix(gram(fs, fs)) == hex_matrix(blocked)
 
     def test_empty_polynomial(self):
         Q = np.array([[-1.2, 0.3], [0.3, -0.8]])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_poly_mul
+from conftest import SUM_PATHS, reference_poly_mul
 from ncphase import (
     GaussPoly,
     ModelParams,
@@ -32,7 +32,6 @@ from ncphase.starcalc import (
     _poly_mul,
     grid_values,
 )
-
 V2 = PhaseVariables(2, hbar=1.0)
 
 
@@ -342,18 +341,35 @@ def random_poly(rng, terms: int, dim: int, top: int, kind: str) -> dict:
     return out
 
 
-def small_poly(dim: int, kind: str):
-    """Up to 12 terms; a complex coefficient has a nonzero imaginary part."""
+def coefficient(kind: str):
+    """A complex coefficient has a nonzero imaginary part."""
     real = st.floats(-1e3, 1e3)
-    coeff = real if kind == "real" else st.builds(complex, real, real.filter(bool))
-    return st.dictionaries(st.tuples(*[st.integers(0, 30)] * dim), coeff, max_size=12)
+    return real if kind == "real" else st.builds(complex, real, real.filter(bool))
+
+
+def small_poly(dim: int, kind: str, top: int = 30):
+    """Up to 12 terms with exponents in [0, top]."""
+    return st.dictionaries(st.tuples(*[st.integers(0, top)] * dim), coefficient(kind),
+                           max_size=12)
+
+
+def cornered_poly(dim: int, kind: str, top: int):
+    """A small polynomial with the corner monomials 0 and top on every axis
+    as well, so a product of two spans (2 top + 1)^dim keys."""
+    corners = st.fixed_dictionaries({(0,) * dim: coefficient(kind),
+                                     (top,) * dim: coefficient(kind)})
+    return st.builds(lambda c, r: {**r, **c}, corners, small_poly(dim, kind, top))
 
 
 def assert_bit_identical(a, b):
-    """The dict loop's terms and bits, in ascending key order."""
-    got = _poly_mul(a, b)
-    want = sorted_poly_mul(a, b)
-    assert hex_terms(got) == hex_terms(want)
+    """The dict loop's terms and bits, in ascending key order, on both paths
+    of `_block_sums`."""
+    want = hex_terms(sorted_poly_mul(a, b))
+    with pytest.MonkeyPatch.context() as mp:
+        for dense_keys in SUM_PATHS:
+            mp.setattr(starcalc, "_DENSE_KEYS", dense_keys)
+            got = _poly_mul(a, b)
+            assert hex_terms(got) == want
     return got
 
 
@@ -375,6 +391,17 @@ class TestPolyMul:
     def test_small_products_match_dict_loop(self, data, dim, kinds):
         a, b = (data.draw(small_poly(dim, kind)) for kind in kinds)
         assert_bit_identical(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 4]), above=st.booleans(),
+           kinds=st.tuples(*[st.sampled_from(["real", "complex"])] * 2))
+    def test_sparse_products_on_both_sides_of_the_dense_bound(self, data, dim, above,
+                                                              kinds):
+        # key spans 1201^2 or 33^4 above _DENSE_KEYS, 1023^2 or 31^4 below
+        top = {(2, True): 600, (2, False): 511, (4, True): 16, (4, False): 15}[dim, above]
+        assert ((2 * top + 1) ** dim > starcalc._DENSE_KEYS) == above
+        a, b = (data.draw(cornered_poly(dim, kind, top)) for kind in kinds)
+        assert hex_terms(_poly_mul(a, b)) == hex_terms(sorted_poly_mul(a, b))
 
     def test_mixed_coefficient_types_in_one_operand(self, rng):
         """One complex coefficient makes the whole product complex: the dict
@@ -433,6 +460,19 @@ class TestPolyMul:
         lag_j = _laguerre_of_form(6, h_minus.poly().poly, 4.0 / dq.h_minus, 4)
         assert len(lag_i) * len(lag_j) > 4 * _MUL_BLOCK
         assert_bit_identical(lag_i, lag_j)
+
+    def test_laguerre_product_above_the_dense_bound(self):
+        # W(8,8): 1 365 x 1 365 term pairs over 33^4 keys, the sort path
+        from ncphase.wigner import _laguerre_of_form
+        params = ModelParams(mu=0.2, nu=0.1)
+        dq = derive(params)
+        h_plus, h_minus = hamiltonians_pm(params)
+        lag_i = _laguerre_of_form(8, h_plus.poly().poly, 4.0 / dq.h_plus, 4)
+        lag_j = _laguerre_of_form(8, h_minus.poly().poly, 4.0 / dq.h_minus, 4)
+        assert len(lag_i) == len(lag_j) == 1365
+        spread = [np.ptp(list(lag), axis=0) for lag in (lag_i, lag_j)]
+        assert math.prod((spread[0] + spread[1] + 1).tolist()) == 33**4 > starcalc._DENSE_KEYS
+        assert hex_terms(_poly_mul(lag_i, lag_j)) == hex_terms(sorted_poly_mul(lag_i, lag_j))
 
     def test_wigner_state_has_reference_polynomial(self, monkeypatch):
         import ncphase.wigner as wg
@@ -685,40 +725,51 @@ class TestStarSeries:
         h = oscillator_hamiltonian(params)
         w = wigner_state(4, 4, params).function
         blocked = star_product_poly_left(h, w).poly
-        for block in (64, 1 << 40):
-            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
-            assert hex_terms(star_product_poly_left(h, w).poly) == hex_terms(blocked)
+        for dense_keys in SUM_PATHS:
+            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
+            for block in (64, 1 << 40):
+                monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+                assert hex_terms(star_product_poly_left(h, w).poly) == hex_terms(blocked)
 
     def test_gather_sums_in_bounded_blocks(self, monkeypatch):
-        # the gather adds its (alpha, f-term) rows in several blocks, none
-        # more than max(_MUL_BLOCK, running keys) plus one row
+        # on both paths the gather adds its (alpha, f-term) rows in several
+        # blocks, none more than max(_MUL_BLOCK, running keys) plus one row;
+        # the dense path keeps no running keys and sorts nothing
         from ncphase import oscillator_hamiltonian
         params = ModelParams(mu=0.2, nu=0.1)
         h = oscillator_hamiltonian(params)
         w = wigner_state(6, 6, params).function
-        gathers = []
         block_sums, key_sums = starcalc._block_sums, starcalc._key_sums
+        gathers = []
 
-        def spy_block_sums(counts, entries):
-            gathers.append((counts.max(), []))
-            return block_sums(counts, entries)
+        def spy_block_sums(counts, entries, span):
+            blocks, running = [], []
+            gathers.append((counts.max(), blocks, running))
+
+            def spy_entries(lo, hi):
+                out = entries(lo, hi)
+                blocks.append(len(out[0]))
+                return out
+            return block_sums(counts, spy_entries, span)
 
         def spy_key_sums(keys, values):
             out = key_sums(keys, values)
             if gathers:  # the passes before the gather sum on their own
-                gathers[-1][1].append((len(keys), len(out[0])))
+                gathers[-1][2].append(len(out[0]))
             return out
 
         monkeypatch.setattr(starcalc, "_block_sums", spy_block_sums)
         monkeypatch.setattr(starcalc, "_key_sums", spy_key_sums)
-        star_product_poly_left(h, w)
-        assert len(gathers) == 1
-        row, sums = gathers[0]
-        assert len(sums) > 1
-        running = 0
-        for size, distinct in sums:
-            assert size - running <= max(_MUL_BLOCK, running) + row
-            running = distinct
+        for dense_keys in SUM_PATHS:
+            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
+            gathers.clear()
+            star_product_poly_left(h, w)
+            assert len(gathers) == 1
+            row, blocks, running = gathers[0]
+            assert len(blocks) > 1
+            assert len(running) == (len(blocks) if dense_keys == 0 else 0)
+            for size, before in zip(blocks, [0] + running):
+                assert size <= max(_MUL_BLOCK, before) + row
 
     def test_empty_operands(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
