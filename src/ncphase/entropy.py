@@ -120,6 +120,16 @@ def _finite_at_order(order: int, compute) -> float:
     return value
 
 
+def _positive_trace(order: int, total: float) -> float:
+    """total, the trace of a state's order-th star power, or ValueError when
+    it is not positive: then the state's overlap has lost its digits."""
+    if not total > 0.0:
+        power = "W*W" if order == 2 else f"the order-{order} star power of W"
+        raise ValueError(f"the trace of {power} is {total!r}, not positive: the "
+                         "state's overlap has lost its digits")
+    return total
+
+
 def _elementwise_in_lam(formula):
     """formula(*orders, lam) for a float or an array lam.
 
@@ -277,6 +287,7 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
             "unsupported state class: star powers beyond order 2 are "
             "implemented for Gaussian states only"
         )
+    total = _positive_trace(alpha, total)
     value = _finite_at_order(
         alpha, lambda: math.log(cell ** (alpha - 1) * total) / (1 - alpha))
     lam = derive(params).lam

@@ -4,7 +4,8 @@ Convention, stated once and used everywhere: a function prefactor * poly *
 exp(z^T Q z) with Q negative definite corresponds to a centered normal weight
 with covariance -Q^{-1}/2 and total mass pi^{d/2}/sqrt(det(-Q)). Polynomial
 parts are contracted against the weight through the Isserlis moment recursion,
-run as arrays one even degree at a time over the multi-indices it reaches.
+run as arrays one even degree at a time over every multi-index of that
+degree, through index plans cached per (dimension, degree).
 Dense quadrature exists only in the test suite as an independent oracle.
 
 The array kernels give the same bits as the per-term loops they replaced:
@@ -17,7 +18,8 @@ building them, and equals integrate of the built product exactly.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from itertools import chain, combinations
 from math import comb, pi, prod, sqrt
 from typing import Sequence
 
@@ -45,6 +47,62 @@ def _sequential_sum(values: np.ndarray) -> float:
     return np.add.accumulate(np.concatenate(([0.0], values)))[-1]
 
 
+@cache
+def _binomial_table(d: int) -> np.ndarray:
+    """comb(m, k) for m up to MAX_MOMENT_DEGREE + d - 2 and k up to d - 1."""
+    table = np.array([[comb(m, k) for k in range(d)]
+                      for m in range(MAX_MOMENT_DEGREE + d - 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _graded_rank(exps: np.ndarray) -> np.ndarray:
+    """Rank of each row among the multi-indices of its own degree.
+
+    A multi-index alpha of degree n in d variables is the (d-1)-subset of bar
+    positions b_k = alpha_0 + ... + alpha_(k-1) + k - 1 of {0, ..., n+d-2}
+    (stars and bars), ranked by the combinatorial number system as the sum of
+    comb(b_k, k) (Knuth, TAOCP 4A, 7.2.1.3), from 0 to comb(n+d-1, d-1) - 1.
+    The rows' degrees must not exceed MAX_MOMENT_DEGREE.
+    """
+    binomial = _binomial_table(exps.shape[1])
+    prefix = np.zeros(len(exps), dtype=np.int64)
+    rank = np.zeros(len(exps), dtype=np.int64)
+    for k in range(1, exps.shape[1]):
+        prefix += exps[:, k - 1]
+        rank += binomial[:, k].take(prefix + (k - 1))
+    return rank
+
+
+@cache
+def _isserlis_plan(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index structure of the Isserlis recursion at even degree n in d
+    variables, for every multi-index alpha of degree n in rank order: the
+    pivot i (first axis with alpha_i > 0), beta = alpha - e_i, and the rank
+    of beta - e_j at degree n - 2 for each j, or the sentinel
+    comb(n+d-3, d-1) (one past the last rank) where beta_j = 0.
+    Read-only, shared by every call.
+    """
+    bars = np.fromiter(chain.from_iterable(combinations(range(n + d - 1), d - 1)),
+                       dtype=np.int64, count=(d - 1) * comb(n + d - 1, d - 1))
+    edges = np.pad(bars.reshape(-1, d - 1), ((0, 0), (1, 1)), constant_values=(-1, n + d - 1))
+    alpha = np.diff(edges, axis=1) - 1
+    beta = np.empty_like(alpha)  # alpha in rank order, then lowered at the pivot
+    beta[_graded_rank(alpha)] = alpha
+    pivot = (beta > 0).argmax(axis=1)
+    beta[np.arange(len(beta)), pivot] -= 1
+    sentinel = comb(n + d - 3, d - 1)
+    child = np.full(beta.shape, sentinel, dtype=np.min_scalar_type(sentinel))
+    row, j = np.nonzero(beta)
+    lowered = beta[row]
+    lowered[np.arange(len(row)), j] -= 1
+    child[row, j] = _graded_rank(lowered)
+    plan = pivot.astype(np.min_scalar_type(d)), beta.astype(np.uint8), child
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
 class MomentTable:
     """Moments of a centered Gaussian with a given covariance."""
 
@@ -64,62 +122,50 @@ class MomentTable:
         Isserlis recursion: with i the first axis where alpha_i > 0 and
         beta = alpha - e_i, E[z^alpha] is the sum over j of
         (cov[i, j] * beta_j) * E[z^(beta - e_j)], added in j order from +0.0,
-        where a term with cov[i, j] = 0 or beta_j = 0 is skipped. Degree 2
-        gives a covariance entry; each higher even degree is one array pass
-        over the multi-indices that the recursion reaches from exps.
+        where a term with cov[i, j] = 0 or beta_j = 0 is skipped. Each even
+        degree up to the rows' highest is one array pass over every
+        multi-index of that degree, through the cached `_isserlis_plan`. A
+        moment depends only on alpha and the covariance, so it has the same
+        bits whichever rows are asked with it.
         """
         exps = np.asarray(exps, dtype=np.int64)
-        degree = exps.sum(axis=1)
+        d = len(self.covariance)
+        if exps.ndim != 2 or exps.shape[1] != d:
+            raise ValueError(f"exponent rows must have {d} entries, one per variable")
+        if exps.min(initial=0) < 0:
+            raise ValueError("exponents must be non-negative")
+        # column by column: numpy sums along a short row axis many times slower
+        degree = reduce(np.add, exps.T, np.zeros(len(exps), dtype=np.int64))
         top = degree.max(initial=0)
         if top > MAX_MOMENT_DEGREE:
             raise ValueError(f"moment degree {degree[degree > MAX_MOMENT_DEGREE][0]} "
                              f"exceeds {MAX_MOMENT_DEGREE}")
-        out = (degree == 0).astype(float)
-        second = degree == 2
-        out[second] = self._second_moments(exps[second])
-        if top < 4:
-            return out
-        radix = exps.max(axis=0) + 1
-        weight = _radix_weights(radix)
-        keys = exps @ weight
+        levels = [np.ones(1)]
+        for n in range(2, top + 1, 2):
+            levels.append(self._level(n, levels[-1]))
+        sizes = [len(level) for level in levels]
+        zero = sum(sizes)  # the slot of the 0.0 after the levels, for odd degrees
+        start = np.zeros(top + 1, dtype=np.int64)
+        start[::2] = np.cumsum(sizes) - sizes
+        at = np.where(degree % 2, zero, start[degree] + _graded_rank(exps))
+        return np.concatenate(levels + [np.zeros(1)]).take(at)
 
-        # top down: the multi-indices of each even degree, the rows' and those
-        # the recursion reaches from above, with their recursion terms
-        passes = []
-        below = np.empty(0, dtype=np.int64)
-        for deg in range(top - top % 2, 2, -2):
-            level = _distinct(np.concatenate((keys[degree == deg], below)))
-            beta = level[:, None] // weight % radix
-            pivot = (beta > 0).argmax(axis=1)
-            beta[np.arange(len(level)), pivot] -= 1
-            cij = self.covariance[pivot]
-            live = (beta > 0) & (cij != 0.0)
-            child = level[:, None] - weight[pivot, None] - weight
-            below = _distinct(child[live])
-            passes.append((deg, level, np.where(live, cij * beta, 0.0), live, child))
+    def _level(self, n: int, below: np.ndarray) -> np.ndarray:
+        """The moments of every multi-index of degree n, in rank order, from
+        those of degree n - 2.
 
-        # bottom up from the second moments; a skipped term is 0.0 times the
-        # 0.0 appended to the values below, and adding it to a sum from +0.0
-        # changes nothing
-        known, values = below, self._second_moments(below[:, None] // weight % radix)
-        for deg, level, factor, live, child in reversed(passes):
-            at = np.where(live, np.searchsorted(known, child), len(known))
-            terms = factor * np.append(values, 0.0)[at]
-            # left to right from the first term, which is +0.0 or nonzero (a
-            # skipped term, or cov[0, 0] >= 0 times a moment), so the same sum
-            # as from +0.0
-            values = np.add.accumulate(terms, axis=1)[:, -1]
-            known = level
-            rows = degree == deg
-            out[rows] = values[np.searchsorted(level, keys[rows])]
-        return out
-
-    def _second_moments(self, exps: np.ndarray) -> np.ndarray:
-        """The recursion at degree 2: E[z_i z_j] = 0.0 + cov[i, j] * 1 * 1.0."""
-        nonzero = exps > 0
-        first = nonzero.argmax(axis=1)
-        last = exps.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-        return self.covariance[first, last] + 0.0
+        A skipped term is 0.0 times the 0.0 in the sentinel slot after the
+        moments below (never 0.0 times an overflowed moment), and adding it
+        to a sum from +0.0 changes nothing. The terms add left to right in j
+        order from the first, which is +0.0 (skipped) or cov[0, 0] >= 0 times
+        a moment, so the same sum as from +0.0.
+        """
+        pivot, beta, child = _isserlis_plan(len(self.covariance), n)
+        cij = self.covariance.take(pivot, axis=0)
+        live = (cij != 0.0) & (beta > 0)
+        factor = np.where(live, cij * beta, 0.0)
+        terms = factor * np.append(below, 0.0).take(np.where(live, child, len(below)))
+        return reduce(np.add, terms.T)
 
 
 def _gaussian_weight(Q: np.ndarray, moments: bool = True
@@ -255,7 +301,9 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     u^(k0+r0+r1) v^(k1+s0+s1) for each term (j0, r0, s0, c0) of x^n0 and
     (j1, r1, s1, c1) of y^n1. Terms run monomial by monomial, then x-term,
     then y-term, and those with a zero moment are skipped; `_block_sums`
-    adds them in that order, a row per monomial. A sum that passes through
+    adds them in that order, a row per monomial. The entries with a nonzero
+    moment depend only on (n0, n1), so they are tabled once per distinct
+    pair, and a row gathers its pair's table. A sum that passes through
     exactly zero and goes on from it matches the dict loop, which removed
     the key and started it again from 0.0. Exact-zero sums drop.
     """
@@ -273,19 +321,29 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     base = kept[:, 0] * radix + kept[:, 1]
     span = (kept[:, 0].max() + n0.max() + n1.max() + 1) * radix
 
-    count = count0[n0] * count1[n1]
+    # the tables: per distinct (n0, n1), its (x-term, y-term) entries with a
+    # nonzero moment, x-term then y-term, as key shift, c0, c1 and moment
+    pair_code = n0 * (n1.max() + 1) + n1
+    pairs = _distinct(pair_code)
+    p0, p1 = np.divmod(pairs, n1.max() + 1)
+    owner, offset = _ragged(count0[p0] * count1[p1])
+    width = count1[p1][owner]
+    e0 = start0[p0][owner] + offset // width
+    e1 = start1[p1][owner] + offset % width
+    m = moment[J0[e0], J1[e1]]
+    live = m != 0.0
+    owner, e0, e1, m = owner[live], e0[live], e1[live], m[live]
+    shift = (R0[e0] + R1[e1]) * radix + S0[e0] + S1[e1]
+    c0, c1 = C0[e0], C1[e1]
+    size = np.bincount(owner, minlength=len(pairs))
+    pair = np.searchsorted(pairs, pair_code)
+    count, first = size[pair], (np.cumsum(size) - size)[pair]
 
     def entries(lo, hi):
         mono, offset = _ragged(count[lo:hi])
         mono += lo
-        width = count1[n1[mono]]
-        e0 = start0[n0[mono]] + offset // width
-        e1 = start1[n1[mono]] + offset % width
-        m = moment[J0[e0], J1[e1]]
-        live = m != 0.0
-        mono, e0, e1, m = mono[live], e0[live], e1[live], m[live]
-        return (base[mono] + (R0[e0] + R1[e1]) * radix + S0[e0] + S1[e1],
-                coeffs[mono] * C0[e0] * C1[e1] * m)
+        at = first[mono] + offset
+        return base[mono] + shift[at], coeffs[mono] * c0[at] * c1[at] * m[at]
 
     keys, sums = _nonzero(*_block_sums(count, entries, span))
     exps = zip((keys // radix).tolist(), (keys % radix).tolist())

@@ -355,6 +355,13 @@ class TestTotalEntropy:
         assert renyi_total(mixed, 2, params).value == pytest.approx(
             math.log(2.0), abs=1e-9)
 
+    def test_non_positive_overlap_names_its_cause(self):
+        # near the band the self-overlap of W(0, 3) has lost its digits and
+        # comes out negative; no logarithm of it is taken
+        params = ModelParams(mu=0.99, nu=1.0)
+        with pytest.raises(ValueError, match=r"trace of W\*W is .*not positive"):
+            renyi_total(wigner_state(0, 3, params), 2, params)
+
     def test_excited_higher_order_unsupported(self):
         params = ModelParams(mu=0.2, nu=0.1)
         state = wigner_state(1, 0, params)

@@ -72,6 +72,20 @@ def test_moment_degree_cap():
         table.moment((50, 0))
 
 
+def test_moment_rows_are_checked():
+    # a row of the wrong width or with a negative exponent has no rank among
+    # the multi-indices of its degree
+    table = MomentTable(np.eye(2))
+    for rows in (np.array([[1]]), np.array([[1, 0, 1]]), np.array([2, 0])):
+        with pytest.raises(ValueError, match="2 entries"):
+            table.moments(rows)
+    with pytest.raises(ValueError, match="2 entries"):
+        table.moment((1,))
+    for alpha in [(-1, 1), (3, -1), (-2, 0)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            table.moment(alpha)
+
+
 def test_non_negative_definite_rejected():
     f = GaussPoly(V2, 1.0, np.diag([-1.0, 1.0]), {(0, 0): 1.0})
     with pytest.raises(ValueError):
@@ -400,24 +414,57 @@ class TestIntegrateKernel:
             integrate(f)
         assert_same_integral(GaussPoly(V2, 1.0, -np.eye(2), {(0, 0): 1.0 + 1e-14j}))
 
-    def test_moment_table_matches_recursion(self, rng):
-        # exact zeros in the covariance skip terms (-0.0 included); a zero
-        # moment times a negative entry gives -0.0 terms, and a sum of those
-        # from +0.0 is +0.0
-        for cov in (np.array([[2.0, -0.0], [-0.0, 0.5]]),
-                    np.array([[1.3, -0.4], [-0.4, 0.9]]),
-                    np.array([[2.0, -0.3, -0.2, -0.1], [-0.3, 1.0, 0.0, 0.0],
-                              [-0.2, 0.0, 1.0, 0.0], [-0.1, 0.0, 0.0, 1.0]]),
-                    np.array([[1.0, 0.2, 0.0, -0.3], [0.2, 2.0, 0.1, 0.0],
-                              [0.0, 0.1, 0.7, 0.0], [-0.3, 0.0, 0.0, 1.1]])):
+    MOMENT_COVARIANCES = (
+        np.array([[2.0, -0.0], [-0.0, 0.5]]),
+        np.array([[1.3, -0.4], [-0.4, 0.9]]),
+        np.diag([1e40, 1e40]),
+        np.array([[2.0, -0.3, -0.2, -0.1], [-0.3, 1.0, 0.0, 0.0],
+                  [-0.2, 0.0, 1.0, 0.0], [-0.1, 0.0, 0.0, 1.0]]),
+        np.array([[1.0, 0.2, 0.0, -0.3], [0.2, 2.0, 0.1, 0.0],
+                  [0.0, 0.1, 0.7, 0.0], [-0.3, 0.0, 0.0, 1.1]]),
+    )
+
+    def test_moment_table_matches_recursion(self):
+        # every row up to degree 24, the top of a W(6, 6) integral; exact
+        # zeros in the covariance skip terms (-0.0 included); a zero moment
+        # times a negative entry gives -0.0 terms, and a sum of those from
+        # +0.0 is +0.0; past the double range a skipped term stays 0.0, not
+        # 0.0 * inf
+        for cov in self.MOMENT_COVARIANCES:
             d = cov.shape[0]
-            alphas = [a for a in itertools.product(range(9), repeat=d) if sum(a) <= 12]
+            alphas = [a for a in itertools.product(range(25), repeat=d) if sum(a) <= 24]
+            want = ReferenceMoments(cov)
+            with np.errstate(over="ignore"):
+                got = MomentTable(cov).moments(np.array(alphas))
+                assert [float(x).hex() for x in got] == \
+                    [float(want.moment(a)).hex() for a in alphas]
+                for a in alphas[::37]:
+                    assert MomentTable(cov).moment(a).hex() == float(want.moment(a)).hex()
+
+    def test_moment_table_at_the_degree_cap(self, rng):
+        # a few 4-D rows at and just below degree 48, each reaching far fewer
+        # multi-indices than the full levels hold
+        alphas = [(12, 12, 12, 12), (48, 0, 0, 0), (0, 0, 0, 48), (0, 47, 0, 1),
+                  (1, 2, 3, 42), (11, 12, 12, 12), (0, 0, 0, 0), (2, 0, 0, 0)]
+        alphas += [tuple(rng.multinomial(deg, [0.25] * 4).tolist())
+                   for deg in rng.integers(40, 49, size=6).tolist()]
+        for cov in self.MOMENT_COVARIANCES[3:]:
             want = ReferenceMoments(cov)
             got = MomentTable(cov).moments(np.array(alphas))
             assert [float(x).hex() for x in got] == \
                 [float(want.moment(a)).hex() for a in alphas]
-            for a in alphas[::37]:
-                assert MomentTable(cov).moment(a).hex() == float(want.moment(a)).hex()
+
+    def test_moment_bits_do_not_depend_on_the_other_rows(self, rng):
+        for cov in self.MOMENT_COVARIANCES:
+            rows = rng.integers(0, 13, size=(120, cov.shape[0]))
+            table = MomentTable(cov)
+            with np.errstate(over="ignore"):
+                together = [x.hex() for x in table.moments(rows).tolist()]
+                assert [table.moment(tuple(r)).hex() for r in rows.tolist()] == together
+                for pick in (np.arange(0, 120, 7), np.flatnonzero(rows.sum(axis=1) <= 12),
+                             np.arange(119, -1, -1)):
+                    got = [x.hex() for x in table.moments(rows[pick]).tolist()]
+                    assert got == [together[i] for i in pick.tolist()]
 
 
 def test_sequential_sum_adds_left_to_right(rng):
