@@ -13,20 +13,21 @@ every product keeps its operand order, and every sum adds its terms one by one
 in the loop's order (never pairwise). marginalize returns its monomials in
 ascending order, as the star series does, and drops a monomial whose sum is
 exactly zero, as the dict accumulation did. gram integrates products without
-building them, and equals integrate of the built product exactly.
+building them, equals integrate of the built product exactly, and refuses a
+product above MAX_MOMENT_DEGREE before it sums anything.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
 from itertools import chain, combinations
-from math import comb, pi, prod, sqrt
+from math import comb, pi, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .starcalc import (GaussPoly, Monomial, PhaseVariables, PolyMap, _block_sums,
-                       _nonzero, _pair_sums, _radix_weights, _ragged, _terms)
+                       _nonzero, _pair_sums, _ragged, _simplex, _terms)
 
 MAX_MOMENT_DEGREE = 48
 
@@ -47,15 +48,6 @@ def _sequential_sum(values: np.ndarray) -> float:
     return np.add.accumulate(np.concatenate(([0.0], values)))[-1]
 
 
-@cache
-def _binomial_table(d: int) -> np.ndarray:
-    """comb(m, k) for m up to MAX_MOMENT_DEGREE + d - 2 and k up to d - 1."""
-    table = np.array([[comb(m, k) for k in range(d)]
-                      for m in range(MAX_MOMENT_DEGREE + d - 1)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
 def _graded_rank(exps: np.ndarray) -> np.ndarray:
     """Rank of each row among the multi-indices of its own degree.
 
@@ -65,12 +57,13 @@ def _graded_rank(exps: np.ndarray) -> np.ndarray:
     comb(b_k, k) (Knuth, TAOCP 4A, 7.2.1.3), from 0 to comb(n+d-1, d-1) - 1.
     The rows' degrees must not exceed MAX_MOMENT_DEGREE.
     """
-    binomial = _binomial_table(exps.shape[1])
+    binomials = _simplex(exps.shape[1], MAX_MOMENT_DEGREE).binomials
+    below = binomials[1:] - binomials[:-1]  # below[k - 1, s] = comb(s + k - 1, k)
     prefix = np.zeros(len(exps), dtype=np.int64)
     rank = np.zeros(len(exps), dtype=np.int64)
     for k in range(1, exps.shape[1]):
         prefix += exps[:, k - 1]
-        rank += binomial[:, k].take(prefix + (k - 1))
+        rank += below[k - 1].take(prefix)
     return rank
 
 
@@ -108,8 +101,8 @@ class MomentTable:
 
     def __init__(self, covariance: np.ndarray):
         cov = np.asarray(covariance, dtype=float)
-        if cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be square")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ValueError("covariance must be a square matrix")
         self.covariance = cov
 
     def moment(self, alpha: Monomial) -> float:
@@ -218,15 +211,14 @@ def _family_terms(funcs: Sequence[GaussPoly]) -> tuple[np.ndarray, ...]:
 def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
     """Matrix of the integrals of f_a * g_b, exactly, building no product.
 
-    The fs share one Gaussian exponent and the gs another. Each (a, b) is one
-    segment of packed keys, segment then monomial less the per-axis minima.
-    `starcalc._pair_sums` adds every term pair into per-(segment, monomial)
-    sums, each in the order `pointwise_mul` adds it, and returns them in
-    ascending key order. One MomentTable covers the distinct monomials, and
-    np.bincount adds each segment's coefficient-moment products one by one
-    from +0.0, in ascending monomial order as `integrate` does on a product.
-    So entry (a, b) equals integrate(f_a.pointwise_mul(g_b)) exactly, and it
-    raises the same errors.
+    The fs share one Gaussian exponent and the gs another. A product above
+    MAX_MOMENT_DEGREE is refused before any sum. `starcalc._pair_sums` adds
+    every term pair into per-(segment (a, b), monomial rank) sums, each in
+    the order `pointwise_mul` adds it, in ascending key order. One
+    MomentTable covers the distinct monomials, and np.bincount adds each
+    segment's coefficient-moment products one by one from +0.0, in ascending
+    monomial order as `integrate` does on a product. So entry (a, b) equals
+    integrate(f_a.pointwise_mul(g_b)) exactly, and it raises the same errors.
     """
     for side in (fs, gs):
         if not side or any(h.variables != fs[0].variables
@@ -237,20 +229,16 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
     mass, table = _gaussian_weight(fs[0].exponent + gs[0].exponent, ef.any() or eg.any())
     if not (len(cf) and len(cg)):  # no term pairs
         return np.zeros((len(fs), len(gs)))
-    low_f, low_g = ef.min(axis=0), eg.min(axis=0)
-    ef, eg = ef - low_f, eg - low_g
-    radix = ef.max(axis=0) + eg.max(axis=0) + 1
-    span, count = prod(radix.tolist()), len(fs) * len(gs)
-    if count * span >= 1 << 62:  # packed keys must fit int64
-        raise ValueError("polynomial degrees too large to pack")
-    weight = _radix_weights(radix)
-    keys, sums = _pair_sums(of * (len(gs) * span) + ef @ weight, cf,
-                            og * span + eg @ weight, cg, count * span)
-    segment, mono = np.divmod(keys, span)
+    top = int(ef.sum(axis=1).max() + eg.sum(axis=1).max())
+    if top > MAX_MOMENT_DEGREE:
+        raise ValueError(f"moment degree {top} exceeds {MAX_MOMENT_DEGREE}")
+    count = len(fs) * len(gs)
+    keys, sums, ranks, low = _pair_sums(ef, cf, eg, cg, of * len(gs), og, count)
+    segment, mono = np.divmod(keys, ranks.size)
     sums = _real(sums, segment, count)
     if table:
         distinct = _distinct(mono)
-        exps = distinct[:, None] // weight % radix + (low_f + low_g)
+        exps = (ranks.unrank(distinct) + low[:, None]).T
         sums = sums * table.moments(exps)[np.searchsorted(distinct, mono)]
     totals = np.bincount(segment, sums, count).reshape(len(fs), len(gs))
     return np.multiply.outer(pf, pg) * mass * totals
@@ -305,7 +293,9 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     moment depend only on (n0, n1), so they are tabled once per distinct
     pair, and a row gathers its pair's table. A sum that passes through
     exactly zero and goes on from it matches the dict loop, which removed
-    the key and started it again from 0.0. Exact-zero sums drop.
+    the key and started it again from 0.0. Exact-zero sums drop. Keys pack
+    the kept exponents, not ranks: that 2-D box stays small (145^2 keys for
+    W(12,12)), where a rank would cost a table lookup per entry.
     """
     if not len(coeffs):
         return {}

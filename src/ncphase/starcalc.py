@@ -19,10 +19,14 @@ library needs while staying exactly testable:
 
 Intermediate series terms are genuinely complex; public helpers expose real
 and imaginary parts separately.
+
+Every sparse sum adds its terms, in input order, into one dense array indexed
+by monomial rank (`_Simplex`, `_block_sums`), to the bits of the dict loop.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,14 +46,8 @@ _MATCH_RTOL = 1e-10
 # and power-table height: caps each temporary at 256 kB whatever the grid
 _VALUE_BLOCK = 1 << 15
 
-# _block_sums blocks hold whole rows up to _MUL_BLOCK entries, or up to the
-# running keys on its sort path where those are more
+# entries of a _block_sums block, unless one row holds more: bounds its arrays
 _MUL_BLOCK = 1 << 13
-
-# _block_sums sums a key space up to this size in one dense array instead of
-# sorting: at most 16 MB of complex sums and a 1 MB mask, paged in only where
-# keys land
-_DENSE_KEYS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,63 @@ def _shift(mono: Monomial, axis: int, by: int) -> Monomial:
     return mono[:axis] + (mono[axis] + by,) + mono[axis + 1:]
 
 
-def _radix_weights(radix: np.ndarray) -> np.ndarray:
-    """Place values of a mixed-radix key whose last axis varies fastest."""
-    weight = np.ones_like(radix)
-    weight[:-1] = np.multiply.accumulate(radix[:0:-1])[::-1]
-    return weight
+@dataclass(frozen=True)
+class _Simplex:
+    """Ranks, in lexicographic order (first axis slowest, as ascending
+    mixed-radix keys), of the monomials a in d variables of degree <= top,
+    exponents in (d, n) arrays. With S_k = a_0 + ... + a_(k-1), those before
+    a that first differ from it on axis k number comb(top - S_k + d - k,
+    d - k) - comb(top - S_(k+1) + d - k, d - k) (Knuth, TAOCP 4A, 7.2.1.3),
+    which sums to table[weight @ a] + S_d + offset, weight @ a packing S_1 ..
+    S_(d-1) in a power-of-two radix above top: both terms add when monomials
+    multiply. A top below radix - 1 shares the read-only tables of radix - 1,
+    each S_k raised by radix - 1 - top; binomials[m, t] = comb(t + m, m)."""
+
+    top: int
+    size: int
+    offset: int
+    weight: np.ndarray
+    table: np.ndarray
+    binomials: np.ndarray
+
+    def parts(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.weight @ exps, functools.reduce(np.add, exps)  # weight @ a, S_d
+
+    def unrank(self, ranks: np.ndarray) -> np.ndarray:
+        """Axis by axis, with count the monomials from the rank to the end of
+        its subtree: the budget less the least budget t of the later axes with
+        comb(t + m, m) >= count; on the last axis, budget - count + 1."""
+        count, budget = self.size - ranks, self.top
+        exps = np.empty((len(self.weight), len(count)), dtype=np.int64)
+        for k, column in enumerate(self.binomials[:1:-1]):  # comb(t + m, m), m = d - k
+            rest = column.searchsorted(count)
+            exps[k], budget = budget - rest, rest
+            count -= (column - self.binomials[-2 - k])[rest]  # those after the exponent
+        exps[-1] = budget - count + 1
+        return exps
+
+
+@functools.cache
+def _simplex(d: int, top: int) -> _Simplex:
+    """The one place that refuses keys beyond int64 (`_Simplex`)."""
+    size = math.comb(top + d, d)
+    if size >= 1 << 62:  # ranks must fit int64
+        raise ValueError("polynomial degrees too large to pack")
+    radix = 1 << top.bit_length()
+    weight = np.append(np.cumsum(radix ** np.arange(d - 1, dtype=np.int64))[::-1], 0)
+    if top < radix - 1:  # the radix's tables
+        full = _simplex(d, radix - 1)
+        return _Simplex(top, size, size - top - 1, weight,
+                        full.table[(radix - 1 - top) * int(weight[0]):], full.binomials)
+    # allocated whole first, so a table too large for memory fails at once;
+    # its entries run from -(size - top - 1) to 0
+    table = np.zeros((radix,) * (d - 1), dtype=np.int32 if size < 1 << 31 else np.int64)
+    binomials = np.array([[math.comb(t + m, m) for t in range(radix)] for m in range(d + 1)])
+    for k in range(1, d):  # -comb(top - S_k + d - k, d - k + 1) along axis S_k
+        term = np.append(binomials[d - k + 1, :top][::-1], 0)
+        table -= term.astype(table.dtype).reshape((radix,) + (1,) * (d - 1 - k))
+    binomials.flags.writeable = table.flags.writeable = False
+    return _Simplex(top, size, size - top - 1, weight, table.ravel(), binomials)
 
 
 def _block_sums(counts: np.ndarray, entries, span: int
@@ -106,48 +156,44 @@ def _block_sums(counts: np.ndarray, entries, span: int
     """Distinct keys in ascending order, each with the values of its entries
     summed in input order, where row r owns counts[r] entries, entries(lo, hi)
     gives the keys and values of rows lo..hi-1, and every key lies in
-    [0, span).
+    [0, span). There is at least one row.
 
-    A block takes whole rows up to max(_MUL_BLOCK, running keys) entries, or
-    one row where that row alone holds more, so temporaries stay bounded.
-    Up to _DENSE_KEYS keys there are no running keys: np.add.at adds each
-    block into one zeroed array indexed by key, one entry at a time in input
-    order, and a mask of the keys seen reads them back in ascending order,
-    zero sums included. Above it, `_key_sums` sorts each block in behind the
-    running sums (larger blocks keep the sorts amortized); a carried sum is
-    never -0.0, so adding it to +0.0 leaves it exact. Either way every sum
-    is the one-pass sum.
+    A block takes whole rows up to _MUL_BLOCK entries, or one row that alone
+    holds more. np.add.at adds each block into one zeroed array indexed by
+    key, one entry at a time in input order, so every sum is the one-pass
+    sum; a mask of the keys seen, read whole, gives them back in ascending
+    order, zero sums included.
     """
-    ends = np.cumsum(counts)
-    keys, values = np.empty(0, dtype=np.int64), np.empty(0)
-    seen = sums = None
-    lo = 0
+    ends, lo = np.cumsum(counts), 0
+    seen, sums = np.zeros(span, dtype=bool), None
     while lo < len(ends):
-        limit = ends[lo] - counts[lo] + max(_MUL_BLOCK, len(keys))
+        limit = ends[lo] - counts[lo] + _MUL_BLOCK
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
         block_keys, block_values = entries(lo, hi)
-        if span > _DENSE_KEYS:
-            keys, values = _key_sums(np.concatenate((keys, block_keys)),
-                                     np.concatenate((values, block_values)))
-        else:
-            if sums is None:  # real or complex as the entries are
-                seen, sums = np.zeros(span, dtype=bool), np.zeros(span, block_values.dtype)
-            np.add.at(sums, block_keys, block_values)
-            seen[block_keys] = True
+        if sums is None:  # real or complex as the entries are
+            sums = np.zeros(span, block_values.dtype)
+        np.add.at(sums, block_keys, block_values)
+        seen[block_keys] = True
         lo = hi
-    if sums is not None:
-        keys = np.flatnonzero(seen)
-        values = sums[keys]
-    return keys, values
+    keys = np.flatnonzero(seen)
+    return keys, sums[keys]
 
 
-def _pair_sums(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray,
-               span: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ka[i] + kb[j] in ascending order, with the products ca[i] * cb[j]
-    summed per key in row-major pair order (`_block_sums`, a row per i, keys
-    below span)."""
-    return _block_sums(np.full(len(ka), len(kb)), lambda lo, hi: (
-        (ka[lo:hi, None] + kb).ravel(), _times(ca[lo:hi, None], cb).ravel()), span)
+def _pair_sums(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray,
+               sa=0, sb=0, count: int = 1) -> tuple:
+    """Keys segment * size + rank in ascending order, for the term pairs of
+    exponent rows ea, eb less their per-axis minima, with ca[i] * cb[j]
+    summed per key in row-major pair order (`_block_sums`, a row per i); then
+    the `_Simplex` and the minima. Pair (i, j) is in segment sa[i] + sb[j]."""
+    low_a, low_b = ea.min(axis=0), eb.min(axis=0)
+    ea, eb = (ea - low_a).T, (eb - low_b).T
+    ranks = _simplex(len(ea), int(ea.sum(axis=0).max() + eb.sum(axis=0).max()))
+    (pa, la), (pb, lb) = ranks.parts(ea), ranks.parts(eb)
+    la, lb = la + ranks.offset + sa * ranks.size, lb + sb * ranks.size
+    keys, values = _block_sums(np.full(len(pa), len(pb)), lambda lo, hi: (
+        (ranks.table[pa[lo:hi, None] + pb] + (la[lo:hi, None] + lb)).ravel(),
+        _times(ca[lo:hi, None], cb).ravel()), count * ranks.size)
+    return keys, values, ranks, low_a + low_b
 
 
 def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
@@ -156,22 +202,14 @@ def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
     Keys come in ascending order, and each coefficient is added in the loop's
     order (the term pairs in row-major order), to the same bits. Any
     coefficient with a nonzero imaginary part (`_terms`) makes the whole
-    product complex. Each monomial less its operand's per-axis minimum packs
-    into one mixed-radix integer, and `_pair_sums` adds the term pairs.
+    product complex. `_pair_sums` ranks the monomials less each operand's
+    per-axis minimum and adds the term pairs.
     """
     if not a or not b:
         return {}
     d = len(next(iter(a)))
-    (ea, ca), (eb, cb) = _terms(a, d), _terms(b, d)
-    low_a, low_b = ea.min(axis=0), eb.min(axis=0)
-    ea, eb = ea - low_a, eb - low_b
-    radix = ea.max(axis=0) + eb.max(axis=0) + 1
-    span = math.prod(radix.tolist())
-    if span >= 1 << 62:  # packed keys must fit int64
-        raise ValueError("polynomial degrees too large to pack")
-    weight = _radix_weights(radix)
-    keys, values = _pair_sums(ea @ weight, ca, eb @ weight, cb, span)
-    exps = keys // weight[:, None] % radix[:, None] + (low_a + low_b)[:, None]
+    keys, values, ranks, low = _pair_sums(*_terms(a, d), *_terms(b, d))
+    exps = ranks.unrank(keys) + low[:, None]
     return dict(zip(zip(*exps.tolist()), values.tolist()))
 
 
@@ -322,7 +360,7 @@ def _grid_poly(poly: PolyMap, axes: Sequence[np.ndarray]) -> np.ndarray:
     exps, coeffs = _terms(poly, d)
     top = exps.max(axis=0, initial=0)
     tables = [_power_table(x, t) for x, t in zip(axes, top)]
-    order = np.argsort(exps[:, :lead] @ _radix_weights(top[:lead] + 1), kind="stable")
+    order = np.lexsort(exps[:, lead - 1::-1].T)  # stable, first axis slowest
     exps, coeffs = exps[order], coeffs[order]
     head = math.prod(len(x) for x in axes[:lead])
     tail = math.prod(len(x) for x in axes[lead:])
@@ -471,34 +509,6 @@ def star_exp(form: QuadraticForm, t: float) -> GaussPoly:
     return GaussPoly.gaussian(form.variables, pref, scale * form.matrix)
 
 
-def _run_sums(keys: np.ndarray, values: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Each run of equal keys in sorted keys once, with its values summed in order.
-
-    np.bincount adds a run's values one at a time from +0.0, the order of a
-    dict updated with out.get(k, 0.0) + c, so the sums are the dict's.
-    """
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    run = np.cumsum(first) - 1
-    uniq = keys[first]
-    if not np.iscomplexobj(values):
-        return uniq, np.bincount(run, values, len(uniq))
-    sums = np.empty(len(uniq), dtype=complex)
-    sums.real = np.bincount(run, values.real, len(uniq))
-    sums.imag = np.bincount(run, values.imag, len(uniq))
-    return uniq, sums
-
-
-def _key_sums(keys: np.ndarray, values: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in ascending order, each with its values summed in input
-    order (the stable sort keeps it)."""
-    order = keys.argsort(kind="stable")
-    return _run_sums(keys[order], values[order])
-
-
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owner and offset of every entry when item k owns counts[k] entries."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -523,11 +533,10 @@ def _nonzero(keys: np.ndarray, values: np.ndarray
     return keys[keep], values[keep]
 
 
-def _gauss_operator(half_row: np.ndarray, shift_row: np.ndarray,
-                    weight: np.ndarray, radix: np.ndarray):
+def _gauss_operator(half_row: np.ndarray, shift_row: np.ndarray, ranks: _Simplex):
     """E_a = sum_b half_row[b] d/dz_b on poly * exp(z gQ z), as a map from the
-    packed keys and coefficients of poly to those of the polynomial part of
-    the result, in ascending key order with exact zeros dropped. No other
+    exponents and coefficients of poly to those of the polynomial part of
+    the result, in ascending rank order with exact zeros dropped. No other
     term is cut: a cut relative to the largest coefficient would depend on
     the units of z.
 
@@ -536,16 +545,20 @@ def _gauss_operator(half_row: np.ndarray, shift_row: np.ndarray,
     first, axis by axis, then the shift terms.
     """
     b = np.flatnonzero(half_row)
-    down, digit, c = weight[b, None], radix[b, None], half_row[b, None]
+    down, c = ranks.weight[b], half_row[b, None]
     j = np.flatnonzero(shift_row)
-    up, u = weight[j, None], shift_row[j, None]
+    up, u = ranks.weight[j, None], shift_row[j, None]
 
-    def apply(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        power = keys // down % digit
-        has = power > 0
-        return _nonzero(*_key_sums(
-            np.concatenate(((keys - down)[has], (keys + up).ravel())),
-            np.concatenate(((vals * c * power)[has], (vals * u).ravel()))))
+    def apply(exps: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        prefix, degree = ranks.parts(exps)
+        axis, row = np.nonzero(power := exps[b])
+        keys = np.concatenate((
+            ranks.table[prefix[row] - down[axis]] + (degree[row] + (ranks.offset - 1)),
+            (ranks.table[prefix + up] + (degree + (ranks.offset + 1))).ravel()))
+        values = np.concatenate(((vals * c * power)[axis, row], (vals * u).ravel()))
+        keys, values = _nonzero(*_block_sums(np.array([len(keys)]),
+                                             lambda lo, hi: (keys, values), ranks.size))
+        return ranks.unrank(keys), values
     return apply
 
 
@@ -557,29 +570,24 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     exp(<-d_a (i/2) B_ab ->d_b) = sum_alpha (<-d^alpha / alpha!) (i E)^alpha
     with E_a = half[a, b] ->d_b, since the E_a commute; so the series adds
     i^|alpha| / alpha! d^alpha f E^alpha g over the alpha with d^alpha f
-    nonzero, and ends at the total degree of f. g and each E^alpha g are
-    packed mixed-radix keys (`_radix_weights`) with coefficient arrays.
-    E^alpha g is one pass (`_gauss_operator`) over E^(alpha less its first
-    nonzero axis) g. Every (alpha, f-term) row times its E^alpha g is one
-    gather, summed by `_block_sums`. Only exact zeros are dropped, here and
-    after each pass, so the terms kept do not depend on units.
+    nonzero, and ends at the total degree of f. Keys are ranks (`_Simplex`)
+    up to deg f + deg g, which no term exceeds. E^alpha g is one pass
+    (`_gauss_operator`) over E^(alpha less its first nonzero axis) g. Every
+    (alpha, f-term) row times its E^alpha g is one gather, summed by
+    `_block_sums`. Only exact zeros are dropped, here and after each pass,
+    so the terms kept do not depend on units.
     """
     if not fpoly or not gpoly:
         return {}
     d = gQ.shape[0]
     deg = max(sum(k) for k in fpoly)
     gexps, gvals = _terms(gpoly, d)
-    radix = np.array(list(fpoly)).max(axis=0) + gexps.max(axis=0) + deg + 1
-    span = math.prod(radix.tolist())
-    if span >= 1 << 62:  # packed keys must fit int64
-        raise ValueError("polynomial degrees too large for the star series")
-    weight = _radix_weights(radix)
-    E = [_gauss_operator(row, shift, weight, radix)
-         for row, shift in zip(half, 2.0 * half @ gQ)]
+    ranks = _simplex(d, deg + int(gexps.sum(axis=1).max()))
+    E = [_gauss_operator(row, shift, ranks) for row, shift in zip(half, 2.0 * half @ gQ)]
 
     # (alpha, d^alpha f, E^alpha g) order by order; alpha + e_a comes only
     # from alpha, with a at or before the first nonzero axis of alpha
-    level = [((0,) * d, fpoly, (gexps @ weight, gvals))]
+    level = [((0,) * d, fpoly, (gexps.T, gvals))]
     series = list(level)
     for _ in range(deg):
         kids = []
@@ -593,25 +601,26 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
         series += level
 
     # one row per (alpha, f-term), owning every term of its E^alpha g
-    seg_len = np.array([len(eg[0]) for *_, eg in series])
+    seg_len = np.array([len(eg[1]) for *_, eg in series])
     row_seg = np.repeat(np.arange(len(series)), [len(df) for _, df, _ in series])
-    row_keys = np.array([k for _, df, _ in series for k in df]) @ weight
+    row_prefix, row_degree = ranks.parts(np.array([k for _, df, _ in series for k in df]).T)
+    row_degree += ranks.offset
     coeffs = np.array([c * 1j ** sum(alpha) / math.prod(map(math.factorial, alpha))
                        for alpha, df, _ in series for c in df.values()], dtype=complex)
     counts = seg_len[row_seg]
     row_start = (np.cumsum(seg_len) - seg_len)[row_seg]
-    eg_keys = np.concatenate([eg[0] for *_, eg in series])
+    eg_prefix, eg_degree = ranks.parts(np.concatenate([eg[0] for *_, eg in series], axis=1))
     eg_vals = np.concatenate([eg[1] for *_, eg in series])
 
     def entries(lo, hi):
         row, offset = _ragged(counts[lo:hi])
         row += lo
         at = row_start[row] + offset
-        return row_keys[row] + eg_keys[at], coeffs[row] * eg_vals[at]
+        keys = ranks.table[row_prefix[row] + eg_prefix[at]] + row_degree[row] + eg_degree[at]
+        return keys, coeffs[row] * eg_vals[at]
 
-    keys, vals = _nonzero(*_block_sums(counts, entries, span))
-    exps = (keys[:, None] // weight % radix).tolist()
-    return dict(zip(map(tuple, exps), vals.tolist()))
+    keys, vals = _nonzero(*_block_sums(counts, entries, ranks.size))
+    return dict(zip(zip(*ranks.unrank(keys).tolist()), vals.tolist()))
 
 
 def _require_zero_exponent(g: GaussPoly, who: str) -> None:

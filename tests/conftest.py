@@ -6,7 +6,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 import numpy as np
 import pytest
 
-from ncphase import GaussPoly, ModelParams, PhaseVariables, derive, starcalc
+from ncphase import GaussPoly, ModelParams, PhaseVariables, derive
 
 
 @pytest.fixture
@@ -23,11 +23,6 @@ def reference_poly_mul(a, b):
             k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
             out[k] = out.get(k, 0.0) + c1 * c2
     return out
-
-
-# _DENSE_KEYS for the two paths of starcalc._block_sums: the dense
-# accumulator, and the stable-sort path that 0 forces
-SUM_PATHS = (starcalc._DENSE_KEYS, 0)
 
 
 @pytest.fixture

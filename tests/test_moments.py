@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SUM_PATHS, random_gauss_poly, trapezoid_integrate
+from conftest import random_gauss_poly, trapezoid_integrate
 
 from ncphase import moments, starcalc
 from ncphase import (
@@ -84,6 +84,14 @@ def test_moment_rows_are_checked():
     for alpha in [(-1, 1), (3, -1), (-2, 0)]:
         with pytest.raises(ValueError, match="non-negative"):
             table.moment(alpha)
+
+
+def test_covariance_must_be_a_square_matrix():
+    # a vector used to fail on its missing second axis, and a stack of
+    # matrices used to give moments
+    for cov in (np.ones(3), np.ones((2, 2, 2)), np.ones((2, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="square matrix"):
+            MomentTable(cov)
 
 
 def test_non_negative_definite_rejected():
@@ -355,11 +363,9 @@ class TestMarginalizeKernel:
     def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, keep):
         w = wigner_state(4, 4, SMALL).function
         blocked = marginalize(w, keep)
-        for dense_keys in SUM_PATHS:
-            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
-            for block in (64, 1 << 40):
-                monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
-                assert_same_function(marginalize(w, keep), blocked)
+        for block in (64, 1 << 40):
+            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+            assert_same_function(marginalize(w, keep), blocked)
 
     def test_degree_cap(self):
         # only the integrated pair's degree counts: 48 passes, 49 raises
@@ -486,14 +492,10 @@ ANCHORS = [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999)]
 
 
 def assert_matches_products(fs, gs):
-    """On both paths of `starcalc._block_sums`."""
     want = [[integrate(f.pointwise_mul(g)) for g in gs] for f in fs]
-    with pytest.MonkeyPatch.context() as mp:
-        for dense_keys in SUM_PATHS:
-            mp.setattr(starcalc, "_DENSE_KEYS", dense_keys)
-            got = gram(fs, gs)
-            assert got.shape == (len(fs), len(gs))
-            assert got.tolist() == want
+    got = gram(fs, gs)
+    assert got.shape == (len(fs), len(gs))
+    assert got.tolist() == want
 
 
 def hex_matrix(m):
@@ -541,11 +543,9 @@ class TestGram:
         pairs = sum(len(f.poly) for f in fs) ** 2
         assert pairs > 3 * starcalc._MUL_BLOCK
         blocked = gram(fs, fs)
-        for dense_keys in SUM_PATHS:
-            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
-            for block in (64, 1 << 40):
-                monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
-                assert hex_matrix(gram(fs, fs)) == hex_matrix(blocked)
+        for block in (64, 1 << 40):
+            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+            assert hex_matrix(gram(fs, fs)) == hex_matrix(blocked)
 
     def test_empty_polynomial(self):
         Q = np.array([[-1.2, 0.3], [0.3, -0.8]])
@@ -577,6 +577,23 @@ class TestGram:
         tiny = GaussPoly(V2, 1.0, Q, {(0, 0): 1.0 + 1e-14j})
         assert gram([tiny], [real])[0, 0] == \
             pytest.approx(integrate(tiny.pointwise_mul(real)), rel=1e-15)
+
+    def test_degree_cap_before_any_sum(self, monkeypatch):
+        # the operands' top degrees decide: 24 + 24 is integrated, 24 + 25
+        # is refused with no term pair summed
+        f = GaussPoly(V4, 1.0, -np.eye(4), {(0, 0, 0, 24): 1.0, (0, 0, 0, 0): 2.0})
+        g = GaussPoly(V4, 1.0, -np.eye(4), {(24, 0, 0, 0): 1.0, (0, 1, 1, 0): 0.5})
+        assert_matches_products([f], [g])
+        over = GaussPoly(V4, 1.0, -np.eye(4), {(13, 12, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="exceeds 48"):
+            integrate(f.pointwise_mul(over))
+
+        def no_sums(*args):
+            raise AssertionError("a term pair was summed")
+        monkeypatch.setattr(moments, "_pair_sums", no_sums)
+        monkeypatch.setattr(starcalc, "_block_sums", no_sums)
+        with pytest.raises(ValueError, match="^moment degree 49 exceeds 48$"):
+            gram([f], [over, g])
 
     def test_families_need_a_shared_exponent(self):
         f = GaussPoly(V2, 1.0, -np.eye(2), {(0, 0): 1.0})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SUM_PATHS, reference_poly_mul
+from conftest import reference_poly_mul
 from ncphase import (
     GaussPoly,
     ModelParams,
@@ -361,15 +361,35 @@ def cornered_poly(dim: int, kind: str, top: int):
     return st.builds(lambda c, r: {**r, **c}, corners, small_poly(dim, kind, top))
 
 
+def simplex_rows(d: int, top: int) -> list:
+    """Every d-variable exponent tuple of total degree <= top, sorted."""
+    if d == 1:
+        return [(a,) for a in range(top + 1)]
+    return [(a,) + rest for a in range(top + 1) for rest in simplex_rows(d - 1, top - a)]
+
+
+class TestMonomialRanks:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 4]), top=st.integers(0, 50))
+    def test_ranks_count_the_sorted_tuples(self, d, top):
+        # a bijection onto [0, C(top + d, d)) that ascends as the sorted
+        # tuples do, undone by unrank
+        rows = np.array(simplex_rows(d, top))
+        ranks = starcalc._simplex(d, top)
+        assert ranks.size == len(rows) == math.comb(top + d, d)
+        prefix, degree = ranks.parts(rows.T)
+        assert (ranks.table[prefix] + degree + ranks.offset).tolist() == list(range(len(rows)))
+        assert (ranks.unrank(np.arange(len(rows))) == rows.T).all()
+
+    def test_rank_space_too_large_for_int64(self):
+        with pytest.raises(ValueError, match="too large to pack"):
+            starcalc._simplex(4, 2 * 10**5)  # C(200 004, 4) > 2^62
+
+
 def assert_bit_identical(a, b):
-    """The dict loop's terms and bits, in ascending key order, on both paths
-    of `_block_sums`."""
-    want = hex_terms(sorted_poly_mul(a, b))
-    with pytest.MonkeyPatch.context() as mp:
-        for dense_keys in SUM_PATHS:
-            mp.setattr(starcalc, "_DENSE_KEYS", dense_keys)
-            got = _poly_mul(a, b)
-            assert hex_terms(got) == want
+    """The dict loop's terms and bits, in ascending key order."""
+    got = _poly_mul(a, b)
+    assert hex_terms(got) == hex_terms(sorted_poly_mul(a, b))
     return got
 
 
@@ -395,12 +415,13 @@ class TestPolyMul:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 4]), above=st.booleans(),
            kinds=st.tuples(*[st.sampled_from(["real", "complex"])] * 2))
-    def test_sparse_products_on_both_sides_of_the_dense_bound(self, data, dim, above,
-                                                              kinds):
-        # key spans 1201^2 or 33^4 above _DENSE_KEYS, 1023^2 or 31^4 below
+    def test_sparse_cornered_products(self, data, dim, above, kinds):
+        # boxes of 1201^2 or 33^4 keys (above 2^20), 1023^2 or 31^4 (below);
+        # a cornered product reaches degree dim * 2 top, so its rank space
+        # is larger than its box: C(2402, 2) = 2 883 601 ranks for 1201^2
         top = {(2, True): 600, (2, False): 511, (4, True): 16, (4, False): 15}[dim, above]
-        assert ((2 * top + 1) ** dim > starcalc._DENSE_KEYS) == above
         a, b = (data.draw(cornered_poly(dim, kind, top)) for kind in kinds)
+        assert starcalc._simplex(dim, 2 * dim * top).size > (2 * top + 1) ** dim
         assert hex_terms(_poly_mul(a, b)) == hex_terms(sorted_poly_mul(a, b))
 
     def test_mixed_coefficient_types_in_one_operand(self, rng):
@@ -461,8 +482,9 @@ class TestPolyMul:
         assert len(lag_i) * len(lag_j) > 4 * _MUL_BLOCK
         assert_bit_identical(lag_i, lag_j)
 
-    def test_laguerre_product_above_the_dense_bound(self):
-        # W(8,8): 1 365 x 1 365 term pairs over 33^4 keys, the sort path
+    def test_laguerre_product_ranked_in_its_degree_simplex(self):
+        # W(8,8): 1 365 x 1 365 term pairs of degree up to 32, summed over
+        # C(36, 4) = 58 905 ranks where the mixed-radix box has 33^4 keys
         from ncphase.wigner import _laguerre_of_form
         params = ModelParams(mu=0.2, nu=0.1)
         dq = derive(params)
@@ -471,7 +493,9 @@ class TestPolyMul:
         lag_j = _laguerre_of_form(8, h_minus.poly().poly, 4.0 / dq.h_minus, 4)
         assert len(lag_i) == len(lag_j) == 1365
         spread = [np.ptp(list(lag), axis=0) for lag in (lag_i, lag_j)]
-        assert math.prod((spread[0] + spread[1] + 1).tolist()) == 33**4 > starcalc._DENSE_KEYS
+        assert math.prod((spread[0] + spread[1] + 1).tolist()) == 33**4
+        assert max(map(sum, lag_i)) + max(map(sum, lag_j)) == 32
+        assert starcalc._simplex(4, 32).size == math.comb(36, 4)
         assert hex_terms(_poly_mul(lag_i, lag_j)) == hex_terms(sorted_poly_mul(lag_i, lag_j))
 
     def test_wigner_state_has_reference_polynomial(self, monkeypatch):
@@ -712,12 +736,12 @@ class TestStarSeries:
     def test_each_pass_keeps_every_nonzero_coefficient(self):
         # E_0 = d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term stays
         # (a cut relative to 3e6 would drop it)
-        from ncphase.starcalc import _gauss_operator, _radix_weights
-        radix = np.array([5, 5])
+        from ncphase.starcalc import _gauss_operator, _simplex
         half = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        E0 = _gauss_operator(half[0], np.zeros(2), _radix_weights(radix), radix)
-        keys, vals = E0(np.array([1, 2, 3]), np.array([1.0, 5e-13, 1e6]))
-        assert keys.tolist() == [0, 1, 2] and vals.tolist() == [1.0, 1e-12, 3e6]
+        E0 = _gauss_operator(half[0], np.zeros(2), _simplex(2, 4))
+        exps, vals = E0(np.array([[0, 0, 0], [1, 2, 3]]), np.array([1.0, 5e-13, 1e6]))
+        assert exps.tolist() == [[0, 0, 0], [0, 1, 2]]
+        assert vals.tolist() == [1.0, 1e-12, 3e6]
 
     def test_blocks_give_the_bits_of_one_pass(self, monkeypatch):
         from ncphase import oscillator_hamiltonian
@@ -725,26 +749,24 @@ class TestStarSeries:
         h = oscillator_hamiltonian(params)
         w = wigner_state(4, 4, params).function
         blocked = star_product_poly_left(h, w).poly
-        for dense_keys in SUM_PATHS:
-            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
-            for block in (64, 1 << 40):
-                monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
-                assert hex_terms(star_product_poly_left(h, w).poly) == hex_terms(blocked)
+        for block in (64, 1 << 40):
+            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+            assert hex_terms(star_product_poly_left(h, w).poly) == hex_terms(blocked)
 
     def test_gather_sums_in_bounded_blocks(self, monkeypatch):
-        # on both paths the gather adds its (alpha, f-term) rows in several
-        # blocks, none more than max(_MUL_BLOCK, running keys) plus one row;
-        # the dense path keeps no running keys and sorts nothing
+        # each pass sums as one row, and the gather, the last sum, adds its
+        # (alpha, f-term) rows in several blocks of at most _MUL_BLOCK
+        # entries plus one row, every key a rank of the degree simplex
         from ncphase import oscillator_hamiltonian
         params = ModelParams(mu=0.2, nu=0.1)
         h = oscillator_hamiltonian(params)
         w = wigner_state(6, 6, params).function
-        block_sums, key_sums = starcalc._block_sums, starcalc._key_sums
-        gathers = []
+        block_sums = starcalc._block_sums
+        calls = []
 
         def spy_block_sums(counts, entries, span):
-            blocks, running = [], []
-            gathers.append((counts.max(), blocks, running))
+            blocks = []
+            calls.append((counts, span, blocks))
 
             def spy_entries(lo, hi):
                 out = entries(lo, hi)
@@ -752,24 +774,14 @@ class TestStarSeries:
                 return out
             return block_sums(counts, spy_entries, span)
 
-        def spy_key_sums(keys, values):
-            out = key_sums(keys, values)
-            if gathers:  # the passes before the gather sum on their own
-                gathers[-1][2].append(len(out[0]))
-            return out
-
         monkeypatch.setattr(starcalc, "_block_sums", spy_block_sums)
-        monkeypatch.setattr(starcalc, "_key_sums", spy_key_sums)
-        for dense_keys in SUM_PATHS:
-            monkeypatch.setattr(starcalc, "_DENSE_KEYS", dense_keys)
-            gathers.clear()
-            star_product_poly_left(h, w)
-            assert len(gathers) == 1
-            row, blocks, running = gathers[0]
-            assert len(blocks) > 1
-            assert len(running) == (len(blocks) if dense_keys == 0 else 0)
-            for size, before in zip(blocks, [0] + running):
-                assert size <= max(_MUL_BLOCK, before) + row
+        star_product_poly_left(h, w)
+        *passes, (counts, span, blocks) = calls
+        assert len(passes) == 8  # one per alpha with d^alpha H nonzero: e_a, 2 e_a
+        assert all(len(c) == 1 and b == [c[0]] for c, _, b in passes)
+        assert {s for _, s, _ in calls} == {math.comb(2 + 24 + 4, 4)}
+        assert len(blocks) > 1
+        assert all(size <= _MUL_BLOCK + counts.max() for size in blocks)
 
     def test_empty_operands(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
