@@ -77,8 +77,8 @@ def _isserlis_plan(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Read-only, shared by every call.
     """
     bars = np.fromiter(chain.from_iterable(combinations(range(n + d - 1), d - 1)),
-                       dtype=np.int64, count=(d - 1) * comb(n + d - 1, d - 1))
-    edges = np.pad(bars.reshape(-1, d - 1), ((0, 0), (1, 1)), constant_values=(-1, n + d - 1))
+                       dtype=np.int64).reshape(comb(n + d - 1, d - 1), d - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + d - 1))
     alpha = np.diff(edges, axis=1) - 1
     beta = np.empty_like(alpha)  # alpha in rank order, then lowered at the pivot
     beta[_graded_rank(alpha)] = alpha

@@ -20,8 +20,9 @@ library needs while staying exactly testable:
 Intermediate series terms are genuinely complex; public helpers expose real
 and imaginary parts separately.
 
-Every sparse sum adds its terms, in input order, into one dense array indexed
-by monomial rank (`_Simplex`, `_block_sums`), to the bits of the dict loop.
+Every sparse sum adds its terms, in input order, into one zeroed array indexed
+by monomial rank, or by place among the distinct ranks where those are sparse
+(`_Simplex`, `_block_sums`), to the bits of the dict loop.
 """
 
 from __future__ import annotations
@@ -95,31 +96,40 @@ def _shift(mono: Monomial, axis: int, by: int) -> Monomial:
 @dataclass(frozen=True)
 class _Simplex:
     """Ranks, in lexicographic order (first axis slowest, as ascending
-    mixed-radix keys), of the monomials a in d variables of degree <= top,
-    exponents in (d, n) arrays. With S_k = a_0 + ... + a_(k-1), those before
-    a that first differ from it on axis k number comb(top - S_k + d - k,
-    d - k) - comb(top - S_(k+1) + d - k, d - k) (Knuth, TAOCP 4A, 7.2.1.3),
-    which sums to table[weight @ a] + S_d + offset, weight @ a packing S_1 ..
-    S_(d-1) in a power-of-two radix above top: both terms add when monomials
-    multiply. A top below radix - 1 shares the read-only tables of radix - 1,
-    each S_k raised by radix - 1 - top; binomials[m, t] = comb(t + m, m)."""
+    mixed-radix keys), of the monomials a in d variables of degree <= top.
+    Their (d, n) exponents pack into K, the prefix sums S_k = a_0 + ... + a_k
+    for k < d - 1 in fields of `bits` bits (S_0 highest), and L = S_(d-1);
+    both add when monomials multiply. Those before a that first differ from
+    it on axis k number comb(top - S_(k-1) + d - k, d - k) - comb(top - S_k
+    + d - k, d - k), S_(-1) = 0 (Knuth, TAOCP 4A, 7.2.1.3), which sums to
+    offset + L plus columns[k, S_k] = -comb(top - S_k + d - k - 1, d - k)
+    over k < d - 1. binomials[m, t] = comb(t + m, m)."""
 
     top: int
     size: int
     offset: int
-    weight: np.ndarray
-    table: np.ndarray
+    bits: int
+    columns: np.ndarray
     binomials: np.ndarray
 
-    def parts(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.weight @ exps, functools.reduce(np.add, exps)  # weight @ a, S_d
+    def pack(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        K, L = np.zeros_like(exps[0]), exps[0]
+        for a in exps[1:]:
+            K, L = (K << self.bits) + L, L + a
+        return K, L
+
+    def rank(self, K: np.ndarray, L: np.ndarray) -> np.ndarray:
+        ranks = L + self.offset
+        for k, column in enumerate(self.columns[::-1]):  # from the lowest field
+            ranks += column.take((K >> k * self.bits) & ((1 << self.bits) - 1))
+        return ranks
 
     def unrank(self, ranks: np.ndarray) -> np.ndarray:
         """Axis by axis, with count the monomials from the rank to the end of
         its subtree: the budget less the least budget t of the later axes with
         comb(t + m, m) >= count; on the last axis, budget - count + 1."""
         count, budget = self.size - ranks, self.top
-        exps = np.empty((len(self.weight), len(count)), dtype=np.int64)
+        exps = np.empty((len(self.columns) + 1, len(count)), dtype=np.int64)
         for k, column in enumerate(self.binomials[:1:-1]):  # comb(t + m, m), m = d - k
             rest = column.searchsorted(count)
             exps[k], budget = budget - rest, rest
@@ -130,25 +140,16 @@ class _Simplex:
 
 @functools.cache
 def _simplex(d: int, top: int) -> _Simplex:
-    """The one place that refuses keys beyond int64 (`_Simplex`)."""
-    size = math.comb(top + d, d)
-    if size >= 1 << 62:  # ranks must fit int64
+    """The one place that refuses ranks or packed keys beyond int64 (`_Simplex`)."""
+    size, bits = math.comb(top + d, d), top.bit_length()
+    if size >= 1 << 62 or (d - 1) * bits > 62:
         raise ValueError("polynomial degrees too large to pack")
-    radix = 1 << top.bit_length()
-    weight = np.append(np.cumsum(radix ** np.arange(d - 1, dtype=np.int64))[::-1], 0)
-    if top < radix - 1:  # the radix's tables
-        full = _simplex(d, radix - 1)
-        return _Simplex(top, size, size - top - 1, weight,
-                        full.table[(radix - 1 - top) * int(weight[0]):], full.binomials)
-    # allocated whole first, so a table too large for memory fails at once;
-    # its entries run from -(size - top - 1) to 0
-    table = np.zeros((radix,) * (d - 1), dtype=np.int32 if size < 1 << 31 else np.int64)
-    binomials = np.array([[math.comb(t + m, m) for t in range(radix)] for m in range(d + 1)])
-    for k in range(1, d):  # -comb(top - S_k + d - k, d - k + 1) along axis S_k
-        term = np.append(binomials[d - k + 1, :top][::-1], 0)
-        table -= term.astype(table.dtype).reshape((radix,) + (1,) * (d - 1 - k))
-    binomials.flags.writeable = table.flags.writeable = False
-    return _Simplex(top, size, size - top - 1, weight, table.ravel(), binomials)
+    binomials = np.ones((d + 1, top + 1), dtype=np.int64)
+    for m in range(1, d + 1):  # comb(t + m, m) sums comb(u + m - 1, m - 1) over u <= t
+        np.cumsum(binomials[m - 1], out=binomials[m])
+    columns = -np.pad(binomials[d:1:-1, :top][:, ::-1], ((0, 0), (0, 1)))
+    binomials.flags.writeable = columns.flags.writeable = False
+    return _Simplex(top, size, size - top - 1, bits, columns, binomials)
 
 
 def _block_sums(counts: np.ndarray, entries, span: int
@@ -162,8 +163,16 @@ def _block_sums(counts: np.ndarray, entries, span: int
     holds more. np.add.at adds each block into one zeroed array indexed by
     key, one entry at a time in input order, so every sum is the one-pass
     sum; a mask of the keys seen, read whole, gives them back in ascending
-    order, zero sums included.
+    order, zero sums included. A span above n log2 n for n entries takes them
+    in one block, summed so into their distinct keys (one sort) instead.
     """
+    total = int(counts.sum())
+    if span > total * total.bit_length():
+        keys, values = entries(0, len(counts))
+        keys, at = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(keys), values.dtype)
+        np.add.at(sums, at, values)
+        return keys, sums
     ends, lo = np.cumsum(counts), 0
     seen, sums = np.zeros(span, dtype=bool), None
     while lo < len(ends):
@@ -184,15 +193,26 @@ def _pair_sums(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray,
     """Keys segment * size + rank in ascending order, for the term pairs of
     exponent rows ea, eb less their per-axis minima, with ca[i] * cb[j]
     summed per key in row-major pair order (`_block_sums`, a row per i); then
-    the `_Simplex` and the minima. Pair (i, j) is in segment sa[i] + sb[j]."""
+    the `_Simplex` and the minima. Pair (i, j) is in segment sa[i] + sb[j].
+    Its rank takes column k at S_k(a_i) + S_k(b_j) for each axis k < d - 1,
+    tabled against every b_j once per value S_k(a_i) takes."""
     low_a, low_b = ea.min(axis=0), eb.min(axis=0)
-    ea, eb = (ea - low_a).T, (eb - low_b).T
-    ranks = _simplex(len(ea), int(ea.sum(axis=0).max() + eb.sum(axis=0).max()))
-    (pa, la), (pb, lb) = ranks.parts(ea), ranks.parts(eb)
-    la, lb = la + ranks.offset + sa * ranks.size, lb + sb * ranks.size
-    keys, values = _block_sums(np.full(len(pa), len(pb)), lambda lo, hi: (
-        (ranks.table[pa[lo:hi, None] + pb] + (la[lo:hi, None] + lb)).ravel(),
-        _times(ca[lo:hi, None], cb).ravel()), count * ranks.size)
+    pa, pb = np.cumsum(ea - low_a, axis=1).T, np.cumsum(eb - low_b, axis=1).T
+    ranks = _simplex(len(pa), int(pa[-1].max() + pb[-1].max()))
+    la, lb = pa[-1] + ranks.offset + sa * ranks.size, pb[-1] + sb * ranks.size
+    tables = []
+    for column, a, b in zip(ranks.columns, pa, pb):
+        seen = np.zeros(ranks.top + 1, dtype=bool)
+        seen[a] = True
+        tables.append((column.take(np.flatnonzero(seen)[:, None] + b), np.cumsum(seen)[a] - 1))
+
+    def entries(lo, hi):
+        keys = la[lo:hi, None] + lb
+        for table, at in tables:
+            keys += table[at[lo:hi]]
+        return keys.ravel(), _times(ca[lo:hi, None], cb).ravel()
+
+    keys, values = _block_sums(np.full(len(ca), len(cb)), entries, count * ranks.size)
     return keys, values, ranks, low_a + low_b
 
 
@@ -545,16 +565,17 @@ def _gauss_operator(half_row: np.ndarray, shift_row: np.ndarray, ranks: _Simplex
     first, axis by axis, then the shift terms.
     """
     b = np.flatnonzero(half_row)
-    down, c = ranks.weight[b], half_row[b, None]
+    unit = np.eye(len(half_row), dtype=int)
+    (down_k, down_l), c = ranks.pack(unit[:, b]), half_row[b, None]
     j = np.flatnonzero(shift_row)
-    up, u = ranks.weight[j, None], shift_row[j, None]
+    (up_k, up_l), u = ranks.pack(unit[:, j]), shift_row[j, None]
 
     def apply(exps: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        prefix, degree = ranks.parts(exps)
+        K, L = ranks.pack(exps)
         axis, row = np.nonzero(power := exps[b])
-        keys = np.concatenate((
-            ranks.table[prefix[row] - down[axis]] + (degree[row] + (ranks.offset - 1)),
-            (ranks.table[prefix + up] + (degree + (ranks.offset + 1))).ravel()))
+        keys = ranks.rank(
+            np.concatenate((K[row] - down_k[axis], (K + up_k[:, None]).ravel())),
+            np.concatenate((L[row] - down_l[axis], (L + up_l[:, None]).ravel())))
         values = np.concatenate(((vals * c * power)[axis, row], (vals * u).ravel()))
         keys, values = _nonzero(*_block_sums(np.array([len(keys)]),
                                              lambda lo, hi: (keys, values), ranks.size))
@@ -603,20 +624,19 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     # one row per (alpha, f-term), owning every term of its E^alpha g
     seg_len = np.array([len(eg[1]) for *_, eg in series])
     row_seg = np.repeat(np.arange(len(series)), [len(df) for _, df, _ in series])
-    row_prefix, row_degree = ranks.parts(np.array([k for _, df, _ in series for k in df]).T)
-    row_degree += ranks.offset
+    row_k, row_l = ranks.pack(np.array([k for _, df, _ in series for k in df]).T)
     coeffs = np.array([c * 1j ** sum(alpha) / math.prod(map(math.factorial, alpha))
                        for alpha, df, _ in series for c in df.values()], dtype=complex)
     counts = seg_len[row_seg]
     row_start = (np.cumsum(seg_len) - seg_len)[row_seg]
-    eg_prefix, eg_degree = ranks.parts(np.concatenate([eg[0] for *_, eg in series], axis=1))
+    eg_k, eg_l = ranks.pack(np.concatenate([eg[0] for *_, eg in series], axis=1))
     eg_vals = np.concatenate([eg[1] for *_, eg in series])
 
     def entries(lo, hi):
         row, offset = _ragged(counts[lo:hi])
         row += lo
         at = row_start[row] + offset
-        keys = ranks.table[row_prefix[row] + eg_prefix[at]] + row_degree[row] + eg_degree[at]
+        keys = ranks.rank(row_k[row] + eg_k[at], row_l[row] + eg_l[at])
         return keys, coeffs[row] * eg_vals[at]
 
     keys, vals = _nonzero(*_block_sums(counts, entries, ranks.size))

@@ -447,6 +447,18 @@ class TestIntegrateKernel:
                 for a in alphas[::37]:
                     assert MomentTable(cov).moment(a).hex() == float(want.moment(a)).hex()
 
+    def test_moment_table_in_other_dimensions(self, rng):
+        # every row up to a degree per dimension, 1 to 6 variables; the
+        # ranks' tables grow with the dimension, not with the degree cap
+        for d, top in ((1, MAX_MOMENT_DEGREE), (3, 16), (6, 8)):
+            root = rng.normal(size=(d, d))
+            cov = root @ root.T + d * np.eye(d)
+            alphas = [a for a in itertools.product(range(top + 1), repeat=d) if sum(a) <= top]
+            want = ReferenceMoments(cov)
+            got = MomentTable(cov).moments(np.array(alphas))
+            assert [float(x).hex() for x in got] == \
+                [float(want.moment(a)).hex() for a in alphas]
+
     def test_moment_table_at_the_degree_cap(self, rng):
         # a few 4-D rows at and just below degree 48, each reaching far fewer
         # multi-indices than the full levels hold

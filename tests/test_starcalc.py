@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -377,13 +378,22 @@ class TestMonomialRanks:
         rows = np.array(simplex_rows(d, top))
         ranks = starcalc._simplex(d, top)
         assert ranks.size == len(rows) == math.comb(top + d, d)
-        prefix, degree = ranks.parts(rows.T)
-        assert (ranks.table[prefix] + degree + ranks.offset).tolist() == list(range(len(rows)))
+        assert ranks.rank(*ranks.pack(rows.T)).tolist() == list(range(len(rows)))
         assert (ranks.unrank(np.arange(len(rows))) == rows.T).all()
 
     def test_rank_space_too_large_for_int64(self):
         with pytest.raises(ValueError, match="too large to pack"):
             starcalc._simplex(4, 2 * 10**5)  # C(200 004, 4) > 2^62
+
+
+def peak_bytes(run) -> int:
+    """The most memory, numpy arrays included, held at once while run runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_bit_identical(a, b):
@@ -465,6 +475,14 @@ class TestPolyMul:
         b = {(0, 0, 0, 0): 3.0, (spread,) * 4: 4.0}
         with pytest.raises(ValueError, match="too large to pack"):
             _poly_mul(a, b)
+
+    def test_sparse_high_degree_products(self):
+        # a few terms at top degrees of 800, 24 001 and 200 001, whose rank
+        # spaces (C(804, 4) = 1.7e10 and up) are summed over the keys seen
+        cases = [({(0,) * 4: 1.0, (100,) * 4: 2.0}, {(0,) * 4: 3.0, (100,) * 4: 4.0}),
+                 ({(0,) * 4: 1.0, (3000,) * 4: 2.0}, {(0, 1, 0, 0): 3.0, (3000,) * 4: 4.0}),
+                 ({(0, 0): 1.0, (100000, 0): 2.0}, {(0, 0): 3.0, (100000, 1): 4.0})]
+        assert peak_bytes(lambda: [assert_bit_identical(a, b) for a, b in cases]) < 32 << 20
 
     def test_more_keys_than_one_block(self, rng):
         a = random_poly(rng, 200, 4, 15, "complex")
@@ -782,6 +800,19 @@ class TestStarSeries:
         assert {s for _, s, _ in calls} == {math.comb(2 + 24 + 4, 4)}
         assert len(blocks) > 1
         assert all(size <= _MUL_BLOCK + counts.max() for size in blocks)
+
+    def test_sparse_high_degree_operand(self):
+        # degree 2 + 400 ranks C(406, 4) = 1.1e9 monomials; each pass and the
+        # gather sum over the keys they reach
+        from ncphase import oscillator_hamiltonian
+        variables = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
+        h = oscillator_hamiltonian(ModelParams(mu=0.2, nu=0.1)).poly
+        g = {(0,) * 4: 1.0, (100,) * 4: 0.5}
+        pairs = []
+        assert peak_bytes(lambda: pairs.extend(
+            series_and_exact(h, g, -0.5 * np.eye(4), variables))) < 32 << 20
+        for got, exact in pairs:
+            assert_near_exact(got, exact)
 
     def test_empty_operands(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
