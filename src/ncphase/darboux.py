@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
+from .starcalc import PhaseVariables
 from .wigner import phase_variables
 
 
@@ -32,14 +33,7 @@ class DarbouxMap:
 
 def omega_canonical(hbar: float) -> np.ndarray:
     """Canonical commutator matrix over (y1, y2, q1, q2), divided by i."""
-    return hbar * np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-        ]
-    )
+    return PhaseVariables(4, hbar=hbar).deformation_matrix()
 
 
 def omega_deformed(params: ModelParams) -> np.ndarray:

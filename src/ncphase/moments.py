@@ -164,12 +164,17 @@ class MomentTable:
 def _gaussian_weight(Q: np.ndarray, moments: bool = True
                      ) -> tuple[float, MomentTable | None]:
     """Mass pi^(d/2)/sqrt(det(-Q)) of exp(z Q z), and the moments of its
-    normalized weight when asked (a constant needs none)."""
+    normalized weight when asked (a constant needs none). A det(-Q) that
+    overflows or underflows double precision is refused."""
     try:
         np.linalg.cholesky(-Q)
     except np.linalg.LinAlgError:
         raise ValueError("exponent matrix must be negative definite") from None
-    mass = pi ** (Q.shape[0] / 2) / sqrt(np.linalg.det(-Q))
+    with np.errstate(over="ignore"):  # refused below, with no warning
+        det = np.linalg.det(-Q)
+    if not 0.0 < det < np.inf:
+        raise ValueError(f"det(-Q) = {float(det)!r} leaves double precision range")
+    mass = pi ** (Q.shape[0] / 2) / sqrt(det)
     return mass, MomentTable(-0.5 * np.linalg.inv(Q)) if moments else None
 
 

@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 # lower end of the purity-parameter range; approached, never attained
 LAMBDA_MIN = math.sqrt(3.0) / 3.0
 
@@ -142,25 +144,37 @@ def _derive(params: ModelParams) -> DerivedQuantities:
     )
 
 
-def lambda_from_uv(u: float, v: float) -> float:
+def lambda_from_uv(u, v):
     """Purity parameter from the dimensionless deformation pair (u, v).
 
     The closed endpoints u*v = +-1 evaluate to their analytic limits (the
-    u = v diagonal must give 1); strictly beyond them is rejected.
+    u = v diagonal must give 1); strictly beyond them is rejected. Floats
+    give a float; arrays give each entry's float value, bit for bit.
     """
-    if not -1.0 <= u * v <= 1.0:
-        raise ValueError("u*v must lie in [-1, 1]")
-    d2 = (u - v) ** 2
-    return math.sqrt((4.0 + d2) / (4.0 + (2.0 - u * v) * d2))
+    uv, d = u * v, u - v
+    _require((-1.0 <= uv) & (uv <= 1.0), "u*v must lie in [-1, 1]")
+    d2 = d * d  # not d ** 2: a float's pow can round a half-way square the other way
+    return _sqrt((4.0 + d2) / (4.0 + (2.0 - uv) * d2))
 
 
-def lambda_from_theta(delta_sq: float, theta: float) -> float:
-    """Purity parameter from delta^2 and theta = mu*nu/hbar^2."""
-    if delta_sq < 0.0:
-        raise ValueError("delta_sq must be nonnegative")
-    if not -1.0 < theta < 1.0:
-        raise ValueError("theta must lie in (-1, 1)")
-    return math.sqrt((1.0 + delta_sq) / (1.0 + (2.0 - theta) * delta_sq))
+def lambda_from_theta(delta_sq, theta):
+    """Purity parameter from delta^2 and theta = mu*nu/hbar^2, floats or
+    arrays as in lambda_from_uv."""
+    # not delta_sq >= 0: a NaN passes on to derive's range check
+    _require(np.logical_not(delta_sq < 0.0), "delta_sq must be nonnegative")
+    _require((-1.0 < theta) & (theta < 1.0), "theta must lie in (-1, 1)")
+    return _sqrt((1.0 + delta_sq) / (1.0 + (2.0 - theta) * delta_sq))
+
+
+def _require(holds, message: str) -> None:
+    """Raise ValueError unless holds is true, or true at every entry."""
+    if not (holds.all() if isinstance(holds, np.ndarray) else holds):
+        raise ValueError(message)
+
+
+def _sqrt(x):
+    """math.sqrt of a float, np.sqrt of an array: the same bits either way."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
 def load_params(path: str | Path) -> ModelParams:

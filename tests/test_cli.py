@@ -192,6 +192,16 @@ class TestOverflow:
         assert len(err.strip().splitlines()) == 1
         assert 0 < len(calls) <= 2 * math.floor(math.log2(200000))
 
+    @pytest.mark.parametrize("hbar", ["1e100", "1e-100"])
+    def test_verify_past_the_gaussian_weight_range(self, capsys, hbar):
+        # accepted points whose Gaussian weights leave double range: the
+        # request is refused, not answered with a traceback
+        code, out, err = run(capsys, "verify", "--hbar", hbar)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_hbar_square_underflow(self, capsys):
         code, out, err = run(capsys, "entropy", "--hbar", "1e-200", "--kind",
                              "renyi", "--order", "2")
@@ -453,6 +463,14 @@ class TestVerifyCommand:
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failing == {"genvalue-residual"}
 
+    def test_nan_energy_fault_detected(self, capsys):
+        # a NaN error fails its check: the reduction does not drop it
+        code, out, _ = run(capsys, "verify", "--perturb-energy", "nan")
+        assert code == 1
+        report = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert math.isnan(report["genvalue-residual"]["error"])
+        assert not report["genvalue-residual"]["passed"]
+
     @pytest.mark.parametrize("mu, nu", [("0", "0"), ("0.3", "0.1")])
     def test_state_checks_match_fresh_states(self, capsys, monkeypatch, mu, nu):
         """Building the four states once leaves the report as it was when
@@ -462,7 +480,7 @@ class TestVerifyCommand:
         from ncphase import genvalue_residual, reduce, wigner_state
         from ncphase.moments import gram
         from ncphase.starcalc import grid_values
-        from ncphase.wigner import _residual_axes, residual_grid
+        from ncphase.wigner import _residual_axes
 
         built = []
         monkeypatch.setattr(cli, "wigner_state",
@@ -493,9 +511,11 @@ class TestVerifyCommand:
         want["orthogonality-normalization"] = worst
         closed = reduce(states[(0, 0)], 1).function
         marg = marginalize(states[(0, 0)].function, keep=1)
-        pts = residual_grid(closed)
-        want["reduced-marginal"] = (abs(closed.value(pts) - marg.value(pts)).max()
-                                    / abs(closed.value(pts)).max())
+        axes = _residual_axes(closed)
+        closed_vals = grid_values([closed], axes)[0]
+        marg_vals = grid_values([marg], axes)[0]
+        want["reduced-marginal"] = (abs(closed_vals - marg_vals).max()
+                                    / abs(closed_vals).max())
 
         report = {c["name"]: c for c in json.loads(out)["checks"]}
         for name, error in want.items():

@@ -100,6 +100,14 @@ def test_non_negative_definite_rejected():
         integrate(f)
 
 
+@pytest.mark.parametrize("hbar", [1e-100, 1e100])
+def test_gaussian_weight_past_double_range_rejected(hbar):
+    # det(-Q) of the ground state is hbar^-4 here: inf at 1e-100, where the
+    # integral read 0.0, and 0.0 at 1e100, where it divided by zero
+    with pytest.raises(ValueError, match="det"):
+        integrate(wigner_state(0, 0, ModelParams(hbar=hbar)).function)
+
+
 def test_linearity(rng):
     f = random_gauss_poly(rng, 2)
     g = GaussPoly(V2, 1.0, f.exponent, {(1, 1): 0.7, (0, 0): -0.2})

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,31 @@ def test_lambda_from_theta_values():
         lambda_from_theta(1.0, 1.0)
     with pytest.raises(ValueError):
         lambda_from_theta(-1.0, 0.0)
+
+
+def test_lambda_forms_take_arrays(rng):
+    """Array calls give each entry's float call bit for bit, as figures 1
+    and 2 need; floats give floats; any out-of-range entry is refused."""
+    u, v = rng.uniform(-3.0, 3.0, (2, 2000))
+    keep = np.abs(u * v) <= 1.0
+    u, v = u[keep], v[keep]
+    # dyadic points, many with (u - v)^2 half way between two doubles, where
+    # a pow-based square can round the other way
+    odd = rng.integers(2**26, 2**27, 200) | 1
+    u = np.concatenate([u, odd * 2.0**-27, [1.0, -1.0, 0.0]])
+    v = np.concatenate([v, np.zeros(200), [1.0, -1.0, 0.0]])
+    d2, theta = rng.uniform(0.0, 1e3, 2000), rng.uniform(-1.0, 1.0, 2000)
+    for fn, a, b in ((lambda_from_uv, u, v), (lambda_from_theta, d2, theta)):
+        got = fn(a, b)
+        want = [fn(float(x), float(y)) for x, y in zip(a, b)]
+        assert all(type(w) is float for w in want)
+        assert got.tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError):
+        lambda_from_uv(np.array([0.5, 2.0]), np.array([0.5, 0.6]))
+    with pytest.raises(ValueError):
+        lambda_from_theta(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
+    with pytest.raises(ValueError):
+        lambda_from_theta(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
 
 
 def test_lambda_forms_agree_on_random_valid_points(rng):
