@@ -243,19 +243,21 @@ def _verify_checks(params: ModelParams, perturb_energy: float) -> list[dict]:
     record("reduced-marginal",
            np.abs(closed_vals - marg_vals) / np.abs(closed_vals).max(), 1e-10)
 
-    # star-exponential group law on H+
+    # star-exponential group law on H+; matrix entry errors, here and below,
+    # are relative to the largest |entry| of their reference (scaling as hbar)
     h_plus, h_minus = hamiltonians_pm(params)
     t1, t2 = 0.125 / abs(h_plus.k), -0.3 / abs(h_plus.k)
     lhs = gaussian_star(star_exp(h_plus, t1), star_exp(h_plus, t2), forms=[h_plus])
     rhs = star_exp(h_plus, t1 + t2)
-    record("star-exp-group-law", np.append(abs(lhs.prefactor - rhs.prefactor),
-                                           abs(lhs.exponent - rhs.exponent)), 1e-10)
+    err = abs(lhs.exponent - rhs.exponent) / abs(rhs.exponent).max()
+    record("star-exp-group-law", np.append(abs(lhs.prefactor - rhs.prefactor), err), 1e-10)
 
     # star-logarithm round trip: ln_star(exp_star(H t)) = t H with zero constant
     t = -0.4 / abs(h_plus.k)
     g = star_exp(h_plus, t)
     const, quad = star_log_gaussian(g, form=h_plus)
-    err = abs(quad.prefactor * _quad_matrix(quad) - t * h_plus.matrix)
+    want = t * h_plus.matrix
+    err = abs(quad.prefactor * _quad_matrix(quad) - want) / abs(want).max()
     record("star-log-round-trip", np.append(abs(const), err), 1e-10)
 
     # closed-form entropy vs star-power numeric route
@@ -266,7 +268,8 @@ def _verify_checks(params: ModelParams, perturb_energy: float) -> list[dict]:
 
     # coordinate-map identities
     m = build_map(params).matrix
-    err = abs(m @ omega_canonical(params.hbar) @ m.T - omega_deformed(params))
+    want = omega_deformed(params)
+    err = abs(m @ omega_canonical(params.hbar) @ m.T - want) / abs(want).max()
     det_err = abs(np.linalg.det(m) - (1.0 - params.mu * params.nu / params.hbar**2))
     cell_err = abs(cell - (2.0 * math.pi * params.hbar) ** 2 * np.linalg.det(m))
     record("darboux-identities", np.append(err, [det_err, cell_err / cell]), 1e-12)

@@ -27,17 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .starcalc import (GaussPoly, Monomial, PhaseVariables, PolyMap, _block_sums,
-                       _nonzero, _pair_sums, _ragged, _simplex, _terms)
+                       _distinct, _nonzero, _pair_sums, _ragged, _simplex, _terms)
 
 MAX_MOMENT_DEGREE = 48
 
 _IMAG_TOL = 1e-10
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys (numpy 2.4's unique takes 3-10x longer here)."""
-    keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -119,7 +113,8 @@ class MomentTable:
         degree up to the rows' highest is one array pass over every
         multi-index of that degree, through the cached `_isserlis_plan`. A
         moment depends only on alpha and the covariance, so it has the same
-        bits whichever rows are asked with it.
+        bits whichever rows are asked with it. A returned moment that leaves
+        double range (an overflow, or inf - inf) raises ValueError.
         """
         exps = np.asarray(exps, dtype=np.int64)
         d = len(self.covariance)
@@ -134,14 +129,19 @@ class MomentTable:
             raise ValueError(f"moment degree {degree[degree > MAX_MOMENT_DEGREE][0]} "
                              f"exceeds {MAX_MOMENT_DEGREE}")
         levels = [np.ones(1)]
-        for n in range(2, top + 1, 2):
-            levels.append(self._level(n, levels[-1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for n in range(2, top + 1, 2):
+                levels.append(self._level(n, levels[-1]))
         sizes = [len(level) for level in levels]
         zero = sum(sizes)  # the slot of the 0.0 after the levels, for odd degrees
         start = np.zeros(top + 1, dtype=np.int64)
         start[::2] = np.cumsum(sizes) - sizes
         at = np.where(degree % 2, zero, start[degree] + _graded_rank(exps))
-        return np.concatenate(levels + [np.zeros(1)]).take(at)
+        out = np.concatenate(levels + [np.zeros(1)]).take(at)
+        if not np.isfinite(out).all():
+            raise ValueError(f"a moment of degree {degree[~np.isfinite(out)][0]} "
+                             "leaves double precision range")
+        return out
 
     def _level(self, n: int, below: np.ndarray) -> np.ndarray:
         """The moments of every multi-index of degree n, in rank order, from

@@ -15,7 +15,8 @@ library needs while staying exactly testable:
 
   * a terminating series when one factor is a pure polynomial, and
   * the star-exponential group law for Gaussians generated by a shared
-    two-square quadratic form (or a commuting family of them).
+    two-square quadratic form (or a commuting family of them), which the
+    caller names: no function here infers a form from an exponent.
 
 Intermediate series terms are genuinely complex; public helpers expose real
 and imaginary parts separately.
@@ -152,6 +153,12 @@ def _simplex(d: int, top: int) -> _Simplex:
     return _Simplex(top, size, size - top - 1, bits, columns, binomials)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (numpy 2.4's unique takes 3-10x longer here)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
 def _block_sums(counts: np.ndarray, entries, span: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys in ascending order, each with the values of its entries
@@ -169,10 +176,10 @@ def _block_sums(counts: np.ndarray, entries, span: int
     total = int(counts.sum())
     if span > total * total.bit_length():
         keys, values = entries(0, len(counts))
-        keys, at = np.unique(keys, return_inverse=True)
-        sums = np.zeros(len(keys), values.dtype)
-        np.add.at(sums, at, values)
-        return keys, sums
+        distinct = _distinct(keys)
+        sums = np.zeros(len(distinct), values.dtype)
+        np.add.at(sums, distinct.searchsorted(keys), values)
+        return distinct, sums
     ends, lo = np.cumsum(counts), 0
     seen, sums = np.zeros(span, dtype=bool), None
     while lo < len(ends):
@@ -477,31 +484,18 @@ class QuadraticForm:
         return GaussPoly(self.variables, 1.0, np.zeros((d, d)), out)
 
     @classmethod
-    def from_matrix(cls, variables: PhaseVariables, S: np.ndarray,
-                    tol: float = 1e-10) -> "QuadraticForm":
-        """Recover a two-square decomposition of a PSD matrix of rank <= 2.
-
-        The split into two squares is not unique; any rotation of the pair
-        leaves |k| and all star-exponentials unchanged. In four variables an
-        eigenvalue below tol times the largest entry counts as zero, so that
-        a third square is ruled out; a 2x2 matrix has at most two squares,
-        so there every positive eigenvalue is kept, however anisotropic.
-        """
-        S = np.asarray(S, dtype=float)
-        scale = abs(S).max() or 1.0
-        vals, vecs = np.linalg.eigh(S)
-        if vals.min() < -tol * scale:
-            raise ValueError("matrix is not positive semidefinite")
-        cut = tol * scale if variables.dimension == 4 else 0.0
-        big = [i for i in range(len(vals)) if vals[i] > cut]
-        if len(big) > 2:
-            raise ValueError("matrix has rank > 2: not a two-square form")
-        n = variables.dimension // 2
-        forms = [np.sqrt(vals[i]) * vecs[:, i] for i in big]
-        while len(forms) < 2:
-            forms.append(np.zeros(variables.dimension))
-        u, v = forms
-        return cls(variables, tuple(u[:n]), tuple(u[n:]), tuple(v[:n]), tuple(v[n:]))
+    def from_matrix(cls, variables: PhaseVariables, S: np.ndarray) -> "QuadraticForm":
+        """The two squares of a positive-definite 2x2 matrix S = L L^T over the
+        reduced pair: the columns of its Cholesky factor L. Any other split is
+        a rotation of the pair, which leaves |k| and every star-exponential
+        unchanged."""
+        if variables.dimension != 2 or np.shape(S) != (2, 2):
+            raise ValueError("only a 2x2 matrix over the reduced pair splits")
+        try:
+            (a, c), (b, d) = np.linalg.cholesky(np.asarray(S, dtype=float))
+        except np.linalg.LinAlgError:
+            raise ValueError("matrix is not positive definite") from None
+        return cls(variables, (a,), (b,), (c,), (d,))
 
 
 def k_constant(form: QuadraticForm) -> float:
@@ -702,28 +696,12 @@ def _mode_scales(Q: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return s
 
 
-def _infer_form(g: GaussPoly) -> QuadraticForm:
-    Q = g.exponent
-    vals = np.linalg.eigvalsh(Q)
-    scale = abs(vals).max() or 1.0
-    if vals.min() >= -1e-12 * scale:
-        S = Q
-    elif vals.max() <= 1e-12 * scale:
-        S = -Q
-    else:
-        raise ValueError(
-            "indefinite exponent: not a scalar multiple of a two-square form"
-        )
-    return QuadraticForm.from_matrix(g.variables, S)
-
-
 def gaussian_star(left: GaussPoly, right: GaussPoly,
-                  forms: QuadraticForm | Sequence[QuadraticForm] | None = None,
-                  ) -> GaussPoly:
+                  forms: Sequence[QuadraticForm]) -> GaussPoly:
     """Star product of two Gaussians generated by shared quadratic forms.
 
-    Each operand must be exp of a combination of the given forms (a single
-    shared form when forms is omitted and inferred). Per form, scales compose
+    Each operand must be exp of a combination of the forms the caller names
+    (one form, or a commuting family of them). Per form, scales compose
     by the tanh addition law
 
         s_out = (s_L + s_R) / (1 + k^2 s_L s_R),
@@ -737,7 +715,6 @@ def gaussian_star(left: GaussPoly, right: GaussPoly,
         raise ValueError("operands live on different variable blocks")
     pref_l, Ql = _gaussian_scale(left)
     pref_r, Qr = _gaussian_scale(right)
-    d = left.variables.dimension
 
     # a constant operand is a scalar multiple of the star identity
     if not Ql.any():
@@ -745,27 +722,17 @@ def gaussian_star(left: GaussPoly, right: GaussPoly,
     if not Qr.any():
         return GaussPoly.gaussian(left.variables, pref_l * pref_r, Ql)
 
-    if forms is None:
-        mode_forms = [_infer_form(left)]
-    elif isinstance(forms, QuadraticForm):
-        mode_forms = [forms]
-    else:
-        mode_forms = list(forms)
-
-    mats = [f.matrix for f in mode_forms]
+    mats = [f.matrix for f in forms]
     sl = _mode_scales(Ql, mats)
     sr = _mode_scales(Qr, mats)
 
-    out_Q = np.zeros((d, d))
+    out_Q = np.zeros_like(Ql)
     pref = pref_l * pref_r
-    for f, s1, s2 in zip(mode_forms, sl, sr):
+    for f, s1, s2 in zip(forms, sl, sr):
         k = f.k
-        for s in (s1, s2):
-            if abs(k * s) > 1.0 + _UNIT_SLACK:
-                raise ValueError(
-                    "|k*s| > 1: Gaussian narrower than the minimal cell, "
-                    "outside the star-exponential class"
-                )
+        if abs(k * s1) > 1.0 + _UNIT_SLACK or abs(k * s2) > 1.0 + _UNIT_SLACK:
+            raise ValueError("|k*s| > 1: Gaussian narrower than the minimal cell, "
+                             "outside the star-exponential class")
         denom = 1.0 + k**2 * s1 * s2
         if denom <= _UNIT_SLACK:
             raise ValueError("singular star product: k^2 s_L s_R -> -1")
@@ -774,10 +741,9 @@ def gaussian_star(left: GaussPoly, right: GaussPoly,
     return GaussPoly.gaussian(left.variables, pref, out_Q)
 
 
-def star_power(g: GaussPoly, n: int,
-               forms: QuadraticForm | Sequence[QuadraticForm] | None = None,
-               ) -> GaussPoly:
-    """n-fold star product of a Gaussian with itself (n >= 1).
+def star_power(g: GaussPoly, n: int, forms: Sequence[QuadraticForm]) -> GaussPoly:
+    """n-fold star product of a Gaussian with itself (n >= 1), g generated by
+    the forms the caller names.
 
     Built by repeated squaring, which the associative star-exponential group
     law allows: the running power is squared once per bit of n and multiplied
@@ -787,8 +753,6 @@ def star_power(g: GaussPoly, n: int,
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("star power requires a positive integer order")
-    if forms is None and n > 1:
-        forms = [_infer_form(g)]
     out, square = None, g
     while True:
         if n & 1:
@@ -799,10 +763,9 @@ def star_power(g: GaussPoly, n: int,
         square = gaussian_star(square, square, forms=forms)
 
 
-def star_log_gaussian(g: GaussPoly,
-                      form: QuadraticForm | None = None,
-                      ) -> tuple[float, GaussPoly]:
-    """Star logarithm of a positive Gaussian in the star-exponential class.
+def star_log_gaussian(g: GaussPoly, form: QuadraticForm) -> tuple[float, GaussPoly]:
+    """Star logarithm of a positive Gaussian in the star-exponential class,
+    generated by the form H the caller names.
 
     Writes g = p * exp(s H) = p cosh(k t) * exp_star(H t) with
     t = arctanh(k s)/k, so
@@ -818,8 +781,6 @@ def star_log_gaussian(g: GaussPoly,
     d = g.variables.dimension
     if not Q.any():
         return math.log(pref), GaussPoly(g.variables, 1.0, np.zeros((d, d)), {})
-    if form is None:
-        form = _infer_form(g)
     (s,) = _mode_scales(Q, [form.matrix])
     k = form.k
     ks = k * s

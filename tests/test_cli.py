@@ -192,10 +192,11 @@ class TestOverflow:
         assert len(err.strip().splitlines()) == 1
         assert 0 < len(calls) <= 2 * math.floor(math.log2(200000))
 
-    @pytest.mark.parametrize("hbar", ["1e100", "1e-100"])
+    @pytest.mark.parametrize("hbar", ["1e100", "1e-100", "1e79"])
     def test_verify_past_the_gaussian_weight_range(self, capsys, hbar):
-        # accepted points whose Gaussian weights leave double range: the
-        # request is refused, not answered with a traceback
+        # accepted points whose Gaussian weights (or, at 1e79, whose moments)
+        # leave double range: the request is refused, not answered with a
+        # traceback or a RuntimeWarning (an error under this suite's filter)
         code, out, err = run(capsys, "verify", "--hbar", hbar)
         assert code == 3
         assert out == ""
@@ -450,7 +451,13 @@ class TestVerifyCommand:
         ("--mu", "0.3", "--nu", "0.1"),
         # far from unit scales: the star series keeps every nonzero term
         ("--mass", "1000", "--omega", "1000", "--mu", "1e-6", "--nu", "1e5"),
-    ], ids=["unit-scales", "far-from-unit-scales"])
+        # the star-exp, star-log and Darboux checks compare entries relative
+        # to their reference's largest, which scales as hbar or 1/hbar
+        ("--hbar", "1e-10"),
+        ("--hbar", "1e-20"),
+        ("--hbar", "1e5", "--mu", "3", "--nu", "-0.3"),
+    ], ids=["unit-scales", "far-from-unit-scales", "hbar-1e-10", "hbar-1e-20",
+            "hbar-1e5-negative-theta"])
     def test_deformed_point_passes(self, capsys, point):
         code, out, _ = run(capsys, "verify", *point)
         assert code == 0

@@ -29,11 +29,16 @@ from ncphase import (
 from ncphase import starcalc
 from ncphase.starcalc import (
     _MUL_BLOCK,
-    _infer_form,
     _poly_mul,
     grid_values,
 )
 V2 = PhaseVariables(2, hbar=1.0)
+
+
+def own_form(g: GaussPoly) -> list[QuadraticForm]:
+    """[H] with H = -Q, the one form generating a reduced Gaussian
+    g = p exp(z Q z) with Q negative definite."""
+    return [QuadraticForm.from_matrix(g.variables, -g.exponent)]
 
 
 def two_square_1d(ax: float, bp: float) -> QuadraticForm:
@@ -936,14 +941,14 @@ class TestGaussianStar:
     def test_star_with_constant(self):
         g = GaussPoly.gaussian(V2, 1.7, -0.8 * np.eye(2))
         one = GaussPoly.constant(V2, 1.0)
-        out = gaussian_star(g, one)
+        out = gaussian_star(g, one, forms=own_form(g))
         assert out.prefactor == pytest.approx(1.7)
         assert np.allclose(out.exponent, g.exponent)
 
     def test_pure_state_idempotence_at_lambda_one(self):
         params = ModelParams()
         reduced = reduce(wigner_state(0, 0, params), 1).function
-        sq = gaussian_star(reduced, reduced)
+        sq = gaussian_star(reduced, reduced, forms=own_form(reduced))
         scaled = sq.scaled(2.0 * math.pi * params.hbar)
         assert scaled.prefactor == pytest.approx(reduced.prefactor, rel=1e-12)
         assert np.abs(scaled.exponent - reduced.exponent).max() < 1e-12
@@ -953,19 +958,30 @@ class TestGaussianStar:
         from conftest import params_for_lambda
         params = params_for_lambda(0.9)
         reduced = reduce(wigner_state(0, 0, params), 1).function
-        sq = gaussian_star(reduced, reduced)
+        sq = gaussian_star(reduced, reduced, forms=own_form(reduced))
         total = integrate(sq)
         assert total == pytest.approx(0.9 / (2 * math.pi), rel=1e-12)
 
     def test_two_square_split_of_an_anisotropic_pair(self):
-        # eigenvalues 1.5e-11 apart in ratio, below the rank cut of four
-        # variables: both squares stay, and k is hbar sqrt(det S)
-        S = np.diag([2.0e5, 3.0e-6])
-        form = QuadraticForm.from_matrix(V2, S)
-        assert np.allclose(form.matrix, S, rtol=1e-15, atol=0.0)
-        assert abs(form.k) == pytest.approx(math.sqrt(2.0e5 * 3.0e-6), rel=1e-15)
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            QuadraticForm.from_matrix(V2, np.diag([1.0, -1.0]))
+        # eigenvalues 1.5e-11 apart in ratio, and a correlated pair: both
+        # squares stay, the columns of the Cholesky factor (so c = 0), and
+        # k is hbar sqrt(det S)
+        for S in (np.diag([2.0e5, 3.0e-6]), np.array([[2.0, -0.7], [-0.7, 0.5]])):
+            form = QuadraticForm.from_matrix(V2, S)
+            assert np.allclose(form.matrix, S, rtol=1e-15, atol=0.0)
+            assert form.c == (0.0,)
+            assert form.k == pytest.approx(math.sqrt(np.linalg.det(S)), rel=1e-15)
+        for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0])):
+            with pytest.raises(ValueError, match="not positive definite"):
+                QuadraticForm.from_matrix(V2, bad)
+
+    def test_split_refuses_four_variables(self):
+        V4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
+        S = np.eye(4)
+        S[:2, :2] = 0.0  # rank 2: two squares, yet not a reduced-pair form
+        for variables, matrix in ((V4, S), (V4, np.eye(4)), (V2, np.eye(4))):
+            with pytest.raises(ValueError, match="2x2 matrix over the reduced pair"):
+                QuadraticForm.from_matrix(variables, matrix)
 
     def test_mismatched_exponents_rejected(self):
         g1 = GaussPoly.gaussian(V2, 1.0, -np.diag([1.0, 2.0]))
@@ -977,14 +993,14 @@ class TestGaussianStar:
     def test_sub_cell_gaussian_rejected(self):
         # |k s| > 1: narrower than the minimal cell
         g = GaussPoly.gaussian(V2, 1.0, -1.5 * np.eye(2))
-        with pytest.raises(ValueError):
-            gaussian_star(g, g)
+        with pytest.raises(ValueError, match=r"\|k\*s\| > 1"):
+            gaussian_star(g, g, forms=own_form(g))
 
     def test_polynomial_operand_rejected(self):
         g = GaussPoly.gaussian(V2, 1.0, -0.5 * np.eye(2))
         bad = GaussPoly(V2, 1.0, -0.5 * np.eye(2), {(1, 0): 1.0})
-        with pytest.raises(ValueError):
-            gaussian_star(g, bad)
+        with pytest.raises(ValueError, match="not a pure Gaussian"):
+            gaussian_star(g, bad, forms=own_form(g))
 
     def test_associativity_same_form(self):
         form = two_square_1d(0.9, 1.4)
@@ -1008,10 +1024,8 @@ class TestGaussianStar:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-def reference_star_power(g, n, forms=None):
+def reference_star_power(g, n, forms):
     """The sequential loop: n - 1 products of the running power with g."""
-    if forms is None and n > 1:
-        forms = [_infer_form(g)]
     out = g
     for _ in range(n - 1):
         out = gaussian_star(out, g, forms=forms)
@@ -1024,7 +1038,8 @@ def power_case(case):
     hbar = 1.0 / (2.0 * math.pi)
     if case == "reduced-2d":
         params = params_for_lambda(0.85, hbar=hbar)
-        return reduce(wigner_state(0, 0, params), 1).function, None
+        reduced = reduce(wigner_state(0, 0, params), 1).function
+        return reduced, own_form(reduced)
     params = ModelParams(hbar=hbar, mu=0.02, nu=0.01)
     return wigner_state(0, 0, params).function, list(hamiltonians_pm(params))
 
@@ -1032,7 +1047,7 @@ def power_case(case):
 class TestStarPower:
     def test_first_power_is_identity(self):
         g = GaussPoly.gaussian(V2, 1.3, -0.6 * np.eye(2))
-        out = star_power(g, 1)
+        out = star_power(g, 1, forms=own_form(g))
         assert out is g
         assert out.prefactor == pytest.approx(1.3)
         assert np.allclose(out.exponent, g.exponent)
@@ -1044,7 +1059,7 @@ class TestStarPower:
         lam = 0.85
         params = params_for_lambda(lam)
         reduced = reduce(wigner_state(0, 0, params), 1).function
-        power = star_power(reduced, n)
+        power = star_power(reduced, n, forms=own_form(reduced))
         total = integrate(power)
         beta_n = expected_beta if expected_beta else 3.0 + lam**2
         want = lam ** (n - 1) / (math.pi ** (n - 1) * beta_n)
@@ -1053,7 +1068,7 @@ class TestStarPower:
     def test_invalid_order_rejected(self):
         g = GaussPoly.gaussian(V2, 1.0, -0.5 * np.eye(2))
         with pytest.raises(ValueError):
-            star_power(g, 0)
+            star_power(g, 0, forms=own_form(g))
 
     @pytest.mark.parametrize("case", ["reduced-2d", "ground-4d"])
     def test_matches_sequential_products(self, case):
@@ -1094,7 +1109,7 @@ class TestStarPower:
 class TestStarLog:
     def test_constant_log(self):
         g = GaussPoly.constant(V2, 2.5)
-        const, quad = star_log_gaussian(g)
+        const, quad = star_log_gaussian(g, form=two_square_1d(1.0, 1.0))
         assert const == pytest.approx(math.log(2.5), rel=1e-15)
         assert quad.poly == {}
 
@@ -1104,7 +1119,8 @@ class TestStarLog:
         lam = 0.8
         params = params_for_lambda(lam)
         reduced = reduce(wigner_state(0, 0, params), 1).function
-        const, quad = star_log_gaussian(reduced.scaled(2 * math.pi * params.hbar))
+        const, quad = star_log_gaussian(reduced.scaled(2 * math.pi * params.hbar),
+                                        form=own_form(reduced)[0])
         assert const == pytest.approx(
             math.log(2 * lam / math.sqrt(1 - lam**2)), rel=1e-11)
         # quadratic part equals ln((1-lam)/(1+lam)) times the generator whose
@@ -1133,4 +1149,4 @@ class TestStarLog:
     def test_negative_prefactor_rejected(self):
         g = GaussPoly.gaussian(V2, -1.0, -0.5 * np.eye(2))
         with pytest.raises(ValueError):
-            star_log_gaussian(g)
+            star_log_gaussian(g, form=own_form(g)[0])
