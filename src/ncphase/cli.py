@@ -291,12 +291,11 @@ def _quad_matrix(quad) -> np.ndarray:
     """Symmetric matrix of a quadratic polynomial GaussPoly (zero exponent)."""
     d = quad.variables.dimension
     S = np.zeros((d, d))
-    for mono, coeff in quad.poly.items():
+    for mono, c in zip(quad.exps.tolist(), quad.coeffs.real.tolist()):
         idx = [axis for axis, p in enumerate(mono) for _ in range(p)]
         if len(idx) != 2:
             raise ValueError("not a homogeneous quadratic")
         i, j = idx
-        c = complex(coeff).real
         if i == j:
             S[i, i] += c
         else:

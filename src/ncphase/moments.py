@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .starcalc import (GaussPoly, Monomial, PhaseVariables, PolyMap, _block_sums,
-                       _distinct, _nonzero, _pair_sums, _ragged, _simplex, _terms)
+from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _distinct, _nonzero,
+                       _pair_sums, _ragged, _simplex)
 
 MAX_MOMENT_DEGREE = 48
 
@@ -99,7 +99,7 @@ class MomentTable:
             raise ValueError("covariance must be a square matrix")
         self.covariance = cov
 
-    def moment(self, alpha: Monomial) -> float:
+    def moment(self, alpha: tuple[int, ...]) -> float:
         """E[z^alpha] under N(0, covariance); zero for odd total degree."""
         return float(self.moments(np.array([alpha], dtype=np.int64))[0])
 
@@ -195,21 +195,18 @@ def _real(coeffs: np.ndarray, segment: np.ndarray | int = 0, count: int = 1
 
 def integrate(func: GaussPoly) -> float:
     """Integral of a GaussPoly over all of its variables, exactly."""
-    exps, coeffs = _terms(func.poly, func.variables.dimension)
-    mass, table = _gaussian_weight(func.exponent, exps.any())
-    coeffs = _real(coeffs)
+    mass, table = _gaussian_weight(func.exponent, func.exps.any())
+    coeffs = _real(func.coeffs)
     if table:
-        coeffs = coeffs * table.moments(exps)
+        coeffs = coeffs * table.moments(func.exps)
     return func.prefactor * mass * _sequential_sum(coeffs)
 
 
 def _family_terms(funcs: Sequence[GaussPoly]) -> tuple[np.ndarray, ...]:
     """Stacked exponents and coefficients of the polynomials of funcs, with
     each term's owner, and their prefactors."""
-    d = funcs[0].variables.dimension
-    parts = [_terms(f.poly, d) for f in funcs]
-    owner = np.repeat(np.arange(len(funcs)), [len(c) for _, c in parts])
-    return (np.concatenate([e for e, _ in parts]), np.concatenate([c for _, c in parts]),
+    owner = np.repeat(np.arange(len(funcs)), [len(f.coeffs) for f in funcs])
+    return (np.concatenate([f.exps for f in funcs]), np.concatenate([f.coeffs for f in funcs]),
             owner, np.array([f.prefactor for f in funcs]))
 
 
@@ -285,9 +282,9 @@ def _shifted_powers(a: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
-                   A: np.ndarray, table: MomentTable) -> PolyMap:
-    """Polynomial part of marginalize: the dict loop's coefficients to the
-    last bit, in ascending monomial order.
+                   A: np.ndarray, table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of the polynomial part of marginalize: the dict loop's
+    coefficients to the last bit, in ascending monomial order.
 
     A monomial coeff * u^k0 v^k1 x^n0 y^n1, with (x, y) = w - A (u, v) and w
     distributed by table, adds coeff * c0 * c1 * E[w0^j0 w1^j1] to
@@ -303,7 +300,7 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     W(12,12)), where a rank would cost a table lookup per entry.
     """
     if not len(coeffs):
-        return {}
+        return np.zeros((0, 2), dtype=np.int64), coeffs
     n0, n1 = integrated.T
     # the moments first: they raise for a degree above MAX_MOMENT_DEGREE
     j0, j1 = np.nonzero(np.add.outer(np.arange(n0.max() + 1), np.arange(n1.max() + 1))
@@ -341,8 +338,7 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
         return base[mono] + shift[at], coeffs[mono] * c0[at] * c1[at] * m[at]
 
     keys, sums = _nonzero(*_block_sums(count, entries, span))
-    exps = zip((keys // radix).tolist(), (keys % radix).tolist())
-    return dict(zip(exps, sums.tolist()))
+    return np.stack(np.divmod(keys, radix), axis=1), sums
 
 
 def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
@@ -369,9 +365,8 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
     # completing the square: z_I = w - A z_K with A = QII^{-1} QKI^T
     A = np.linalg.solve(QII, QKI.T)
     Q_red = QKK - QKI @ A
-    exps, coeffs = _terms(func.poly, 4)
-    coeffs = _real(coeffs)
-    poly = _marginal_poly(exps[:, keep_idx], exps[:, int_idx], coeffs, A, table)
+    exps = func.exps
+    terms = _marginal_poly(exps[:, keep_idx], exps[:, int_idx], _real(func.coeffs), A, table)
 
     reduced_vars = PhaseVariables(2, hbar=func.variables.hbar)
-    return GaussPoly(reduced_vars, func.prefactor * mass_i, Q_red, poly)
+    return GaussPoly(reduced_vars, func.prefactor * mass_i, Q_red, *terms)

@@ -5,8 +5,8 @@ Function values follow one convention everywhere:
     F(z) = prefactor * poly(z) * exp(z^T Q z)
 
 with z = (x1, x2, p1, p2) in four dimensions or z = (x1, p1) in two, Q a real
-symmetric matrix, and poly a sparse map from per-variable exponent tuples to
-coefficients. Normalizable states have negative-definite Q.
+symmetric matrix, and poly the sum of its terms: row t of the n x d exponent
+matrix `exps` times coeffs[t]. Normalizable states have negative-definite Q.
 
 The star product is the exponential of the bidifferential pairing built from
 the antisymmetric deformation matrix B (hbar on x-p pairs, mu on x1-x2, nu on
@@ -29,15 +29,11 @@ by monomial rank, or by place among the distinct ranks where those are sparse
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-
-Monomial = tuple[int, ...]
-PolyMap = dict[Monomial, complex]
 
 # |k*s| may touch 1 (pure-state projector limit) but not exceed it
 _UNIT_SLACK = 1e-9
@@ -69,6 +65,8 @@ class PhaseVariables:
     def __post_init__(self):
         if self.dimension not in (2, 4):
             raise ValueError("dimension must be 2 or 4")
+        if not all(map(math.isfinite, (self.hbar, self.mu, self.nu))):
+            raise ValueError("hbar, mu and nu must be finite")
         if not self.hbar > 0.0:
             raise ValueError("hbar must be strictly positive")
         if self.dimension == 2 and (self.mu != 0.0 or self.nu != 0.0):
@@ -87,11 +85,6 @@ class PhaseVariables:
                 [0.0, -h, -nu, 0.0],
             ]
         )
-
-
-def _shift(mono: Monomial, axis: int, by: int) -> Monomial:
-    """mono with its exponent on axis raised by `by`."""
-    return mono[:axis] + (mono[axis] + by,) + mono[axis + 1:]
 
 
 @dataclass(frozen=True)
@@ -223,34 +216,19 @@ def _pair_sums(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray,
     return keys, values, ranks, low_a + low_b
 
 
-def _poly_mul(a: PolyMap, b: PolyMap) -> PolyMap:
-    """Product of two sparse polynomials, summed as the dict loop sums.
+def _poly_mul(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Product of two polynomials given as terms, summed as the dict loop sums.
 
-    Keys come in ascending order, and each coefficient is added in the loop's
-    order (the term pairs in row-major order), to the same bits. Any
-    coefficient with a nonzero imaginary part (`_terms`) makes the whole
-    product complex. `_pair_sums` ranks the monomials less each operand's
-    per-axis minimum and adds the term pairs.
+    Rows come in ascending order, and each coefficient is added in the loop's
+    order (the term pairs in row-major order), to the same bits. A complex
+    operand makes the whole product complex. `_pair_sums` ranks the
+    monomials less each operand's per-axis minimum and adds the term pairs.
     """
-    if not a or not b:
-        return {}
-    d = len(next(iter(a)))
-    keys, values, ranks, low = _pair_sums(*_terms(a, d), *_terms(b, d))
-    exps = ranks.unrank(keys) + low[:, None]
-    return dict(zip(zip(*exps.tolist()), values.tolist()))
-
-
-def _coefficients(values: Iterable[complex]) -> np.ndarray:
-    """Coefficient vector, real when no coefficient has an imaginary part."""
-    coeffs = np.array(list(values), dtype=complex)
-    return coeffs if coeffs.imag.any() else coeffs.real
-
-
-def _terms(poly: PolyMap, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent matrix and coefficient vector of a polynomial."""
-    exps = np.fromiter(itertools.chain.from_iterable(poly), dtype=np.intp,
-                       count=dimension * len(poly))
-    return exps.reshape(-1, dimension), _coefficients(poly.values())
+    if not (len(ca) and len(cb)):
+        return np.zeros((0, ea.shape[1]), dtype=np.int64), np.zeros(0)
+    keys, values, ranks, low = _pair_sums(ea, ca, eb, cb)
+    return (ranks.unrank(keys) + low[:, None]).T, values
 
 
 def _power_table(x: np.ndarray, top: int) -> np.ndarray:
@@ -264,12 +242,21 @@ def _power_table(x: np.ndarray, top: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussPoly:
-    """Sparse polynomial times a centered Gaussian over a phase-variable block."""
+    """Polynomial times a centered Gaussian over a phase-variable block.
+
+    The polynomial is the sum of its terms: row t of the n x d int64 matrix
+    exps is the exponent tuple of a monomial, coeffs[t] its coefficient.
+    coeffs is real unless some coefficient has a nonzero imaginary part;
+    construction makes it so and drops exact zeros. Products, star series
+    and marginals return distinct rows in ascending order; a sum (`__add__`)
+    may repeat one.
+    """
 
     variables: PhaseVariables
     prefactor: float
     exponent: np.ndarray
-    poly: PolyMap = field(default_factory=dict)
+    exps: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
         d = self.variables.dimension
@@ -279,38 +266,53 @@ class GaussPoly:
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + abs(Q).max())):
             raise ValueError("exponent matrix must be symmetric")
         object.__setattr__(self, "exponent", 0.5 * (Q + Q.T))
+        exps = np.asarray(self.exps, dtype=np.int64)
+        coeffs = np.asarray(self.coeffs, complex if np.iscomplexobj(self.coeffs) else float)
+        if exps.ndim != 2 or exps.shape[1] != d or coeffs.shape != exps.shape[:1]:
+            raise ValueError(f"terms must be n exponent rows of {d} and n coefficients")
+        if coeffs.dtype.kind == "c" and not coeffs.imag.any():
+            coeffs = coeffs.real
         # only exact zeros go: the small coefficients of a Laguerre tower sit
         # on high-degree monomials with large moments and carry its integrals
-        object.__setattr__(self, "poly",
-                           {k: c for k, c in self.poly.items() if c != 0})
+        if not coeffs.all():
+            exps, coeffs = exps[coeffs != 0], coeffs[coeffs != 0]
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def constant(cls, variables: PhaseVariables, value: float = 1.0) -> "GaussPoly":
         d = variables.dimension
-        return cls(variables, 1.0, np.zeros((d, d)), {(0,) * d: value})
+        return cls(variables, 1.0, np.zeros((d, d)), np.zeros((1, d), dtype=np.int64),
+                   np.array([value]))
 
     @classmethod
     def gaussian(cls, variables: PhaseVariables, prefactor: float,
                  exponent: np.ndarray) -> "GaussPoly":
         d = variables.dimension
-        return cls(variables, prefactor, exponent, {(0,) * d: 1.0})
+        return cls(variables, prefactor, exponent, np.zeros((1, d), dtype=np.int64),
+                   np.ones(1))
+
+    @property
+    def poly(self) -> dict[tuple[int, ...], complex]:
+        """A new {exponent tuple: coefficient} map, a repeated monomial summed
+        in row order."""
+        out = {}
+        for mono, c in zip(map(tuple, self.exps.tolist()), self.coeffs.tolist()):
+            out[mono] = out[mono] + c if mono in out else c
+        return out
 
     @property
     def degree(self) -> int:
-        return max((sum(k) for k in self.poly), default=0)
+        return int(self.exps.sum(axis=1).max(initial=0))
 
     def is_pure_gaussian(self) -> bool:
         """True when the polynomial part is a constant: no monomial but the
         constant one (construction drops exact zeros), whatever the units."""
-        return not any(map(any, self.poly))
-
-    def constant_coefficient(self) -> complex:
-        d = self.variables.dimension
-        return self.poly.get((0,) * d, 0.0)
+        return not self.exps.any()
 
     def scaled(self, factor: float) -> "GaussPoly":
-        return GaussPoly(self.variables, self.prefactor * factor,
-                         self.exponent, dict(self.poly))
+        return GaussPoly(self.variables, self.prefactor * factor, self.exponent,
+                         self.exps, self.coeffs)
 
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         if self.variables != other.variables:
@@ -318,32 +320,29 @@ class GaussPoly:
         scale = abs(self.exponent).max() + abs(other.exponent).max() + 1.0
         if not np.allclose(self.exponent, other.exponent, rtol=0.0, atol=1e-12 * scale):
             raise ValueError("cannot add functions with different Gaussian exponents")
-        merged = {k: self.prefactor * c for k, c in self.poly.items()}
-        for k, c in other.poly.items():
-            merged[k] = merged.get(k, 0.0) + other.prefactor * c
-        return GaussPoly(self.variables, 1.0, self.exponent, merged)
+        return GaussPoly(self.variables, 1.0, self.exponent,
+                         np.concatenate((self.exps, other.exps)),
+                         np.concatenate((self.prefactor * self.coeffs,
+                                         other.prefactor * other.coeffs)))
 
     def pointwise_mul(self, other: "GaussPoly") -> "GaussPoly":
         """Ordinary (commutative) product; exponents add, polynomials multiply."""
         if self.variables != other.variables:
             raise ValueError("cannot multiply functions over different variable blocks")
-        return GaussPoly(
-            self.variables,
-            self.prefactor * other.prefactor,
-            self.exponent + other.exponent,
-            _poly_mul(self.poly, other.poly),
-        )
+        return GaussPoly(self.variables, self.prefactor * other.prefactor,
+                         self.exponent + other.exponent,
+                         *_poly_mul(self.exps, self.coeffs, other.exps, other.coeffs))
 
     def real_part(self) -> "GaussPoly":
         return GaussPoly(self.variables, self.prefactor, self.exponent,
-                         {k: c.real for k, c in self.poly.items()})
+                         self.exps, self.coeffs.real)
 
     def imag_part(self) -> "GaussPoly":
         return GaussPoly(self.variables, self.prefactor, self.exponent,
-                         {k: complex(c).imag for k, c in self.poly.items()})
+                         self.exps, self.coeffs.imag)
 
     def max_imag_coefficient(self) -> float:
-        return max((abs(complex(c).imag) for c in self.poly.values()), default=0.0)
+        return float(np.abs(self.coeffs.imag).max(initial=0.0))
 
     def value(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., dimension).
@@ -357,7 +356,7 @@ class GaussPoly:
         if pts.shape[-1] != d:
             raise ValueError("points have the wrong trailing dimension")
         flat = pts.reshape(-1, d)
-        exps, coeffs = _terms(self.poly, d)
+        exps, coeffs = self.exps, self.coeffs
         top = exps.max(axis=0, initial=0)
         acc = np.zeros(len(flat), dtype=coeffs.dtype)
         step = max(1, _VALUE_BLOCK // max(len(coeffs), top.max() + 1))
@@ -380,11 +379,10 @@ def _outer_rows(tables: Sequence[np.ndarray], exps: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _grid_poly(poly: PolyMap, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The polynomial on the tensor grid of axes, by sum factorization."""
-    d = len(axes)
-    lead = d // 2
-    exps, coeffs = _terms(poly, d)
+def _grid_poly(exps: np.ndarray, coeffs: np.ndarray, axes: Sequence[np.ndarray]
+               ) -> np.ndarray:
+    """The polynomial of the terms on the tensor grid of axes, by sum factorization."""
+    lead = len(axes) // 2
     top = exps.max(axis=0, initial=0)
     tables = [_power_table(x, t) for x, t in zip(axes, top)]
     order = np.lexsort(exps[:, lead - 1::-1].T)  # stable, first axis slowest
@@ -429,7 +427,7 @@ def grid_values(funcs: Sequence[GaussPoly], axes: Sequence[np.ndarray]
     for a, b in zip(*np.nonzero(Q)):
         quad += Q[a, b] * (mesh[a] * mesh[b])
     gauss = np.exp(quad).ravel()
-    return [f.prefactor * (_grid_poly(f.poly, axes) * gauss) for f in funcs]
+    return [f.prefactor * (_grid_poly(f.exps, f.coeffs, axes) * gauss) for f in funcs]
 
 
 @dataclass(frozen=True)
@@ -474,14 +472,10 @@ class QuadraticForm:
     def poly(self) -> GaussPoly:
         """The Hamiltonian as a pure polynomial (zero Gaussian part)."""
         d = self.variables.dimension
-        S = self.matrix
-        out: PolyMap = {}
-        for i in range(d):
-            for j in range(i, d):
-                coeff = S[i, j] if i == j else 2.0 * S[i, j]
-                if coeff != 0.0:
-                    out[_shift(_shift((0,) * d, i, 1), j, 1)] = coeff
-        return GaussPoly(self.variables, 1.0, np.zeros((d, d)), out)
+        i, j = np.triu_indices(d)  # x_i x_j, i <= j, row by row
+        unit = np.eye(d, dtype=np.int64)
+        return GaussPoly(self.variables, 1.0, np.zeros((d, d)), unit[i] + unit[j],
+                         np.where(i == j, 1.0, 2.0) * self.matrix[i, j])
 
     @classmethod
     def from_matrix(cls, variables: PhaseVariables, S: np.ndarray) -> "QuadraticForm":
@@ -577,10 +571,11 @@ def _gauss_operator(half_row: np.ndarray, shift_row: np.ndarray, ranks: _Simplex
     return apply
 
 
-def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
-                 half: np.ndarray) -> PolyMap:
-    """Terminating series for (polynomial f) star (g), f in the left slot of
-    the pairing (i/2) B with half = B/2.
+def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of the polynomial part of (polynomial f) star g, f in the left
+    slot of the pairing (i/2) B with half = B/2; f's Gaussian and both
+    prefactors are the caller's.
 
     exp(<-d_a (i/2) B_ab ->d_b) = sum_alpha (<-d^alpha / alpha!) (i E)^alpha
     with E_a = half[a, b] ->d_b, since the E_a commute; so the series adds
@@ -590,37 +585,38 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
     (`_gauss_operator`) over E^(alpha less its first nonzero axis) g. Every
     (alpha, f-term) row times its E^alpha g is one gather, summed by
     `_block_sums`. Only exact zeros are dropped, here and after each pass,
-    so the terms kept do not depend on units.
+    so the terms kept do not depend on units. A row's factor
+    c i^|alpha| / alpha! is CPython scalar arithmetic: numpy divides a
+    complex array by an int through its reciprocal, to other bits.
     """
-    if not fpoly or not gpoly:
-        return {}
-    d = gQ.shape[0]
-    deg = max(sum(k) for k in fpoly)
-    gexps, gvals = _terms(gpoly, d)
-    ranks = _simplex(d, deg + int(gexps.sum(axis=1).max()))
-    E = [_gauss_operator(row, shift, ranks) for row, shift in zip(half, 2.0 * half @ gQ)]
+    d = len(half)
+    if not (len(f.coeffs) and len(g.coeffs)):
+        return np.zeros((0, d), dtype=np.int64), np.zeros(0)
+    ranks = _simplex(d, f.degree + g.degree)
+    E = [_gauss_operator(row, shift, ranks) for row, shift in zip(half, 2.0 * half @ g.exponent)]
+    unit = np.eye(d, dtype=np.int64)
 
     # (alpha, d^alpha f, E^alpha g) order by order; alpha + e_a comes only
     # from alpha, with a at or before the first nonzero axis of alpha
-    level = [((0,) * d, fpoly, (gexps.T, gvals))]
+    level = [((0,) * d, (f.exps, f.coeffs), (g.exps.T, g.coeffs))]
     series = list(level)
-    for _ in range(deg):
+    for _ in range(f.degree):
         kids = []
-        for alpha, df, eg in level:
+        for alpha, (fe, fc), eg in level:
             first = next((a for a, n in enumerate(alpha) if n), d - 1)
             for a in range(first + 1):
-                dfa = {_shift(k, a, -1): c * k[a] for k, c in df.items() if k[a]}
-                if dfa:
-                    kids.append((_shift(alpha, a, 1), dfa, E[a](*eg)))
+                if (has := fe[:, a] > 0).any():
+                    kids.append((alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:],
+                                 (fe[has] - unit[a], fc[has] * fe[has, a]), E[a](*eg)))
         level = kids
         series += level
 
     # one row per (alpha, f-term), owning every term of its E^alpha g
     seg_len = np.array([len(eg[1]) for *_, eg in series])
-    row_seg = np.repeat(np.arange(len(series)), [len(df) for _, df, _ in series])
-    row_k, row_l = ranks.pack(np.array([k for _, df, _ in series for k in df]).T)
+    row_seg = np.repeat(np.arange(len(series)), [len(df[1]) for _, df, _ in series])
+    row_k, row_l = ranks.pack(np.concatenate([df[0] for _, df, _ in series]).T)
     coeffs = np.array([c * 1j ** sum(alpha) / math.prod(map(math.factorial, alpha))
-                       for alpha, df, _ in series for c in df.values()], dtype=complex)
+                       for alpha, df, _ in series for c in df[1].tolist()], dtype=complex)
     counts = seg_len[row_seg]
     row_start = (np.cumsum(seg_len) - seg_len)[row_seg]
     eg_k, eg_l = ranks.pack(np.concatenate([eg[0] for *_, eg in series], axis=1))
@@ -634,7 +630,7 @@ def _star_series(fpoly: PolyMap, gpoly: PolyMap, gQ: np.ndarray,
         return keys, coeffs[row] * eg_vals[at]
 
     keys, vals = _nonzero(*_block_sums(counts, entries, ranks.size))
-    return dict(zip(zip(*ranks.unrank(keys).tolist()), vals.tolist()))
+    return ranks.unrank(keys).T, vals
 
 
 def _require_zero_exponent(g: GaussPoly, who: str) -> None:
@@ -652,9 +648,8 @@ def star_product_poly_left(left: GaussPoly, right: GaussPoly) -> GaussPoly:
         raise ValueError("operands live on different variable blocks")
     _require_zero_exponent(left, "left factor")
     half = 0.5 * left.variables.deformation_matrix()
-    poly = _star_series(left.poly, right.poly, right.exponent, half)
     return GaussPoly(left.variables, left.prefactor * right.prefactor,
-                     right.exponent, poly)
+                     right.exponent, *_star_series(left, right, half))
 
 
 def star_product_poly_right(left: GaussPoly, right: GaussPoly) -> GaussPoly:
@@ -668,19 +663,18 @@ def star_product_poly_right(left: GaussPoly, right: GaussPoly) -> GaussPoly:
         raise ValueError("operands live on different variable blocks")
     _require_zero_exponent(right, "right factor")
     half = -0.5 * left.variables.deformation_matrix()
-    poly = _star_series(right.poly, left.poly, left.exponent, half)
     return GaussPoly(left.variables, left.prefactor * right.prefactor,
-                     left.exponent, poly)
+                     left.exponent, *_star_series(right, left, half))
 
 
 def _gaussian_scale(g: GaussPoly) -> tuple[float, np.ndarray]:
     """Fold a pure Gaussian to (total prefactor, exponent)."""
     if not g.is_pure_gaussian():
         raise ValueError("operand is not a pure Gaussian")
-    const = g.constant_coefficient()
-    if abs(complex(const).imag) > 1e-12 * abs(const):
+    const = complex(g.coeffs.sum())
+    if abs(const.imag) > 1e-12 * abs(const):
         raise ValueError("operand has a complex constant part")
-    return g.prefactor * complex(const).real, g.exponent
+    return g.prefactor * const.real, g.exponent
 
 
 def _mode_scales(Q: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -778,9 +772,8 @@ def star_log_gaussian(g: GaussPoly, form: QuadraticForm) -> tuple[float, GaussPo
     pref, Q = _gaussian_scale(g)
     if pref <= 0.0:
         raise ValueError("star logarithm requires a positive prefactor")
-    d = g.variables.dimension
     if not Q.any():
-        return math.log(pref), GaussPoly(g.variables, 1.0, np.zeros((d, d)), {})
+        return math.log(pref), GaussPoly.constant(g.variables, 0.0)
     (s,) = _mode_scales(Q, [form.matrix])
     k = form.k
     ks = k * s

@@ -12,7 +12,6 @@ c itself in the undeformed limit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,6 @@ from .params import ModelParams, derive
 from .starcalc import (
     GaussPoly,
     PhaseVariables,
-    PolyMap,
     QuadraticForm,
     grid_values,
     star_product_poly_left,
@@ -92,13 +90,8 @@ def oscillator_hamiltonian(params: ModelParams) -> GaussPoly:
     """The full Hamiltonian p^2/2m + m w^2 x^2/2 as a pure polynomial."""
     variables = phase_variables(params)
     m, w = params.mass, params.omega
-    poly: PolyMap = {
-        (2, 0, 0, 0): 0.5 * m * w**2,
-        (0, 2, 0, 0): 0.5 * m * w**2,
-        (0, 0, 2, 0): 0.5 / m,
-        (0, 0, 0, 2): 0.5 / m,
-    }
-    return GaussPoly(variables, 1.0, np.zeros((4, 4)), poly)
+    return GaussPoly(variables, 1.0, np.zeros((4, 4)), 2 * np.eye(4, dtype=np.int64),
+                     [0.5 * m * w**2, 0.5 * m * w**2, 0.5 / m, 0.5 / m])
 
 
 def energy_level(i: int, j: int, params: ModelParams) -> float:
@@ -126,16 +119,20 @@ def _laguerre_coefficients(n: int) -> tuple[Fraction, ...]:
     return tuple(curr)
 
 
-def _laguerre_of_form(n: int, form_poly: PolyMap, scale: float, dim: int) -> PolyMap:
-    """L_n(scale * H) expanded over the monomials of the quadratic form H; H^k
-    has degree 2k, so no two powers share a monomial and none is summed."""
-    coeffs = _laguerre_coefficients(n)
-    out: PolyMap = {(0,) * dim: float(coeffs[0])}
-    powers = itertools.accumulate(itertools.repeat(form_poly, n), _poly_mul)
-    for k, power in enumerate(powers, 1):
-        factor = float(coeffs[k]) * scale**k
-        out.update((m, factor * c) for m, c in power.items())
-    return out
+def _laguerre_of_form(n: int, form: QuadraticForm, scale: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of L_n(scale * H) over the monomials of the quadratic form H:
+    the constant, then H^k for k = 1..n. H^k has degree 2k, so no two powers
+    share a monomial and none is summed. L_0 = 1 builds no polynomial of H."""
+    powers = [(np.zeros((1, form.variables.dimension), dtype=np.int64), np.ones(1))]
+    if n:
+        h = form.poly()
+        powers.append((h.exps, h.coeffs))
+        while len(powers) <= n:
+            powers.append(_poly_mul(*powers[-1], h.exps, h.coeffs))
+    factors = [float(c) * scale**k for k, c in enumerate(_laguerre_coefficients(n))]
+    return (np.concatenate([e for e, _ in powers]),
+            np.concatenate([f * c for f, (_, c) in zip(factors, powers)]))
 
 
 def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
@@ -157,12 +154,12 @@ def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
 
     exponent = (-2.0 / (dq.h_plus * w)) * h_plus.matrix \
         + (-2.0 / (dq.h_minus * w)) * h_minus.matrix
-    lag_i = _laguerre_of_form(i, h_plus.poly().poly, 4.0 / (dq.h_plus * w), 4)
-    lag_j = _laguerre_of_form(j, h_minus.poly().poly, 4.0 / (dq.h_minus * w), 4)
+    lag_i = _laguerre_of_form(i, h_plus, 4.0 / (dq.h_plus * w))
+    lag_j = _laguerre_of_form(j, h_minus, 4.0 / (dq.h_minus * w))
     # L_0 = 1, so a zero index leaves the other factor as it is
-    poly = lag_j if i == 0 else lag_i if j == 0 else _poly_mul(lag_i, lag_j)
+    terms = lag_j if i == 0 else lag_i if j == 0 else _poly_mul(*lag_i, *lag_j)
     prefactor = (-1.0) ** (i + j) / (math.pi**2 * dq.h_plus * dq.h_minus)
-    function = GaussPoly(phase_variables(params), prefactor, exponent, poly)
+    function = GaussPoly(phase_variables(params), prefactor, exponent, *terms)
     return WignerState(i, j, function, energy_level(i, j, params), params)
 
 

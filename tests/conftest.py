@@ -14,6 +14,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def terms(poly: dict, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows and coefficient vector of a {exponent tuple: coefficient}
+    map, in its key order; the vector is real unless some coefficient has a
+    nonzero imaginary part."""
+    exps = np.array(list(poly), dtype=np.int64).reshape(len(poly), dimension)
+    coeffs = np.array(list(poly.values()), dtype=complex)
+    return exps, coeffs if coeffs.imag.any() else coeffs.real
+
+
+def mapping(exps: np.ndarray, coeffs: np.ndarray) -> dict:
+    """{exponent tuple: coefficient} of terms with distinct rows, in row order."""
+    out = dict(zip(map(tuple, np.asarray(exps).tolist()), np.asarray(coeffs).tolist()))
+    assert len(out) == len(coeffs), "repeated rows"
+    return out
+
+
 def reference_poly_mul(a, b):
     """The plain dict loop: term pairs in row order, summed into one dict,
     keys in the order first seen."""
@@ -30,7 +46,10 @@ def dict_loop_states(monkeypatch):
     """wigner_state multiplies with the plain dict loop, so each state's terms
     come in the loop's first-seen order, not in ascending order."""
     import ncphase.wigner as wg
-    monkeypatch.setattr(wg, "_poly_mul", reference_poly_mul)
+
+    def poly_mul(ea, ca, eb, cb):
+        return terms(reference_poly_mul(mapping(ea, ca), mapping(eb, cb)), ea.shape[1])
+    monkeypatch.setattr(wg, "_poly_mul", poly_mul)
 
 
 def params_for_lambda(lam: float, hbar=1.0, mass=1.0, omega=1.0) -> ModelParams:
@@ -110,7 +129,8 @@ def random_gauss_poly(rng, dimension: int = 2, max_degree: int = 4,
                 break
         poly[mono] = float(rng.normal())
     poly[(0,) * dimension] = poly.get((0,) * dimension, 0.0) + 2.0
-    return GaussPoly(variables, float(rng.uniform(0.5, 2.0)), exponent, poly)
+    return GaussPoly(variables, float(rng.uniform(0.5, 2.0)), exponent,
+                     *terms(poly, dimension))
 
 
 def random_symplectic(rng, n_pairs: int = 2) -> np.ndarray:

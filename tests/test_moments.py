@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gauss_poly, trapezoid_integrate
+from conftest import random_gauss_poly, terms, trapezoid_integrate
 
 from ncphase import moments, starcalc
 from ncphase import (
@@ -33,7 +33,7 @@ def test_ground_state_normalization():
 
 
 def test_unit_variance_second_moment():
-    f = GaussPoly(V2, 1.0 / math.pi, -np.eye(2), {(2, 0): 1.0})
+    f = GaussPoly(V2, 1.0 / math.pi, -np.eye(2), *terms({(2, 0): 1.0}, 2))
     assert integrate(f) == pytest.approx(0.5, rel=1e-13)
 
 
@@ -44,12 +44,12 @@ def test_entropy_integrand_value():
     dq = derive(params)
     reduced = reduce(wigner_state(0, 0, params), 1).function
     root = math.sqrt(1.0 + dq.delta**2)
-    quad = GaussPoly(V2, 1.0, np.zeros((2, 2)), {
+    quad = GaussPoly(V2, 1.0, np.zeros((2, 2)), *terms({
         (2, 0): root * params.mass * params.omega / params.hbar
                 / (1.0 + dq.delta**2 + dq.delta * dq.eta),
         (0, 2): root / (params.hbar * params.mass * params.omega)
                 / (1.0 + dq.delta**2 - dq.delta * dq.eta),
-    })
+    }, 2))
     product = reduced.pointwise_mul(quad)
     exact = integrate(product)
     oracle = trapezoid_integrate(product, sigmas=8.0, nodes=201)
@@ -103,7 +103,7 @@ def test_covariance_must_be_a_square_matrix():
 
 
 def test_non_negative_definite_rejected():
-    f = GaussPoly(V2, 1.0, np.diag([-1.0, 1.0]), {(0, 0): 1.0})
+    f = GaussPoly(V2, 1.0, np.diag([-1.0, 1.0]), *terms({(0, 0): 1.0}, 2))
     with pytest.raises(ValueError):
         integrate(f)
 
@@ -118,7 +118,7 @@ def test_gaussian_weight_past_double_range_rejected(hbar):
 
 def test_linearity(rng):
     f = random_gauss_poly(rng, 2)
-    g = GaussPoly(V2, 1.0, f.exponent, {(1, 1): 0.7, (0, 0): -0.2})
+    g = GaussPoly(V2, 1.0, f.exponent, *terms({(1, 1): 0.7, (0, 0): -0.2}, 2))
     a, b = 1.7, -0.9
     combo = f.scaled(a) + g.scaled(b)
     assert integrate(combo) == pytest.approx(
@@ -262,7 +262,7 @@ def reference_marginalize(func, keep):
                     out[(j, r, rem - r)] = coeff
         return out
 
-    out, dropped, reentered, terms = {}, set(), 0, 0
+    out, dropped, reentered, added = {}, set(), 0, 0
     for mono, coeff in reference_real_coefficients(func.poly).items():
         k0, k1 = mono[keep_idx[0]], mono[keep_idx[1]]
         for (j0, r0, s0), c0 in shifted_powers(0, mono[int_idx[0]]).items():
@@ -270,7 +270,7 @@ def reference_marginalize(func, keep):
                 m = table.moment((j0, j1))
                 if m == 0.0:
                     continue
-                terms += 1
+                added += 1
                 key = (k0 + r0 + r1, k1 + s0 + s1)
                 s = out.get(key, 0.0) + coeff * c0 * c1 * m
                 if s == 0.0:
@@ -282,8 +282,8 @@ def reference_marginalize(func, keep):
                     out[key] = s
     mass_i = math.pi / math.sqrt(np.linalg.det(-QII))
     marginal = GaussPoly(PhaseVariables(2, hbar=func.variables.hbar),
-                         func.prefactor * mass_i, QKK - QKI @ A, out)
-    return marginal, reentered, terms
+                         func.prefactor * mass_i, QKK - QKI @ A, *terms(out, 2))
+    return marginal, reentered, added
 
 
 def hex_poly(poly):
@@ -300,7 +300,7 @@ def assert_same_function(got, want):
 def assert_same_marginal(got, want):
     """got is want with its monomials in ascending order."""
     assert_same_function(got, GaussPoly(want.variables, want.prefactor, want.exponent,
-                                        dict(sorted(want.poly.items()))))
+                                        *terms(dict(sorted(want.poly.items())), 2)))
 
 
 def assert_same_integral(func):
@@ -313,7 +313,7 @@ def dense_exponent_poly(rng, degree):
     f = random_gauss_poly(rng, 4)
     monos = [m for m in itertools.product(range(degree + 1), repeat=4) if sum(m) <= degree]
     poly = {m: float(c) for m, c in zip(monos, rng.normal(size=len(monos)))}
-    return GaussPoly(V4, f.prefactor, f.exponent, poly)
+    return GaussPoly(V4, f.prefactor, f.exponent, *terms(poly, 4))
 
 
 ORIGIN = ModelParams()
@@ -345,8 +345,8 @@ class TestMarginalizeKernel:
     def test_dense_exponent(self, rng, keep):
         for degree in (3, 6):
             f = dense_exponent_poly(rng, degree)
-            want, _, terms = reference_marginalize(f, keep)
-            assert terms > 2 * len(f.poly)  # A has no zero entry
+            want, _, added = reference_marginalize(f, keep)
+            assert added > 2 * len(f.poly)  # A has no zero entry
             assert_same_marginal(marginalize(f, keep), want)
 
     @pytest.mark.parametrize("keep", [1, 2])
@@ -358,15 +358,15 @@ class TestMarginalizeKernel:
     ], ids=["empty", "constant", "odd", "odd-mixed"])
     def test_edge_polynomials(self, rng, keep, poly):
         for exponent in (-np.eye(4), random_gauss_poly(rng, 4).exponent):
-            f = GaussPoly(V4, 0.8, exponent, poly)
+            f = GaussPoly(V4, 0.8, exponent, *terms(poly, 4))
             assert_same_marginal(marginalize(f, keep), reference_marginalize(f, keep)[0])
 
     def test_several_blocks(self, monkeypatch):
         # (6,6) off the origin expands to about 51 000 terms per keep, more
         # than three blocks; a small block size runs the carry on more cases
         w = wigner_state(6, 6, ModelParams(mu=1e-3, nu=7e-4)).function
-        want, _, terms = reference_marginalize(w, 1)
-        assert terms > 3 * starcalc._MUL_BLOCK
+        want, _, added = reference_marginalize(w, 1)
+        assert added > 3 * starcalc._MUL_BLOCK
         assert_same_marginal(marginalize(w, 1), want)
         monkeypatch.setattr(starcalc, "_MUL_BLOCK", 64)
         for pair, params in [((2, 2), ORIGIN), ((4, 0), ORIGIN), ((3, 3), SMALL)]:
@@ -385,18 +385,19 @@ class TestMarginalizeKernel:
 
     def test_degree_cap(self):
         # only the integrated pair's degree counts: 48 passes, 49 raises
-        f = GaussPoly(V4, 1.0, -np.eye(4), {(3, 24, 0, 24): 1.0, (0, 0, 0, 0): 1.0})
+        f = GaussPoly(V4, 1.0, -np.eye(4), *terms({(3, 24, 0, 24): 1.0, (0, 0, 0, 0): 1.0}, 4))
         assert_same_marginal(marginalize(f, 1), reference_marginalize(f, 1)[0])
-        g = GaussPoly(V4, 1.0, -np.eye(4), {(0, 25, 0, 24): 1.0})
+        g = GaussPoly(V4, 1.0, -np.eye(4), *terms({(0, 25, 0, 24): 1.0}, 4))
         with pytest.raises(ValueError, match="exceeds 48"):
             marginalize(g, 1)
 
     def test_complex_coefficients_rejected(self):
-        f = GaussPoly(V4, 1.0, -np.eye(4), {(0, 0, 0, 0): 1.0, (0, 2, 0, 0): 1e-3j})
+        f = GaussPoly(V4, 1.0, -np.eye(4), *terms({(0, 0, 0, 0): 1.0, (0, 2, 0, 0): 1e-3j}, 4))
         with pytest.raises(ValueError, match="complex"):
             marginalize(f, 1)
         # an imaginary part within the tolerance is dropped
-        g = GaussPoly(V4, 1.0, -np.eye(4), {(0, 0, 0, 0): 1.0, (0, 2, 0, 0): 0.5 + 1e-14j})
+        g = GaussPoly(V4, 1.0, -np.eye(4),
+                      *terms({(0, 0, 0, 0): 1.0, (0, 2, 0, 0): 0.5 + 1e-14j}, 4))
         assert_same_marginal(marginalize(g, 1), reference_marginalize(g, 1)[0])
 
 
@@ -421,20 +422,22 @@ class TestIntegrateKernel:
         {(1, 1): 0.5, (2, 0): -0.25, (0, 0): 1.0},
     ], ids=["empty", "constant", "odd", "odd-only", "degree-2"])
     def test_edge_polynomials(self, poly):
-        assert_same_integral(GaussPoly(V2, 0.7, np.array([[-1.2, 0.3], [0.3, -0.8]]), poly))
+        assert_same_integral(GaussPoly(V2, 0.7, np.array([[-1.2, 0.3], [0.3, -0.8]]),
+                                       *terms(poly, 2)))
 
     def test_degree_cap(self):
-        f = GaussPoly(V4, 1.0, -np.eye(4), {(12, 12, 12, 12): 1.0, (0, 0, 0, 0): 1.0})
+        f = GaussPoly(V4, 1.0, -np.eye(4), *terms({(12, 12, 12, 12): 1.0, (0, 0, 0, 0): 1.0}, 4))
         assert_same_integral(f)
         for mono in [(12, 12, 12, 13), (49, 0, 0, 0), (13, 12, 12, 13)]:
             with pytest.raises(ValueError, match="exceeds 48"):
-                integrate(GaussPoly(V4, 1.0, -np.eye(4), {(0, 0, 0, 0): 1.0, mono: 1.0}))
+                integrate(GaussPoly(V4, 1.0, -np.eye(4),
+                                    *terms({(0, 0, 0, 0): 1.0, mono: 1.0}, 4)))
 
     def test_complex_coefficients_rejected(self):
-        f = GaussPoly(V2, 1.0, -np.eye(2), {(0, 0): 1.0, (2, 0): 1e-3j})
+        f = GaussPoly(V2, 1.0, -np.eye(2), *terms({(0, 0): 1.0, (2, 0): 1e-3j}, 2))
         with pytest.raises(ValueError, match="complex"):
             integrate(f)
-        assert_same_integral(GaussPoly(V2, 1.0, -np.eye(2), {(0, 0): 1.0 + 1e-14j}))
+        assert_same_integral(GaussPoly(V2, 1.0, -np.eye(2), *terms({(0, 0): 1.0 + 1e-14j}, 2)))
 
     MOMENT_COVARIANCES = (
         np.array([[2.0, -0.0], [-0.0, 0.5]]),
@@ -571,7 +574,7 @@ class TestGram:
             polys = data.draw(st.lists(real_poly(dim), min_size=1, max_size=3))
             prefactors = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(polys),
                                             max_size=len(polys)))
-            sides.append([GaussPoly(variables, pre, Q, poly)
+            sides.append([GaussPoly(variables, pre, Q, *terms(poly, dim))
                           for pre, poly in zip(prefactors, polys)])
         assert_matches_products(*sides)
 
@@ -586,9 +589,9 @@ class TestGram:
 
     def test_empty_polynomial(self):
         Q = np.array([[-1.2, 0.3], [0.3, -0.8]])
-        empty = GaussPoly(V2, 0.7, Q, {})
-        full = GaussPoly(V2, 1.3, Q, {(0, 0): 1.0, (2, 1): -2.0})
-        other = GaussPoly(V2, 0.4, -np.eye(2), {(2, 0): 1.5})
+        empty = GaussPoly(V2, 0.7, Q, *terms({}, 2))
+        full = GaussPoly(V2, 1.3, Q, *terms({(0, 0): 1.0, (2, 1): -2.0}, 2))
+        other = GaussPoly(V2, 0.4, -np.eye(2), *terms({(2, 0): 1.5}, 2))
         assert gram([empty], [other])[0, 0] == 0.0
         assert gram([other], [empty])[0, 0] == 0.0
         got = gram([empty, full], [other])
@@ -597,13 +600,13 @@ class TestGram:
 
     def test_errors_match_integrate(self):
         Q = -np.eye(2)
-        real = GaussPoly(V2, 1.0, Q, {(0, 0): 1.0, (1, 1): 0.5})
+        real = GaussPoly(V2, 1.0, Q, *terms({(0, 0): 1.0, (1, 1): 0.5}, 2))
         cases = [
             # complex coefficients that do not cancel
-            ([GaussPoly(V2, 1.0, Q, {(0, 0): 1.0, (2, 0): 1e-3j})], [real]),
+            ([GaussPoly(V2, 1.0, Q, *terms({(0, 0): 1.0, (2, 0): 1e-3j}, 2))], [real]),
             # a summed exponent that is not negative definite
-            ([GaussPoly(V2, 1.0, np.diag([-1.0, 2.0]), {(0, 0): 1.0})],
-             [GaussPoly(V2, 1.0, np.diag([-1.0, -0.5]), {(1, 0): 1.0})]),
+            ([GaussPoly(V2, 1.0, np.diag([-1.0, 2.0]), *terms({(0, 0): 1.0}, 2))],
+             [GaussPoly(V2, 1.0, np.diag([-1.0, -0.5]), *terms({(1, 0): 1.0}, 2))]),
         ]
         for fs, gs in cases:
             with pytest.raises(ValueError) as want:
@@ -611,17 +614,17 @@ class TestGram:
             with pytest.raises(ValueError, match=f"^{want.value}$"):
                 gram(fs, gs)
         # a negligible imaginary part is accepted by both
-        tiny = GaussPoly(V2, 1.0, Q, {(0, 0): 1.0 + 1e-14j})
+        tiny = GaussPoly(V2, 1.0, Q, *terms({(0, 0): 1.0 + 1e-14j}, 2))
         assert gram([tiny], [real])[0, 0] == \
             pytest.approx(integrate(tiny.pointwise_mul(real)), rel=1e-15)
 
     def test_degree_cap_before_any_sum(self, monkeypatch):
         # the operands' top degrees decide: 24 + 24 is integrated, 24 + 25
         # is refused with no term pair summed
-        f = GaussPoly(V4, 1.0, -np.eye(4), {(0, 0, 0, 24): 1.0, (0, 0, 0, 0): 2.0})
-        g = GaussPoly(V4, 1.0, -np.eye(4), {(24, 0, 0, 0): 1.0, (0, 1, 1, 0): 0.5})
+        f = GaussPoly(V4, 1.0, -np.eye(4), *terms({(0, 0, 0, 24): 1.0, (0, 0, 0, 0): 2.0}, 4))
+        g = GaussPoly(V4, 1.0, -np.eye(4), *terms({(24, 0, 0, 0): 1.0, (0, 1, 1, 0): 0.5}, 4))
         assert_matches_products([f], [g])
-        over = GaussPoly(V4, 1.0, -np.eye(4), {(13, 12, 0, 0): 1.0})
+        over = GaussPoly(V4, 1.0, -np.eye(4), *terms({(13, 12, 0, 0): 1.0}, 4))
         with pytest.raises(ValueError, match="exceeds 48"):
             integrate(f.pointwise_mul(over))
 
@@ -633,8 +636,8 @@ class TestGram:
             gram([f], [over, g])
 
     def test_families_need_a_shared_exponent(self):
-        f = GaussPoly(V2, 1.0, -np.eye(2), {(0, 0): 1.0})
-        g = GaussPoly(V2, 1.0, -2.0 * np.eye(2), {(0, 0): 1.0})
+        f = GaussPoly(V2, 1.0, -np.eye(2), *terms({(0, 0): 1.0}, 2))
+        g = GaussPoly(V2, 1.0, -2.0 * np.eye(2), *terms({(0, 0): 1.0}, 2))
         with pytest.raises(ValueError, match="shared Gaussian exponent"):
             gram([f, g], [f])
         with pytest.raises(ValueError, match="shared Gaussian exponent"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_poly_mul
+from conftest import mapping, reference_poly_mul, terms
 from ncphase import (
     GaussPoly,
     ModelParams,
@@ -53,12 +53,67 @@ class TestPhaseVariables:
             with pytest.raises(ValueError, match="no mu or nu"):
                 PhaseVariables(2, mu=mu, nu=nu)
 
+    @pytest.mark.parametrize("constant", [
+        {"hbar": math.inf}, {"hbar": math.nan}, {"mu": math.nan},
+        {"mu": -math.inf}, {"nu": math.inf}, {"nu": math.nan}])
+    def test_non_finite_constants_refused(self, constant):
+        # a star product over them returned NaN coefficients with no error
+        with pytest.raises(ValueError, match="must be finite"):
+            PhaseVariables(4, **constant)
+
     def test_reduced_and_full_blocks(self):
         v2 = PhaseVariables(2, hbar=1.5)
         assert (v2.mu, v2.nu) == (0.0, 0.0)
         assert np.array_equal(v2.deformation_matrix(), [[0.0, 1.5], [-1.5, 0.0]])
         v4 = PhaseVariables(4, hbar=1.5, mu=0.3, nu=0.5)
         assert (v4.mu, v4.nu) == (0.3, 0.5)
+
+
+class TestGaussPolyTerms:
+    def test_exact_zeros_drop(self):
+        f = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0], [0, 1], [2, 0], [0, 2]],
+                      [0.5, 0.0, -0.0, 1e-300])
+        assert f.exps.tolist() == [[1, 0], [0, 2]]
+        assert f.coeffs.tolist() == [0.5, 1e-300]
+        g = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0], [0, 1]], [0j, 1e-20j])
+        assert g.exps.tolist() == [[0, 1]] and g.coeffs.tolist() == [1e-20j]
+
+    def test_complex_vector_with_zero_imaginary_parts_turns_real(self):
+        f = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0], [0, 1]], np.array([0.1 + 0j, -2.5 - 0j]))
+        assert f.coeffs.dtype == np.float64
+        assert [c.hex() for c in f.coeffs.tolist()] == [(0.1).hex(), (-2.5).hex()]
+        g = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0], [0, 1]], [0.1, -2.5 + 1e-300j])
+        assert g.coeffs.dtype == np.complex128
+        assert g.max_imag_coefficient() == 1e-300
+
+    def test_integer_coefficients_become_floats(self):
+        f = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0]], [3])
+        assert f.coeffs.dtype == np.float64
+        assert f.value(np.array([0.5, 0.0])) == 1.5 * math.exp(-0.25)
+
+    @pytest.mark.parametrize("exps, coeffs", [
+        (np.zeros((2, 3), dtype=int), [1.0, 2.0]),  # rows 3 wide over 2 variables
+        (np.zeros(2, dtype=int), [1.0, 2.0]),  # one row, not a matrix
+        (np.zeros((2, 2), dtype=int), [1.0]),  # fewer coefficients than rows
+        (np.zeros((2, 2), dtype=int), [[1.0, 2.0]]),  # a coefficient matrix
+        (np.zeros((0, 4), dtype=int), []),  # no terms, yet 4 wide
+    ])
+    def test_mismatched_shapes_refused(self, exps, coeffs):
+        with pytest.raises(ValueError, match="rows of 2 and n coefficients"):
+            GaussPoly(V2, 1.0, -np.eye(2), exps, coeffs)
+
+    def test_poly_sums_a_repeated_monomial_in_row_order(self):
+        f = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0], [0, 1], [1, 0], [1, 0]],
+                      [0.1, 2.0, 0.2, 0.3])
+        assert list(f.poly.items()) == [((1, 0), (0.1 + 0.2) + 0.3), ((0, 1), 2.0)]
+        assert f.poly is not f.poly  # a new map on every read
+
+    def test_degree_and_pure_gaussian_read_the_rows(self):
+        f = GaussPoly(V2, 1.0, -np.eye(2), [[0, 0], [2, 1]], [1.0, 1.0])
+        assert f.degree == 3 and not f.is_pure_gaussian()
+        empty = GaussPoly.constant(V2, 0.0)
+        assert empty.exps.shape == (0, 2) and empty.degree == 0
+        assert empty.is_pure_gaussian()
 
 
 class TestKConstant:
@@ -162,7 +217,7 @@ class TestStarExp:
 class TestPolynomialStarProduct:
     def test_identity_left_factor(self):
         one = GaussPoly.constant(V2, 1.0)
-        g = GaussPoly(V2, 2.0, -0.5 * np.eye(2), {(1, 0): 1.0, (0, 0): 0.3})
+        g = GaussPoly(V2, 2.0, -0.5 * np.eye(2), *terms({(1, 0): 1.0, (0, 0): 0.3}, 2))
         out = star_product_poly_left(one, g)
         assert out.prefactor == pytest.approx(2.0)
         assert np.allclose(out.exponent, g.exponent)
@@ -170,8 +225,8 @@ class TestPolynomialStarProduct:
             assert out.poly[key] == pytest.approx(val)
 
     def test_canonical_commutator(self):
-        x = GaussPoly(V2, 1.0, np.zeros((2, 2)), {(1, 0): 1.0})
-        p = GaussPoly(V2, 1.0, np.zeros((2, 2)), {(0, 1): 1.0})
+        x = GaussPoly(V2, 1.0, np.zeros((2, 2)), *terms({(1, 0): 1.0}, 2))
+        p = GaussPoly(V2, 1.0, np.zeros((2, 2)), *terms({(0, 1): 1.0}, 2))
         xp = star_product_poly_left(x, p)
         px = star_product_poly_left(p, x)
         # symmetric parts agree, antisymmetric parts are +-hbar/2
@@ -237,11 +292,15 @@ class TestGaussPolyAlgebra:
         GaussPoly.gaussian(V2, 1.0, np.array([[-1.0, 1.0], [1.0 + 1e-13, -1.0]]))
 
     def test_add_folds_prefactors(self):
-        g1 = GaussPoly(V2, 2.0, -np.eye(2), {(1, 0): 1.0})
-        g2 = GaussPoly(V2, 3.0, -np.eye(2), {(1, 0): 1.0, (0, 0): 1.0})
+        # the rows are concatenated; the repeated x term is summed on reading
+        g1 = GaussPoly(V2, 2.0, -np.eye(2), *terms({(1, 0): 1.0}, 2))
+        g2 = GaussPoly(V2, 3.0, -np.eye(2), *terms({(1, 0): 1.0, (0, 0): 1.0}, 2))
         total = g1 + g2
+        assert total.exps.tolist() == [[1, 0], [1, 0], [0, 0]]
+        assert total.poly == {(1, 0): 5.0, (0, 0): 3.0}
         pts = np.array([[0.3, -0.4], [1.0, 0.2]])
-        assert np.allclose(total.value(pts), g1.value(pts) + g2.value(pts))
+        assert np.allclose(total.value(pts), g1.value(pts) + g2.value(pts),
+                           rtol=1e-15, atol=0.0)
 
     def test_pointwise_product_values(self, rng):
         from conftest import random_gauss_poly
@@ -288,12 +347,12 @@ class TestGaussPolyValue:
         a = rng.normal(size=(4, 4))
         poly = {tuple(int(e) for e in rng.integers(0, 4, size=4)):
                 complex(*rng.normal(size=2)) for _ in range(30)}
-        f = GaussPoly(v4, 0.7, -(a.T @ a + 0.5 * np.eye(4)), poly)
+        f = GaussPoly(v4, 0.7, -(a.T @ a + 0.5 * np.eye(4)), *terms(poly, 4))
         got = assert_matches_reference(f, rng.normal(size=(40, 4)))
         assert np.iscomplexobj(got)
 
     def test_empty_polynomial(self):
-        f = GaussPoly(V2, 2.0, -np.eye(2), {})
+        f = GaussPoly(V2, 2.0, -np.eye(2), *terms({}, 2))
         got = f.value(np.ones((3, 4, 2)))
         assert got.shape == (3, 4) and np.isrealobj(got)
         assert not got.any()
@@ -401,9 +460,15 @@ def peak_bytes(run) -> int:
         tracemalloc.stop()
 
 
+def poly_mul(a: dict, b: dict) -> dict:
+    """_poly_mul on the terms of two maps, as a map."""
+    dim = len(next(iter(a or b), ()))
+    return mapping(*_poly_mul(*terms(a, dim), *terms(b, dim)))
+
+
 def assert_bit_identical(a, b):
     """The dict loop's terms and bits, in ascending key order."""
-    got = _poly_mul(a, b)
+    got = poly_mul(a, b)
     assert hex_terms(got) == hex_terms(sorted_poly_mul(a, b))
     return got
 
@@ -437,7 +502,7 @@ class TestPolyMul:
         top = {(2, True): 600, (2, False): 511, (4, True): 16, (4, False): 15}[dim, above]
         a, b = (data.draw(cornered_poly(dim, kind, top)) for kind in kinds)
         assert starcalc._simplex(dim, 2 * dim * top).size > (2 * top + 1) ** dim
-        assert hex_terms(_poly_mul(a, b)) == hex_terms(sorted_poly_mul(a, b))
+        assert hex_terms(poly_mul(a, b)) == hex_terms(sorted_poly_mul(a, b))
 
     def test_mixed_coefficient_types_in_one_operand(self, rng):
         """One complex coefficient makes the whole product complex: the dict
@@ -447,7 +512,7 @@ class TestPolyMul:
         b = random_poly(rng, 40, 4, 4, "real")
         b.update(random_poly(rng, 20, 4, 4, "complex"))
         for x, y in [(a, b), (b, a)]:
-            got, want = _poly_mul(x, y), sorted_poly_mul(x, y)
+            got, want = poly_mul(x, y), sorted_poly_mul(x, y)
             assert {type(c) for c in want.values()} == {float, complex}
             assert list(got) == list(want)
             for k, c in got.items():
@@ -479,7 +544,7 @@ class TestPolyMul:
         a = {(0, 0, 0, 0): 1.0, (spread,) * 4: 2.0}
         b = {(0, 0, 0, 0): 3.0, (spread,) * 4: 4.0}
         with pytest.raises(ValueError, match="too large to pack"):
-            _poly_mul(a, b)
+            poly_mul(a, b)
 
     def test_sparse_high_degree_products(self):
         # a few terms at top degrees of 800, 24 001 and 200 001, whose rank
@@ -500,8 +565,8 @@ class TestPolyMul:
         params = ModelParams(mu=0.2, nu=0.1)
         dq = derive(params)
         h_plus, h_minus = hamiltonians_pm(params)
-        lag_i = _laguerre_of_form(6, h_plus.poly().poly, 4.0 / dq.h_plus, 4)
-        lag_j = _laguerre_of_form(6, h_minus.poly().poly, 4.0 / dq.h_minus, 4)
+        lag_i = mapping(*_laguerre_of_form(6, h_plus, 4.0 / dq.h_plus))
+        lag_j = mapping(*_laguerre_of_form(6, h_minus, 4.0 / dq.h_minus))
         assert len(lag_i) * len(lag_j) > 4 * _MUL_BLOCK
         assert_bit_identical(lag_i, lag_j)
 
@@ -512,20 +577,21 @@ class TestPolyMul:
         params = ModelParams(mu=0.2, nu=0.1)
         dq = derive(params)
         h_plus, h_minus = hamiltonians_pm(params)
-        lag_i = _laguerre_of_form(8, h_plus.poly().poly, 4.0 / dq.h_plus, 4)
-        lag_j = _laguerre_of_form(8, h_minus.poly().poly, 4.0 / dq.h_minus, 4)
+        lag_i = mapping(*_laguerre_of_form(8, h_plus, 4.0 / dq.h_plus))
+        lag_j = mapping(*_laguerre_of_form(8, h_minus, 4.0 / dq.h_minus))
         assert len(lag_i) == len(lag_j) == 1365
         spread = [np.ptp(list(lag), axis=0) for lag in (lag_i, lag_j)]
         assert math.prod((spread[0] + spread[1] + 1).tolist()) == 33**4
         assert max(map(sum, lag_i)) + max(map(sum, lag_j)) == 32
         assert starcalc._simplex(4, 32).size == math.comb(36, 4)
-        assert hex_terms(_poly_mul(lag_i, lag_j)) == hex_terms(sorted_poly_mul(lag_i, lag_j))
+        assert hex_terms(poly_mul(lag_i, lag_j)) == hex_terms(sorted_poly_mul(lag_i, lag_j))
 
     def test_wigner_state_has_reference_polynomial(self, monkeypatch):
         import ncphase.wigner as wg
         params = ModelParams(mu=0.2, nu=0.1)
         got = wigner_state(6, 6, params).function.poly
-        monkeypatch.setattr(wg, "_poly_mul", sorted_poly_mul)
+        monkeypatch.setattr(wg, "_poly_mul", lambda ea, ca, eb, cb: terms(
+            sorted_poly_mul(mapping(ea, ca), mapping(eb, cb)), 4))
         want = wigner_state(6, 6, params).function.poly
         assert hex_terms(got) == hex_terms(want)
 
@@ -609,8 +675,13 @@ class Exact:
         return complex(float(self.re), float(self.im))
 
 
+def shift(mono, axis, by):
+    """mono with its exponent on axis raised by `by`."""
+    return mono[:axis] + (mono[axis] + by,) + mono[axis + 1:]
+
+
 def reference_poly_diff(poly, axis):
-    return {starcalc._shift(k, axis, -1): c * k[axis] for k, c in poly.items() if k[axis]}
+    return {shift(k, axis, -1): c * k[axis] for k, c in poly.items() if k[axis]}
 
 
 def add_into(out, terms):
@@ -623,7 +694,7 @@ def reference_gauss_diff(poly, axis, Q):
     out = reference_poly_diff(poly, axis)
     for j in range(len(Q)):
         if Q[axis][j] != 0:
-            add_into(out, ((starcalc._shift(k, j, 1), c * (2 * Q[axis][j]))
+            add_into(out, ((shift(k, j, 1), c * (2 * Q[axis][j]))
                            for k, c in poly.items()))
     return out
 
@@ -638,7 +709,6 @@ def exact_star_orders(fpoly, gpoly, gQ, pair):
     of one beta are summed before the product. Negating the pairing
     negates the odd orders.
     """
-    shift = starcalc._shift
     zero = (0,) * len(gQ)
     deg = max((sum(k) for k in fpoly), default=0)
     Q = [[Fraction(float(q)) for q in row] for row in gQ]
@@ -686,13 +756,16 @@ def series_and_exact(f, g, Q, variables):
     B = variables.deformation_matrix()
     pair = {(a, b): Exact(0, Fraction(float(B[a, b])) / 2) for a, b in zip(*np.nonzero(B))}
     orders = exact_star_orders(f, g, Q, pair)
+    d = variables.dimension
+    fp = GaussPoly(variables, 1.0, np.zeros((d, d)), *terms(f, d))
+    gp = GaussPoly(variables, 1.0, Q, *terms(g, d))
     out = []
     for sign in (1, -1):
         exact = {}
         for n, term in enumerate(orders):
             add_into(exact, term.items() if sign**n == 1 else
                      ((k, c * -1) for k, c in term.items()))
-        out.append((starcalc._star_series(f, g, Q, sign * 0.5 * B), exact))
+        out.append((mapping(*starcalc._star_series(fp, gp, sign * 0.5 * B)), exact))
     return out
 
 
@@ -747,8 +820,8 @@ class TestStarSeries:
         if f_kind == g_kind == "real":
             # the product is Hermitian: g * f = conj(f * g) for real f and g,
             # which lets the eigen check build H*W alone
-            fp = GaussPoly(variables, 1.0, np.zeros((dim, dim)), f)
-            gp = GaussPoly(variables, 1.0, Q, g)
+            fp = GaussPoly(variables, 1.0, np.zeros((dim, dim)), *terms(f, dim))
+            gp = GaussPoly(variables, 1.0, Q, *terms(g, dim))
             left = star_product_poly_left(fp, gp).poly
             right = star_product_poly_right(gp, fp).poly
             # key for key and bit for bit, but for the sign of a zero part
@@ -827,9 +900,10 @@ class TestStarSeries:
             assert got == exact == {}
 
     def test_exponents_too_large_to_pack(self):
-        half = 0.5 * PhaseVariables(2, hbar=1.0).deformation_matrix()
+        f = GaussPoly(V2, 1.0, np.zeros((2, 2)), *terms({(1, 1): 1.0}, 2))
+        g = GaussPoly(V2, 1.0, -np.eye(2), *terms({(2**31, 2**31): 1.0}, 2))
         with pytest.raises(ValueError, match="too large"):
-            starcalc._star_series({(1, 1): 1.0}, {(2**31, 2**31): 1.0}, -np.eye(2), half)
+            starcalc._star_series(f, g, 0.5 * V2.deformation_matrix())
 
 
 def exact_value(func: GaussPoly, points) -> np.ndarray:
@@ -863,7 +937,7 @@ class TestGridValues:
         a = rng.normal(size=(dim, dim))
         Q = -(a.T @ a + 0.5 * np.eye(dim))
         funcs = [GaussPoly(variables, float(rng.uniform(0.5, 2.0)), Q,
-                           random_poly(rng, 40, dim, 6, kind)) for _ in range(3)]
+                           *terms(random_poly(rng, 40, dim, 6, kind), dim)) for _ in range(3)]
         axes = [np.sort(rng.normal(size=n)) for n in (5, 7, 4, 6)[:dim]]
         pts = tensor_points(axes)
         for func, got in zip(funcs, grid_values(funcs, axes)):
@@ -908,7 +982,8 @@ class TestGridValues:
     def test_result_does_not_depend_on_the_batch(self, rng):
         from conftest import random_gauss_poly
         f = random_gauss_poly(rng, 4, max_degree=5)
-        g = GaussPoly(f.variables, 2.0, f.exponent, random_poly(rng, 30, 4, 4, "complex"))
+        g = GaussPoly(f.variables, 2.0, f.exponent,
+                      *terms(random_poly(rng, 30, 4, 4, "complex"), 4))
         axes = [np.linspace(-1.0, 1.0, 5)] * 4
         alone = grid_values([f], axes)[0]
         assert np.array_equal(grid_values([g, f], axes)[1], alone)
@@ -923,7 +998,7 @@ class TestGridValues:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_empty_polynomial(self):
-        f = GaussPoly(V2, 2.0, -np.eye(2), {})
+        f = GaussPoly(V2, 2.0, -np.eye(2), *terms({}, 2))
         got = grid_values([f], [np.ones(3), np.ones(4)])[0]
         assert got.shape == (12,) and np.isrealobj(got) and not got.any()
 
@@ -998,7 +1073,7 @@ class TestGaussianStar:
 
     def test_polynomial_operand_rejected(self):
         g = GaussPoly.gaussian(V2, 1.0, -0.5 * np.eye(2))
-        bad = GaussPoly(V2, 1.0, -0.5 * np.eye(2), {(1, 0): 1.0})
+        bad = GaussPoly(V2, 1.0, -0.5 * np.eye(2), *terms({(1, 0): 1.0}, 2))
         with pytest.raises(ValueError, match="not a pure Gaussian"):
             gaussian_star(g, bad, forms=own_form(g))
 
@@ -1097,7 +1172,7 @@ class TestStarPower:
         form = two_square_1d(1.0, 1.0)
         narrow = GaussPoly.gaussian(V2, 1.0, -3.0 * form.matrix)
         # a polynomial factor: not a pure Gaussian
-        dressed = GaussPoly(V2, 1.0, -0.5 * form.matrix, {(0, 0): 1.0, (2, 0): 0.5})
+        dressed = GaussPoly(V2, 1.0, -0.5 * form.matrix, *terms({(0, 0): 1.0, (2, 0): 0.5}, 2))
         for g in (narrow, dressed):
             with pytest.raises(ValueError) as want:
                 reference_star_power(g, n, forms=[form])

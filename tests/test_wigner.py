@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from ncphase import (
     star_product_poly_right,
     wigner_state,
 )
-from ncphase.starcalc import grid_values
+from ncphase.starcalc import QuadraticForm, grid_values
 from ncphase.wigner import _genvalue_residuals_and_scales, _residual_axes, residual_grid
 
 
@@ -231,3 +232,69 @@ class TestGenvalueResidual:
         h = oscillator_hamiltonian(ModelParams(mass=2.0, omega=3.0))
         assert h.poly[(2, 0, 0, 0)] == pytest.approx(9.0)
         assert h.poly[(0, 0, 2, 0)] == pytest.approx(0.25)
+
+
+# SHA-256 of exps.tobytes() then coeffs.tobytes() at each (mu, nu), in the
+# order W(0,0), W(2,1), W(3,3), W(6,6), H*W(2,1) and the keep = 1 marginal of
+# W(3,3). Pinned when polynomials were {exponent tuple: coefficient} dicts,
+# from the matrix and vector that `starcalc._terms(f.poly, d)` built of them
+# (real unless an imaginary part was nonzero): the arrays keep their rows,
+# order and bits.
+TERM_DIGESTS = {
+    (0.0, 0.0): (
+        "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
+        "1762435b38c91d4e020cd4cfa4c290e204af3ec9145800a59dc1cd97bcd9944f",
+        "aeeddc45d677845b7b89e812b5903fe7ca510567c303f415c4dfe5b2955dba29",
+        "ceb3676f390033c7b1f3fde24395f50a14ba5e07cfe516f0f5614a987778f5bf",
+        "ab912bc109356a3de0676c2ba0dec6fca8b465c4c77ac77d604b581fbfbdbde9",
+        "33e2d0a11ec68bc29ba390ea28a6b8093cebeb7ad74578c1aed2e85e7e438bcf",
+    ),
+    (0.2, 0.1): (
+        "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
+        "45a7c8712e3220030624c873a493c1b8825ff26bbbb3492b3e7252ec43979484",
+        "e51b36807e428e067cd64206fdd1ce230d821b9512401b5cb64325f28815fda3",
+        "6e498489ec284abe973766befdd1174ba401f28f46c345d2e1e653755b780cfa",
+        "e855aa84782cd2596a3f01d281a264735177d7f3daeba8b95348e92e0f242586",
+        "9c71d2e7111adb8370c49878cdbab42b543541ff2dd83837ae901bb3d8afb8b5",
+    ),
+    (3.0, -0.3): (
+        "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
+        "0973fa567063ddf121104eecb1297749ec83696d112236329cd80b1b05f5045a",
+        "346cc58d5b6cc3a59368dbb658b89b2f870435e403fa2b2892c479dfc3afe661",
+        "49f114b3424cc78c38a0460140b171c7402d7a27ed34708ea52563d0c52017ba",
+        "c7963ae9a64178655c00082e4da391d01adbad46300e059944a6b25a67c7d891",
+        "a72c101bb318bfbc6bab750ac8ab6df84afc21c97fb8cac35dc752c1a4c25579",
+    ),
+    (1.0, 0.999): (
+        "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
+        "b77d1b1aba69aa24669e6fff4b1653227c754aa05e3f3fcc88fee1b642061890",
+        "c1d998f0e87c7ff851cec025b6c0b1e5bc5f8e3a0a8d3c86bc1cc556454c384d",
+        "b5825786d247aa1decd1d423f31113ede828dd3ab4c5758cc06a2d1bc9df21c9",
+        "7a228ef9cd3f99cdb0641065a330862bd9c1905aaa6c94e4ad610e62917d18a0",
+        "46e350ca93078a4ef6071acea5c54b943c5f1e2f9a026187c198df301ac90c64",
+    ),
+}
+
+
+def term_digest(f) -> str:
+    digest = hashlib.sha256(f.exps.tobytes())
+    digest.update(f.coeffs.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mu,nu", list(TERM_DIGESTS))
+def test_terms_keep_their_bits(mu, nu):
+    params = ModelParams(mu=mu, nu=nu)
+    w = {ij: wigner_state(*ij, params).function for ij in [(0, 0), (2, 1), (3, 3), (6, 6)]}
+    funcs = [*w.values(), star_product_poly_left(oscillator_hamiltonian(params), w[2, 1]),
+             marginalize(w[3, 3], 1)]
+    assert [term_digest(f) for f in funcs] == list(TERM_DIGESTS[mu, nu])
+
+
+def test_ground_state_builds_no_form_polynomial(monkeypatch):
+    # L_0 = 1, so W(0,0) needs no polynomial of H+ or H-
+    def refuse(form):
+        raise AssertionError("a form polynomial was built")
+    monkeypatch.setattr(QuadraticForm, "poly", refuse)
+    w = wigner_state(0, 0, ModelParams(mu=0.2, nu=0.1)).function
+    assert w.exps.tolist() == [[0, 0, 0, 0]] and w.coeffs.tolist() == [1.0]
