@@ -20,15 +20,16 @@ import numpy as np
 
 from . import entropy as ent
 from . import moments
-from .darboux import build_map, cell_size, omega_canonical, omega_deformed
+from .darboux import build_map, cell_size
 from .params import ModelParams, derive, lambda_from_theta, lambda_from_uv, load_params
-from .starcalc import gaussian_star, grid_values, star_exp, star_log_gaussian
+from .starcalc import PhaseVariables, gaussian_star, grid_values, star_exp, star_log_gaussian
 from .wigner import (
     MAX_INDEX,
     _genvalue_residuals_and_scales,
     _residual_axes,
     energy_level,
     hamiltonians_pm,
+    phase_variables,
     reduce,
     wigner_state,
 )
@@ -267,9 +268,10 @@ def _verify_checks(params: ModelParams, perturb_energy: float) -> list[dict]:
             for alpha in (2, 3, 4)], 1e-9)
 
     # coordinate-map identities
-    m = build_map(params).matrix
-    want = omega_deformed(params)
-    err = abs(m @ omega_canonical(params.hbar) @ m.T - want) / abs(want).max()
+    m = build_map(params)
+    want = phase_variables(params).deformation_matrix()
+    canonical = PhaseVariables(4, hbar=params.hbar).deformation_matrix()
+    err = abs(m @ canonical @ m.T - want) / abs(want).max()
     det_err = abs(np.linalg.det(m) - (1.0 - params.mu * params.nu / params.hbar**2))
     cell_err = abs(cell - (2.0 * math.pi * params.hbar) ** 2 * np.linalg.det(m))
     record("darboux-identities", np.append(err, [det_err, cell_err / cell]), 1e-12)

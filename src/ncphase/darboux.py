@@ -1,4 +1,6 @@
-"""Linear map between canonical and deformed phase-space coordinates.
+"""Linear map between canonical and deformed phase-space coordinates, and the
+minimal-cell volume. The commutator matrices the map relates are
+`PhaseVariables.deformation_matrix()` of the canonical and deformed blocks.
 
 A scaled Bopp shift realizes the deformed commutators exactly:
 
@@ -15,39 +17,20 @@ matrix yields an equally valid map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import ModelParams
-from .starcalc import PhaseVariables
-from .wigner import phase_variables
 
 
-@dataclass(frozen=True)
-class DarbouxMap:
-    """Matrix M acting as (x1, x2, p1, p2)^T = M (y1, y2, q1, q2)^T."""
-
-    matrix: np.ndarray
-
-
-def omega_canonical(hbar: float) -> np.ndarray:
-    """Canonical commutator matrix over (y1, y2, q1, q2), divided by i."""
-    return PhaseVariables(4, hbar=hbar).deformation_matrix()
-
-
-def omega_deformed(params: ModelParams) -> np.ndarray:
-    """Deformed commutator matrix over (x1, x2, p1, p2), divided by i."""
-    return phase_variables(params).deformation_matrix()
-
-
-def build_map(params: ModelParams) -> DarbouxMap:
-    """Concrete solution of M Omega0 M^T = Omega_deformed with |M| = 1 - mu nu/hbar^2."""
+def build_map(params: ModelParams) -> np.ndarray:
+    """Matrix M acting as (x1, x2, p1, p2)^T = M (y1, y2, q1, q2)^T: a concrete
+    solution of M Omega0 M^T = Omega_deformed with |M| = 1 - mu nu/hbar^2."""
     h, mu, nu = params.hbar, params.mu, params.nu
     kappa = math.sqrt((1.0 + math.sqrt(1.0 - mu * nu / h**2)) / 2.0)
     beta = mu / (2.0 * h * kappa)
     sigma = nu / (2.0 * h * kappa)
-    matrix = np.array(
+    return np.array(
         [
             [kappa, 0.0, 0.0, -beta],
             [0.0, kappa, beta, 0.0],
@@ -55,7 +38,6 @@ def build_map(params: ModelParams) -> DarbouxMap:
             [-sigma, 0.0, 0.0, kappa],
         ]
     )
-    return DarbouxMap(matrix)
 
 
 def cell_size(params: ModelParams) -> float:

@@ -99,11 +99,9 @@ def _check_lambda(lam: float) -> None:
         raise ValueError("purity parameter must lie in (sqrt(3)/3, 1]")
 
 
-def _check_integer_order(order, minimum: int = 2) -> int:
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise ValueError(f"unsupported order {order!r}: integer >= {minimum} required")
-    if order < minimum:
-        raise ValueError(f"unsupported order {order}: integer >= {minimum} required")
+def _check_integer_order(order) -> int:
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 2:
+        raise ValueError(f"unsupported order {order!r}: integer >= 2 required")
     return int(order)
 
 
@@ -261,10 +259,6 @@ def von_neumann_numeric(reduced: ReducedState,
                          "star-power-numeric")
 
 
-# the phase-space volume 4 pi^2 (hbar^2 - mu nu) normalizing 4D entropies
-minimal_cell = cell_size
-
-
 def renyi_total(state: WignerState | GaussPoly, alpha: int,
                 params: ModelParams) -> EntropyResult:
     """Total Renyi entropy of a 4D state; zero for every eigenstate.
@@ -275,7 +269,7 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
     """
     alpha = _check_integer_order(alpha)
     func = state.function if isinstance(state, WignerState) else state
-    cell = minimal_cell(params)
+    cell = cell_size(params)  # 4 pi^2 (hbar^2 - mu nu), normalizing 4D entropies
     if alpha == 2:
         total = float(moments.gram([func], [func])[0, 0])
     elif func.is_pure_gaussian():
@@ -289,7 +283,7 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
         )
     total = _positive_trace(alpha, total)
     value = _finite_at_order(
-        alpha, lambda: math.log(cell ** (alpha - 1) * total) / (1 - alpha))
+        alpha, lambda: _renyi_of_trace(alpha, total, cell ** (alpha - 1)))
     lam = derive(params).lam
     return EntropyResult("renyi", alpha, value, lam, "star-power-numeric")
 

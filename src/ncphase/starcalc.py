@@ -18,8 +18,8 @@ library needs while staying exactly testable:
     two-square quadratic form (or a commuting family of them), which the
     caller names: no function here infers a form from an exponent.
 
-Intermediate series terms are genuinely complex; public helpers expose real
-and imaginary parts separately.
+Intermediate series terms are genuinely complex; a GaussPoly's `coeffs.real`
+and `coeffs.imag` split them.
 
 Every sparse sum adds its terms, in input order, into one zeroed array indexed
 by monomial rank, or by place among the distinct ranks where those are sparse
@@ -266,10 +266,18 @@ class GaussPoly:
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + abs(Q).max())):
             raise ValueError("exponent matrix must be symmetric")
         object.__setattr__(self, "exponent", 0.5 * (Q + Q.T))
-        exps = np.asarray(self.exps, dtype=np.int64)
+        exps = np.asarray(self.exps)
         coeffs = np.asarray(self.coeffs, complex if np.iscomplexobj(self.coeffs) else float)
         if exps.ndim != 2 or exps.shape[1] != d or coeffs.shape != exps.shape[:1]:
             raise ValueError(f"terms must be n exponent rows of {d} and n coefficients")
+        if exps.dtype != np.int64:  # the kernels' rows are int64 already
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip
+                rows = exps.astype(np.int64)
+            if not np.array_equal(rows, exps):
+                raise ValueError("exponents must be nonnegative integers")
+            exps = rows
+        if exps.min(initial=0) < 0:
+            raise ValueError("exponents must be nonnegative integers")
         if coeffs.dtype.kind == "c" and not coeffs.imag.any():
             coeffs = coeffs.real
         # only exact zeros go: the small coefficients of a Laguerre tower sit
@@ -332,17 +340,6 @@ class GaussPoly:
         return GaussPoly(self.variables, self.prefactor * other.prefactor,
                          self.exponent + other.exponent,
                          *_poly_mul(self.exps, self.coeffs, other.exps, other.coeffs))
-
-    def real_part(self) -> "GaussPoly":
-        return GaussPoly(self.variables, self.prefactor, self.exponent,
-                         self.exps, self.coeffs.real)
-
-    def imag_part(self) -> "GaussPoly":
-        return GaussPoly(self.variables, self.prefactor, self.exponent,
-                         self.exps, self.coeffs.imag)
-
-    def max_imag_coefficient(self) -> float:
-        return float(np.abs(self.coeffs.imag).max(initial=0.0))
 
     def value(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., dimension).
@@ -436,7 +433,7 @@ class QuadraticForm:
 
     The coefficient vectors have one entry per oscillator (two in the full
     space, one in the reduced pair). The scalar k controls star-exponentials
-    of the form; it is cached at construction and recomputable at will.
+    of the form; construction computes it once, as `form.k`.
     """
 
     variables: PhaseVariables
@@ -452,7 +449,10 @@ class QuadraticForm:
             if len(vec) != n:
                 raise ValueError(f"vector {name} must have length {n}")
             object.__setattr__(self, name, vec)
-        object.__setattr__(self, "k", k_constant(self))
+        # k = (a.d - b.c) hbar + (a^c) mu + (b^d) nu: u B v for the forms
+        # u = (a, b) and v = (c, d)
+        k = self.first_form @ self.variables.deformation_matrix() @ self.second_form
+        object.__setattr__(self, "k", float(k))
 
     @property
     def first_form(self) -> np.ndarray:
@@ -490,13 +490,6 @@ class QuadraticForm:
         except np.linalg.LinAlgError:
             raise ValueError("matrix is not positive definite") from None
         return cls(variables, (a,), (b,), (c,), (d,))
-
-
-def k_constant(form: QuadraticForm) -> float:
-    """Scalar k = (a.d - b.c) hbar + (a^c) mu + (b^d) nu of a two-square form:
-    u B v for its forms u = (a, b) and v = (c, d)."""
-    B = form.variables.deformation_matrix()
-    return float(form.first_form @ B @ form.second_form)
 
 
 def star_exp(form: QuadraticForm, t: float) -> GaussPoly:
@@ -642,7 +635,7 @@ def star_product_poly_left(left: GaussPoly, right: GaussPoly) -> GaussPoly:
     """left star right with a pure-polynomial left factor (terminating series).
 
     The result carries right's Gaussian exponent and may have complex
-    polynomial coefficients; use real_part()/imag_part() to split them.
+    polynomial coefficients; `coeffs.real` and `coeffs.imag` split them.
     """
     if left.variables != right.variables:
         raise ValueError("operands live on different variable blocks")

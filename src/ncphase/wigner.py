@@ -32,9 +32,6 @@ from .starcalc import (
 
 MAX_INDEX = 12
 
-RESIDUAL_GRID_POINTS = 11
-RESIDUAL_GRID_SIGMAS = 3.0
-
 
 @dataclass(frozen=True)
 class WignerState:
@@ -183,21 +180,15 @@ def reduce(state: WignerState, subsystem: int) -> ReducedState:
     return ReducedState(subsystem, function)
 
 
-def _residual_axes(function: GaussPoly,
-                   points_per_axis: int = RESIDUAL_GRID_POINTS,
-                   sigmas: float = RESIDUAL_GRID_SIGMAS) -> list[np.ndarray]:
-    """Per-axis points of the residual grid: +-sigmas marginal widths."""
+def _residual_axes(function: GaussPoly) -> list[np.ndarray]:
+    """Per-axis points of the residual grid: 11 within +-3 marginal widths."""
     cov = -0.5 * np.linalg.inv(function.exponent)
-    widths = np.sqrt(np.diag(cov))
-    return [np.linspace(-sigmas * s, sigmas * s, points_per_axis) for s in widths]
+    return [np.linspace(-3.0 * s, 3.0 * s, 11) for s in np.sqrt(np.diag(cov))]
 
 
-def residual_grid(function: GaussPoly,
-                  points_per_axis: int = RESIDUAL_GRID_POINTS,
-                  sigmas: float = RESIDUAL_GRID_SIGMAS) -> np.ndarray:
-    """Deterministic evaluation grid spanning +-sigmas marginal widths."""
-    axes = _residual_axes(function, points_per_axis, sigmas)
-    mesh = np.meshgrid(*axes, indexing="ij")
+def residual_grid(function: GaussPoly) -> np.ndarray:
+    """Deterministic evaluation grid, the points of _residual_axes, as (n, d)."""
+    mesh = np.meshgrid(*_residual_axes(function), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 

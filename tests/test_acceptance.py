@@ -14,6 +14,7 @@ from conftest import params_for_lambda
 from ncphase import (
     LAMBDA_MIN,
     ModelParams,
+    PhaseVariables,
     beta_gamma,
     build_map,
     cell_size,
@@ -25,9 +26,6 @@ from ncphase import (
     hamiltonians_pm,
     integrate,
     marginalize,
-    minimal_cell,
-    omega_canonical,
-    omega_deformed,
     reduce,
     renyi_entanglement,
     renyi_numeric,
@@ -148,7 +146,7 @@ def test_criterion_05_genvalue_equation():
 
 def test_criterion_06_orthogonality_normalization():
     params = ModelParams(mu=0.2, nu=0.1)
-    cell = minimal_cell(params)
+    cell = cell_size(params)
     states = {(i, j): wigner_state(i, j, params)
               for i in range(3) for j in range(3)}
     worst = 0.0
@@ -255,9 +253,10 @@ def test_criterion_10_darboux_identities(rng):
             continue
         checked += 1
         params = ModelParams(mu=mu, nu=nu)
-        m = build_map(params).matrix
-        assert np.abs(m @ omega_canonical(params.hbar) @ m.T
-                      - omega_deformed(params)).max() <= 1e-12
+        m = build_map(params)
+        omega0 = PhaseVariables(4, hbar=params.hbar).deformation_matrix()
+        omega = PhaseVariables(4, hbar=params.hbar, mu=mu, nu=nu).deformation_matrix()
+        assert np.abs(m @ omega0 @ m.T - omega).max() <= 1e-12
         assert abs(np.linalg.det(m) - (1.0 - mu * nu)) <= 1e-12
         assert cell_size(params) == pytest.approx(
             (2 * math.pi) ** 2 * np.linalg.det(m), rel=1e-12)

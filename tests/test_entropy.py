@@ -362,6 +362,17 @@ class TestTotalEntropy:
         with pytest.raises(ValueError, match=r"trace of W\*W is .*not positive"):
             renyi_total(wigner_state(0, 3, params), 2, params)
 
+    def test_subnormal_trace_is_refused(self):
+        # the same trace check as the 2-D route: a subnormal int W*W has lost
+        # its digits, where a normal one still gives ln 2 for the mixture
+        params = ModelParams(mu=0.2, nu=0.1)
+        w00 = wigner_state(0, 0, params).function
+        assert renyi_total(w00.scaled(1e-150), 2, params).value == pytest.approx(
+            -math.log(1e-300), rel=1e-12)
+        with pytest.raises(ValueError, match="unsupported order 2: "
+                                             "the star-power trace underflows"):
+            renyi_total(w00.scaled(1e-155), 2, params)
+
     def test_excited_higher_order_unsupported(self):
         params = ModelParams(mu=0.2, nu=0.1)
         state = wigner_state(1, 0, params)

@@ -17,7 +17,6 @@ from ncphase import (
     gaussian_star,
     hamiltonians_pm,
     integrate,
-    k_constant,
     reduce,
     star_exp,
     star_log_gaussian,
@@ -84,7 +83,7 @@ class TestGaussPolyTerms:
         assert [c.hex() for c in f.coeffs.tolist()] == [(0.1).hex(), (-2.5).hex()]
         g = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0], [0, 1]], [0.1, -2.5 + 1e-300j])
         assert g.coeffs.dtype == np.complex128
-        assert g.max_imag_coefficient() == 1e-300
+        assert np.abs(g.coeffs.imag).max() == 1e-300
 
     def test_integer_coefficients_become_floats(self):
         f = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0]], [3])
@@ -101,6 +100,21 @@ class TestGaussPolyTerms:
     def test_mismatched_shapes_refused(self, exps, coeffs):
         with pytest.raises(ValueError, match="rows of 2 and n coefficients"):
             GaussPoly(V2, 1.0, -np.eye(2), exps, coeffs)
+
+    @pytest.mark.parametrize("exps", [
+        [[-1, 0]],  # value would read x^0 from the end of its power table
+        [[1.7, 0]],  # would truncate to x^1
+        [[np.nan, 0]],
+        [[np.inf, 0]],
+    ])
+    def test_rows_it_cannot_mean_refused(self, exps):
+        with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+            GaussPoly(V2, 1.0, -np.eye(2), exps, [1.0])
+
+    def test_integral_float_rows_become_int64(self):
+        f = GaussPoly(V2, 1.0, -np.eye(2), [[1.0, 0.0]], [1.0])
+        assert f.exps.dtype == np.int64 and f.exps.tolist() == [[1, 0]]
+        assert f.value(np.array([0.5, 0.0])) == 0.5 * math.exp(-0.25)
 
     def test_poly_sums_a_repeated_monomial_in_row_order(self):
         f = GaussPoly(V2, 1.0, -np.eye(2), [[1, 0], [0, 1], [1, 0], [1, 0]],
@@ -120,8 +134,9 @@ class TestKConstant:
     def test_simplest_diagonal_case(self):
         # H = a x^2 + b p^2 gives k = hbar sqrt(a b)
         form = two_square_1d(2.0, 0.5)
-        assert k_constant(form) == pytest.approx(1.0, rel=1e-14)
-        assert form.k == k_constant(form)
+        assert form.k == pytest.approx(1.0, rel=1e-14)
+        B = form.variables.deformation_matrix()
+        assert form.k == float(form.first_form @ B @ form.second_form)
 
     def test_only_ad_term_survives(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.7, nu=0.4)
@@ -230,10 +245,10 @@ class TestPolynomialStarProduct:
         xp = star_product_poly_left(x, p)
         px = star_product_poly_left(p, x)
         # symmetric parts agree, antisymmetric parts are +-hbar/2
-        assert xp.real_part().poly == {(1, 1): 1.0}
-        assert px.real_part().poly == {(1, 1): 1.0}
-        assert xp.imag_part().poly == {(0, 0): 0.5}
-        assert px.imag_part().poly == {(0, 0): -0.5}
+        assert mapping(xp.exps, xp.coeffs.real) == {(1, 1): 1.0, (0, 0): 0.0}
+        assert mapping(px.exps, px.coeffs.real) == {(1, 1): 1.0, (0, 0): 0.0}
+        assert mapping(xp.exps, xp.coeffs.imag) == {(1, 1): 0.0, (0, 0): 0.5}
+        assert mapping(px.exps, px.coeffs.imag) == {(1, 1): 0.0, (0, 0): -0.5}
 
     def test_left_and_right_factors_agree_on_commuting_pair(self):
         # H star W = W star H for the eigenfunction pair
@@ -264,7 +279,7 @@ class TestPolynomialStarProduct:
         h = oscillator_hamiltonian(params)
         out = star_product_poly_left(h, state.function)
         top = max(abs(c) for c in out.poly.values())
-        assert out.max_imag_coefficient() <= 1e-10 * top
+        assert np.abs(out.coeffs.imag).max(initial=0.0) <= 1e-10 * top
 
     def test_nonzero_left_exponent_rejected(self):
         g = GaussPoly.gaussian(V2, 1.0, -np.eye(2))
@@ -371,11 +386,13 @@ class TestGaussPolyValue:
     def test_polynomial_spanning_several_blocks(self):
         from ncphase import oscillator_hamiltonian
         from ncphase.starcalc import _VALUE_BLOCK
-        from ncphase.wigner import residual_grid
         params = ModelParams(mu=0.3, nu=0.1)
         w = wigner_state(3, 3, params).function
         hw = star_product_poly_left(oscillator_hamiltonian(params), w)
-        pts = residual_grid(hw, points_per_axis=6)
+        # 6 points per axis within 3 marginal widths
+        widths = np.sqrt(np.diag(-0.5 * np.linalg.inv(hw.exponent)))
+        axes = [np.linspace(-3.0 * s, 3.0 * s, 6) for s in widths]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
         assert len(hw.poly) * len(pts) > 4 * _VALUE_BLOCK
         assert_matches_reference(hw, pts)
         assert_matches_reference(w, pts.reshape(6, 6, 36, 4))

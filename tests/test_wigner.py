@@ -7,13 +7,13 @@ import pytest
 
 from ncphase import (
     ModelParams,
+    cell_size,
     derive,
     energy_level,
     genvalue_residual,
     hamiltonians_pm,
     integrate,
     marginalize,
-    minimal_cell,
     oscillator_hamiltonian,
     reduce,
     star_product_poly_left,
@@ -138,7 +138,7 @@ class TestWignerStates:
 class TestOrthogonality:
     def test_star_orthogonality_via_trace_property(self):
         params = ModelParams(mu=0.2, nu=0.1)
-        cell = minimal_cell(params)
+        cell = cell_size(params)
         states = {(i, j): wigner_state(i, j, params)
                   for i in range(3) for j in range(3)}
         for (k, l), skl in states.items():
