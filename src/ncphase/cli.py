@@ -1,16 +1,18 @@
 """Command-line surface: entropy queries, spectrum tables, figure data, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid physics parameters,
-3 unsupported request. `main` alone maps errors to codes: a ValueError or
-ArithmeticError from a command is one `error:` line on stderr and exit 3, so
-`verify` exits 3 at accepted points where a step leaves double range (README
-"Known limits"). All output is plain text (JSON or CSV); CSV is
+Exit codes: 0 success, 1 verification failure, 2 invalid physics parameters
+or a file that cannot be read or written, 3 unsupported request. `main` alone
+maps errors to codes: an OSError from a command is one `error:` line on
+stderr and exit 2, and a ValueError or ArithmeticError is one such line and
+exit 3, so `verify` exits 3 at accepted points where a step leaves double
+range (README "Known limits"). All output is plain text (JSON or CSV); CSV is
 deterministic, 9 significant digits, newline-terminated rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -141,11 +143,10 @@ def _surface_rows(header: str, a_vals, b_vals, lam_of, mask_of) -> str:
     e1[mask] = ent._von_neumann_of(lam_of(a[mask], b[mask]))
     b_text = [_fmt(y) for y in b_vals]
     lines = [header]
-    for x, row_mask, row_e1 in zip(a_vals, mask, e1):
+    for x, row_mask, row_e1 in zip(a_vals, mask.tolist(), e1.tolist()):
         x_text = _fmt(x)
-        for y_text, valid, e in zip(b_text, row_mask, row_e1):
-            lines.append(f"{x_text},{y_text},{_fmt(e)}" if valid
-                         else f"{x_text},{y_text},")
+        lines += [f"{x_text},{y_text},{e:.9g}" if valid else f"{x_text},{y_text},"
+                  for y_text, valid, e in zip(b_text, row_mask, row_e1)]
     return "\n".join(lines) + "\n"
 
 
@@ -319,7 +320,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; it binds no command function, so `main`
+    calls whatever `cmd_*` the module holds when it runs."""
     parser = argparse.ArgumentParser(
         prog="ncphase",
         description="Entanglement entropy of harmonic oscillators on a "
@@ -334,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--order", type=str, default=None,
                        help="integer order (>= 2) for renyi/tsallis")
     p_ent.add_argument("--method", choices=("closed", "numeric"), default="closed")
-    p_ent.set_defaults(func=cmd_entropy)
 
     p_spec = sub.add_parser("spectrum", help="energy table as CSV")
     _add_param_flags(p_spec)
@@ -343,20 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--units", choices=("natural", "si"), default="natural")
     p_spec.add_argument("--sort", action="store_true")
     p_spec.add_argument("--out", type=str, default=None)
-    p_spec.set_defaults(func=cmd_spectrum)
 
     p_fig = sub.add_parser("figure", help="regenerate figure data as CSV")
     p_fig.add_argument("--figure", type=int, required=True)
     p_fig.add_argument("--out", type=str, default=None)
     p_fig.add_argument("--grid", type=int, default=None,
                        help="points per axis (surfaces) or per curve")
-    p_fig.set_defaults(func=cmd_figure)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite, JSON report")
     _add_param_flags(p_ver)
     p_ver.add_argument("--perturb-energy", type=float, default=0.0,
                        help="test-only fault injection for the genvalue check")
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -369,11 +369,16 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:  # OSError: an unreadable --config
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_PARAMS
+    command = {"entropy": cmd_entropy, "spectrum": cmd_spectrum,
+               "figure": cmd_figure, "verify": cmd_verify}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, ArithmeticError) as exc:  # a request the library refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
 
 
 if __name__ == "__main__":

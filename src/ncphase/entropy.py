@@ -30,7 +30,8 @@ import numpy as np
 from . import moments
 from .darboux import cell_size
 from .params import LAMBDA_MIN, ModelParams, derive
-from .starcalc import GaussPoly, QuadraticForm, star_log_gaussian, star_power
+from .starcalc import (GaussPoly, QuadraticForm, _integer_at_least, star_log_gaussian,
+                       star_power)
 from .wigner import ReducedState, WignerState, hamiltonians_pm
 
 
@@ -100,9 +101,7 @@ def _check_lambda(lam: float) -> None:
 
 
 def _check_integer_order(order) -> int:
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 2:
-        raise ValueError(f"unsupported order {order!r}: integer >= 2 required")
-    return int(order)
+    return _integer_at_least(order, 2, f"unsupported order {order!r}: integer >= 2 required")
 
 
 def _finite_at_order(order: int, compute) -> float:

@@ -231,6 +231,15 @@ def _poly_mul(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray
     return (ranks.unrank(keys) + low[:, None]).T, values
 
 
+def _integer_at_least(value, minimum: int, message: str) -> int:
+    """value as an int when it is a Python or numpy integer, not a bool, of at
+    least minimum; ValueError(message) otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(message)
+    return int(value)
+
+
 def _power_table(x: np.ndarray, top: int) -> np.ndarray:
     """Rows x**0 .. x**top, by repeated multiplication."""
     table = np.empty((top + 1, len(x)))
@@ -263,7 +272,10 @@ class GaussPoly:
         Q = np.asarray(self.exponent, dtype=float)
         if Q.shape != (d, d):
             raise ValueError(f"exponent must be {d}x{d}")
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + abs(Q).max())):
+        scale = abs(Q).max()  # NaN if an entry is NaN
+        if not math.isfinite(scale):
+            raise ValueError("exponent matrix must be finite")
+        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
             raise ValueError("exponent matrix must be symmetric")
         object.__setattr__(self, "exponent", 0.5 * (Q + Q.T))
         exps = np.asarray(self.exps)
@@ -432,8 +444,10 @@ class QuadraticForm:
     """Two-square quadratic Hamiltonian H = (a.x + b.p)^2 + (c.x + d.p)^2.
 
     The coefficient vectors have one entry per oscillator (two in the full
-    space, one in the reduced pair). The scalar k controls star-exponentials
-    of the form; construction computes it once, as `form.k`.
+    space, one in the reduced pair), and every entry is finite. Construction
+    computes, once each, the scalar `form.k` that controls star-exponentials
+    of the form and `form.matrix`, the read-only symmetric (positive
+    semidefinite) S with H(z) = z^T S z.
     """
 
     variables: PhaseVariables
@@ -448,11 +462,17 @@ class QuadraticForm:
             vec = tuple(float(x) for x in getattr(self, name))
             if len(vec) != n:
                 raise ValueError(f"vector {name} must have length {n}")
+            if not all(map(math.isfinite, vec)):
+                raise ValueError(f"vector {name} must be finite")
             object.__setattr__(self, name, vec)
+        u, v = self.first_form, self.second_form
         # k = (a.d - b.c) hbar + (a^c) mu + (b^d) nu: u B v for the forms
         # u = (a, b) and v = (c, d)
-        k = self.first_form @ self.variables.deformation_matrix() @ self.second_form
+        k = u @ self.variables.deformation_matrix() @ v
+        matrix = np.outer(u, u) + np.outer(v, v)
+        matrix.flags.writeable = False
         object.__setattr__(self, "k", float(k))
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def first_form(self) -> np.ndarray:
@@ -462,12 +482,6 @@ class QuadraticForm:
     @property
     def second_form(self) -> np.ndarray:
         return np.array(self.c + self.d)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Symmetric matrix S with H(z) = z^T S z (positive semidefinite)."""
-        u, v = self.first_form, self.second_form
-        return np.outer(u, u) + np.outer(v, v)
 
     def poly(self) -> GaussPoly:
         """The Hamiltonian as a pure polynomial (zero Gaussian part)."""
@@ -483,10 +497,13 @@ class QuadraticForm:
         reduced pair: the columns of its Cholesky factor L. Any other split is
         a rotation of the pair, which leaves |k| and every star-exponential
         unchanged."""
-        if variables.dimension != 2 or np.shape(S) != (2, 2):
+        S = np.asarray(S, dtype=float)
+        if variables.dimension != 2 or S.shape != (2, 2):
             raise ValueError("only a 2x2 matrix over the reduced pair splits")
+        if not np.isfinite(S).all():
+            raise ValueError("matrix entries must be finite")
         try:
-            (a, c), (b, d) = np.linalg.cholesky(np.asarray(S, dtype=float))
+            (a, c), (b, d) = np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             raise ValueError("matrix is not positive definite") from None
         return cls(variables, (a,), (b,), (c,), (d,))
@@ -496,9 +513,11 @@ def star_exp(form: QuadraticForm, t: float) -> GaussPoly:
     """Closed-form star-exponential of a two-square quadratic Hamiltonian.
 
     Returns (1/cosh(k t)) * exp(H tanh(k t)/k) as a pure Gaussian; at k = 0
-    the analytic limit exp(H t) is used. |k t| beyond the cosh overflow
-    threshold is rejected.
+    the analytic limit exp(H t) is used. A t that is not finite, and |k t|
+    beyond the cosh overflow threshold, are rejected.
     """
+    if not math.isfinite(t):
+        raise ValueError("star_exp requires a finite t")
     k = form.k
     kt = k * t
     if abs(kt) > 700.0:
@@ -738,8 +757,7 @@ def star_power(g: GaussPoly, n: int, forms: Sequence[QuadraticForm]) -> GaussPol
     Every product goes through `gaussian_star` with all of its class checks;
     n = 1 returns g itself.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("star power requires a positive integer order")
+    n = _integer_at_least(n, 1, "star power requires a positive integer order")
     out, square = None, g
     while True:
         if n & 1:

@@ -27,6 +27,7 @@ from .starcalc import (
     grid_values,
     star_product_poly_left,
     star_product_poly_right,  # unused here; perfbench's trace wraps this name
+    _integer_at_least,
     _poly_mul,
 )
 
@@ -140,11 +141,12 @@ def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
     polynomial class; indices above 12 are rejected. README "Known limits"
     lists where the accepted indices and points lose accuracy.
     """
+    indices = []
     for name, idx in (("i", i), ("j", j)):
-        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-            raise ValueError(f"index {name} must be a nonnegative integer")
-        if idx > MAX_INDEX:
+        indices.append(_integer_at_least(idx, 0, f"index {name} must be a nonnegative integer"))
+        if indices[-1] > MAX_INDEX:
             raise ValueError(f"index {name} exceeds the supported maximum {MAX_INDEX}")
+    i, j = indices
     dq = derive(params)
     h_plus, h_minus = hamiltonians_pm(params)
     w = params.omega

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import decimal_entropy
+from ncphase import cli
 from ncphase.cli import main
 
 
@@ -110,6 +111,39 @@ class TestEntropyCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestDispatch:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("command, name", [
+        (["spectrum", "--imax", "0"], "cmd_spectrum"),
+        (["verify"], "cmd_verify"),
+    ])
+    def test_commands_are_looked_up_at_call_time(self, capsys, monkeypatch,
+                                                 command, name):
+        # the cached parser binds no function, so a wrapper set after the
+        # first call is the one that runs
+        assert main(command) in (0, 1)
+        seen = []
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args.command) or 7)
+        assert main(command) == 7
+        assert seen == [command[0]]
+        capsys.readouterr()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--out", "{tmp}/missing/x.csv"],  # FileNotFoundError
+        ["figure", "--figure", "3", "--out", "{tmp}"],  # IsADirectoryError
+    ])
+    def test_one_error_line_and_exit_2(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
 
 
 class TestOverflow:

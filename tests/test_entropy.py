@@ -146,6 +146,8 @@ class TestClosedForms:
         lambda: renyi_entanglement(1, 0.9),
         lambda: renyi_entanglement(2.5, 0.9),
         lambda: tsallis_entanglement(0, 0.9),
+        lambda: renyi_entanglement(True, 0.9),
+        lambda: tsallis_entanglement(np.int64(1), 0.9),
     ])
     def test_unsupported_orders_rejected(self, order_fn):
         with pytest.raises(ValueError):
@@ -253,6 +255,9 @@ class TestNumericRoute:
         res = renyi_numeric(reduced, 3, params)
         assert res.kind == "renyi" and res.order == 3
         assert res.method == "star-power-numeric"
+        # a numpy integer order is the same request, reported as an int
+        assert renyi_numeric(reduced, np.int64(3), params) == res
+        assert type(renyi_numeric(reduced, np.int64(3), params).order) is int
 
 
 class TestScaleInvariance:

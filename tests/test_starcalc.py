@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -111,6 +112,16 @@ class TestGaussPolyTerms:
         with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
             GaussPoly(V2, 1.0, -np.eye(2), exps, [1.0])
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_non_finite_exponent_refused(self, entry, at):
+        # NaN reached np.allclose, which warned and called the matrix
+        # asymmetric; inf on the diagonal was accepted
+        Q = -np.eye(2)
+        Q[at] = entry
+        with pytest.raises(ValueError, match="exponent matrix must be finite"):
+            GaussPoly.gaussian(V2, 1.0, Q)
+
     def test_integral_float_rows_become_int64(self):
         f = GaussPoly(V2, 1.0, -np.eye(2), [[1.0, 0.0]], [1.0])
         assert f.exps.dtype == np.int64 and f.exps.tolist() == [[1, 0]]
@@ -156,6 +167,27 @@ class TestKConstant:
                         @ form.second_form)
         assert form.k == pytest.approx(explicit, rel=1e-14)
         assert form.k == pytest.approx(pairing, rel=1e-14)
+
+    def test_matrix_is_built_once_and_read_only(self):
+        v4 = PhaseVariables(4, hbar=1.3, mu=0.2, nu=-0.1)
+        form = QuadraticForm(v4, (0.3, -0.7), (0.5, 0.2), (1.1, 0.4), (-0.6, 0.9))
+        u, v = form.first_form, form.second_form
+        assert np.array_equal(form.matrix, np.outer(u, u) + np.outer(v, v))
+        assert form.matrix is form.matrix
+        with pytest.raises(ValueError, match="read-only"):
+            form.matrix[0, 0] = 1.0
+        moved = dataclasses.replace(form, a=(1.0, 0.0))
+        u = moved.first_form
+        assert np.array_equal(moved.matrix, np.outer(u, u) + np.outer(v, v))
+        assert moved.k == float(u @ v4.deformation_matrix() @ v)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_entries_refused(self, entry):
+        # a NaN entry gave k = nan
+        with pytest.raises(ValueError, match="vector c must be finite"):
+            QuadraticForm(V2, a=(1.0,), b=(0.0,), c=(entry,), d=(1.0,))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            QuadraticForm.from_matrix(V2, np.array([[entry, 0.0], [0.0, 1.0]]))
 
     def test_mode_hamiltonian_k_matches_spectrum_scale(self):
         params = ModelParams(mu=0.3, nu=0.1)
@@ -204,6 +236,14 @@ class TestStarExp:
         form = two_square_1d(1.0, 1.0)
         with pytest.raises(ValueError):
             star_exp(form, 1e4)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_refused(self, t):
+        # NaN passed the overflow guard and reached np.allclose
+        for form in (two_square_1d(1.0, 1.0),
+                     QuadraticForm(V2, a=(1.0,), b=(0.0,), c=(0.0,), d=(0.0,))):
+            with pytest.raises(ValueError, match="requires a finite t"):
+                star_exp(form, t)
 
     @pytest.mark.parametrize("t1,t2", [(0.3, 0.4), (-0.5, 0.2), (-1.1, -0.4)])
     def test_group_law(self, t1, t2):
@@ -1159,8 +1199,16 @@ class TestStarPower:
 
     def test_invalid_order_rejected(self):
         g = GaussPoly.gaussian(V2, 1.0, -0.5 * np.eye(2))
-        with pytest.raises(ValueError):
-            star_power(g, 0, forms=own_form(g))
+        for n in (0, -2, True, 2.0, np.int64(0)):
+            with pytest.raises(ValueError, match="positive integer order"):
+                star_power(g, n, forms=own_form(g))
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.int32(5), np.uint8(8)])
+    def test_numpy_integer_order_accepted(self, n):
+        g, forms = power_case("reduced-2d")
+        got, want = star_power(g, n, forms=forms), star_power(g, int(n), forms=forms)
+        assert got.prefactor == want.prefactor
+        assert np.array_equal(got.exponent, want.exponent)
 
     @pytest.mark.parametrize("case", ["reduced-2d", "ground-4d"])
     def test_matches_sequential_products(self, case):

@@ -133,6 +133,18 @@ class TestWignerStates:
             wigner_state(13, 0, ModelParams())
         with pytest.raises(ValueError):
             wigner_state(0, -1, ModelParams())
+        with pytest.raises(ValueError, match="index i must be a nonnegative integer"):
+            wigner_state(True, 0, ModelParams())
+        with pytest.raises(ValueError, match="index j must be a nonnegative integer"):
+            wigner_state(0, 1.0, ModelParams())
+
+    def test_numpy_integer_indices_accepted(self):
+        params = ModelParams(mu=0.2, nu=0.1)
+        got = wigner_state(np.int64(1), np.int32(0), params)
+        want = wigner_state(1, 0, params)
+        assert (type(got.i), type(got.j)) == (int, int)
+        assert got.function.prefactor == want.function.prefactor
+        assert np.array_equal(got.function.coeffs, want.function.coeffs)
 
 
 class TestOrthogonality:
