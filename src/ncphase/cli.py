@@ -23,7 +23,8 @@ import numpy as np
 from . import entropy as ent
 from . import moments
 from .darboux import build_map, cell_size
-from .params import ModelParams, derive, lambda_from_theta, lambda_from_uv, load_params
+from .params import (_PARAM_KEYS, ModelParams, derive, lambda_from_theta, lambda_from_uv,
+                     load_params)
 from .starcalc import PhaseVariables, gaussian_star, grid_values, star_exp, star_log_gaussian
 from .wigner import (
     MAX_INDEX,
@@ -57,15 +58,10 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> ModelParams:
-    if args.config:
-        base = load_params(args.config)
-        fields = {k: getattr(base, k) for k in ("hbar", "mass", "omega", "mu", "nu")}
-    else:
-        fields = {"hbar": 1.0, "mass": 1.0, "omega": 1.0, "mu": 0.0, "nu": 0.0}
-    for key in fields:
-        override = getattr(args, key)
-        if override is not None:
-            fields[key] = override
+    # the class attributes of ModelParams are its defaults
+    base = load_params(args.config) if args.config else ModelParams
+    fields = {k: getattr(base, k) for k in _PARAM_KEYS}
+    fields.update((k, getattr(args, k)) for k in _PARAM_KEYS if getattr(args, k) is not None)
     params = ModelParams(**fields)
     if params.near_singular:
         print("warning: mu*nu is within 1e-9 of the hbar^2 singularity",
@@ -312,8 +308,7 @@ def cmd_verify(args) -> int:
     checks = _verify_checks(params, args.perturb_energy)
     all_passed = all(c["passed"] for c in checks)
     print(json.dumps({
-        "params": {k: getattr(params, k) for k in
-                   ("hbar", "mass", "omega", "mu", "nu")},
+        "params": {k: getattr(params, k) for k in _PARAM_KEYS},
         "checks": checks,
         "all_passed": all_passed,
     }, indent=2))
@@ -365,7 +360,6 @@ def main(argv=None) -> int:
     if hasattr(args, "hbar"):  # a command with parameter flags
         try:
             args.params = _params_from_args(args)
-            derive(args.params)
         except (OSError, ValueError) as exc:  # OSError: an unreadable --config
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_PARAMS

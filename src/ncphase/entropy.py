@@ -71,8 +71,7 @@ class EntropyResult:
 
 def beta_gamma(n: int) -> BetaGamma:
     """Exact coefficient polynomials at depth n >= 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("recursion depth n must be a positive integer")
+    n = _integer_at_least(n, 1, "recursion depth n must be a positive integer")
 
     def strip(coeffs: list[int]) -> list[int]:
         while len(coeffs) > 1 and coeffs[-1] == 0:

@@ -2,7 +2,8 @@
 
 Conventions: hbar, mass, omega are strictly positive; mu (length^2) deforms the
 position-position commutator and nu (momentum^2) the momentum-momentum one.
-All downstream formulas are expressed through the scalars computed here.
+All downstream formulas read the scalars a `ModelParams` derives once, when
+it is built; it refuses a point whose scalars leave double precision.
 """
 
 from __future__ import annotations
@@ -49,14 +50,23 @@ class ModelParams:
             raise ValueError(
                 f"hbar^2 overflows double precision, got hbar = {self.hbar!r}"
             ) from None
-        if hbar_sq < sys.float_info.min:  # derive divides by it
+        if hbar_sq < sys.float_info.min:  # _derive divides by it
             raise ValueError(
                 f"hbar^2 underflows double precision, got hbar = {self.hbar!r}"
             )
         # the upper end makes the minimal cell singular, the lower one pushes
-        # the purity parameter out of range; derive and darboux rely on this
+        # the purity parameter out of range; _derive and darboux rely on this
         if not -hbar_sq < self.mu * self.nu < hbar_sq:
             raise ValueError("mu*nu must stay inside (-hbar^2, hbar^2)")
+        try:
+            dq = _derive(self)
+        except (ArithmeticError, ValueError):  # overflow, cross-checks, NaN u*v
+            dq = None
+        if (dq is None or not all(map(math.isfinite, vars(dq).values()))
+                or not LAMBDA_MIN < dq.lam <= 1.0):
+            raise ValueError("parameters out of range: derived scalars overflow "
+                             "or lose precision in double precision")
+        object.__setattr__(self, "_derived", dq)  # not a field: eq, hash, repr skip it
 
     @property
     def near_singular(self) -> bool:
@@ -70,7 +80,8 @@ class DerivedQuantities:
 
     eta, delta     dimensionless deformation combinations
     c              half arccot(delta), in (0, pi/2)
-    h_plus/h_minus mode actions hbar*(sqrt(1+delta^2) +- eta), both positive
+    root           sqrt(1 + delta^2)
+    h_plus/h_minus mode actions hbar*(root +- eta), both positive
     lam            purity parameter in (sqrt(3)/3, 1]
     u, v           mu and nu in natural oscillator units
     theta          mu*nu/hbar^2 = eta^2 - delta^2, in (-1, 1)
@@ -78,6 +89,7 @@ class DerivedQuantities:
 
     eta: float
     delta: float
+    root: float
     c: float
     h_plus: float
     h_minus: float
@@ -88,23 +100,11 @@ class DerivedQuantities:
 
 
 def derive(params: ModelParams) -> DerivedQuantities:
-    """Compute all derived scalars, cross-checking the equivalent lambda forms.
-
-    ModelParams has already bounded mu*nu to (-hbar^2, hbar^2). Raises
-    ValueError when the derived scalars are not all finite in double
-    precision with lam in (sqrt(3)/3, 1]: an overflow, a division by zero,
-    lambda forms that disagree, or a lam rounded out of its range. Far from
-    unit scales this happens at accepted points.
-    """
-    try:
-        dq = _derive(params)
-    except ArithmeticError:  # OverflowError, ZeroDivisionError, cross-checks
-        dq = None
-    if (dq is None or not all(map(math.isfinite, vars(dq).values()))
-            or not LAMBDA_MIN < dq.lam <= 1.0):
-        raise ValueError("parameters out of range: derived scalars overflow "
-                         "or lose precision in double precision")
-    return dq
+    """The scalars of a point, derived and checked when it was built: all
+    finite, lam in (sqrt(3)/3, 1], the lambda forms in agreement. Far from
+    unit scales `ModelParams` refuses points where an overflow, a division
+    by zero or rounding breaks this ("parameters out of range")."""
+    return params._derived
 
 
 def _derive(params: ModelParams) -> DerivedQuantities:
@@ -139,7 +139,7 @@ def _derive(params: ModelParams) -> DerivedQuantities:
         )
 
     return DerivedQuantities(
-        eta=eta, delta=delta, c=c, h_plus=h_plus, h_minus=h_minus,
+        eta=eta, delta=delta, root=root, c=c, h_plus=h_plus, h_minus=h_minus,
         lam=lam, u=u, v=v, theta=theta,
     )
 
@@ -178,7 +178,8 @@ def _sqrt(x):
 
 
 def load_params(path: str | Path) -> ModelParams:
-    """Read a `key = value` parameter file; unknown keys are rejected.
+    """Read a `key = value` parameter file; an unknown or repeated key and a
+    value that is not a number are refused with the file and line.
 
     Recognized keys: hbar, mass, omega, mu, nu. Missing keys default to
     hbar = mass = omega = 1 and mu = nu = 0. Lines starting with '#' and
@@ -191,9 +192,14 @@ def load_params(path: str | Path) -> ModelParams:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
+        key, _, text = (part.strip() for part in line.partition("="))
         if key not in _PARAM_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-        values[key] = float(text.strip())
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated parameter {key!r}")
+        try:
+            values[key] = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be a number, "
+                             f"got {text!r}") from None
     return ModelParams(**values)

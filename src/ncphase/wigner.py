@@ -94,8 +94,7 @@ def oscillator_hamiltonian(params: ModelParams) -> GaussPoly:
 
 def energy_level(i: int, j: int, params: ModelParams) -> float:
     dq = derive(params)
-    root = math.sqrt(1.0 + dq.delta**2)
-    return params.hbar * params.omega * ((i + j + 1) * root + (i - j) * dq.eta)
+    return params.hbar * params.omega * ((i + j + 1) * dq.root + (i - j) * dq.eta)
 
 
 @functools.cache
@@ -171,11 +170,10 @@ def reduce(state: WignerState, subsystem: int) -> ReducedState:
     params = state.params
     dq = derive(params)
     hbar, m, w = params.hbar, params.mass, params.omega
-    root = math.sqrt(1.0 + dq.delta**2)
     dd, de = dq.delta**2, dq.delta * dq.eta
     # exponent of Eq-style reduced Gaussian over (x, p) of the kept oscillator
-    qx = -root * m * w / (hbar * (1.0 + dd + de))
-    qp = -root / (hbar * m * w * (1.0 + dd - de))
+    qx = -dq.root * m * w / (hbar * (1.0 + dd + de))
+    qp = -dq.root / (hbar * m * w * (1.0 + dd - de))
     variables = PhaseVariables(2, hbar=hbar)
     function = GaussPoly.gaussian(variables, dq.lam / (math.pi * hbar),
                                   np.diag([qx, qp]))

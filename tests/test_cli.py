@@ -8,6 +8,7 @@ import pytest
 
 from conftest import decimal_entropy
 from ncphase import cli
+from ncphase import params as params_module
 from ncphase.cli import main
 
 
@@ -112,10 +113,32 @@ class TestEntropyCommand:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text", ["mu = abc\n", "mu =\n", "mu = 0.1\nmu = 0.2\n"])
+    def test_bad_config_value_exit_code(self, capsys, tmp_path, text):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "entropy", "--config", str(cfg),
+                             "--kind", "renyi", "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {cfg}:")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestDispatch:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_verify_derives_the_scalars_once(self, capsys, monkeypatch):
+        # the point is checked and derived when it is built; every later
+        # reader, main included, takes the stored scalars
+        calls = []
+        original = params_module._derive
+        monkeypatch.setattr(params_module, "_derive",
+                            lambda p: calls.append(p) or original(p))
+        assert main(["verify"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command, name", [
         (["spectrum", "--imax", "0"], "cmd_spectrum"),
@@ -163,7 +186,7 @@ class TestOverflow:
         assert len(err.strip().splitlines()) == 1
 
     def test_derived_scalar_division_by_zero(self, capsys):
-        # an accepted point where derive divides by a zero that rounding made
+        # a point where the derivation divides by a zero that rounding made
         code, out, err = run(capsys, "entropy", "--hbar", "7.607880939073406e-103",
                              "--mass", "1.3934693779598466e+89",
                              "--omega", "4.268010897836484e-109",

@@ -85,8 +85,13 @@ class TestBetaGamma:
         assert beta <= 2 ** (n - 1) * (1 + 1e-12)
 
     def test_invalid_depth(self):
-        with pytest.raises(ValueError):
-            beta_gamma(0)
+        for n in (0, -1, 2.0, True, np.int64(0), np.True_):
+            with pytest.raises(ValueError, match="recursion depth n must be a positive"):
+                beta_gamma(n)
+
+    def test_numpy_integer_depth(self):
+        table = beta_gamma(np.int64(3))
+        assert table == beta_gamma(3) and type(table.n) is int
 
     def test_closed_sum_matches_the_exact_table(self):
         # the identity behind the log-sum closed forms and the decimal oracle

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +12,15 @@ from ncphase import (
     LAMBDA_MIN,
     ModelParams,
     derive,
+    energy_level,
     lambda_from_theta,
     lambda_from_uv,
     load_params,
+    reduce,
+    wigner_state,
 )
+from ncphase import params as params_module
+from ncphase.params import _PARAM_KEYS
 
 
 def test_commutative_limit():
@@ -186,27 +194,82 @@ _SIGNED = st.floats(min_value=-1.7e308, max_value=1.7e308)
 @settings(max_examples=500, deadline=None)
 @given(hbar=_SCALES, mass=_SCALES, omega=_SCALES, mu=_SIGNED, nu=_SIGNED)
 def test_derive_is_total_over_the_accepted_domain(hbar, mass, omega, mu, nu):
-    """An accepted point gives finite scalars with lam in range, or the
-    documented ValueError; no other exception escapes."""
+    """A built point has finite scalars with lam in range; construction
+    refuses every other point with a ValueError, and no other exception
+    escapes."""
     try:
         params = ModelParams(hbar=hbar, mass=mass, omega=omega, mu=mu, nu=nu)
-    except ValueError:
+    except ValueError as exc:
+        # a bound of the inputs, or the derived scalars' refusal
+        assert re.match(r"(hbar|mass|omega|mu|nu) must be|hbar\^2 \w+flows|mu\*nu must"
+                        r"|parameters out of range", str(exc)), exc
         return
-    try:
-        dq = derive(params)
-    except ValueError:
-        return
+    dq = derive(params)
     assert all(map(math.isfinite, vars(dq).values()))
     assert LAMBDA_MIN < dq.lam <= 1.0
 
 
 def test_derive_division_by_zero_is_a_value_error():
-    # accepted far from unit scales: (1+d^2)^2 - d^2 eta^2 rounds to zero
-    params = ModelParams(hbar=7.607880939073406e-103, mass=1.3934693779598466e+89,
-                         omega=4.268010897836484e-109, mu=7.008624504449331e-99,
-                         nu=1.9399340176629578e-107)
+    # refused at construction: v = inf makes u*v = 0*inf = NaN, and far
+    # from unit scales (1+d^2)^2 - d^2 eta^2 rounds to zero
     with pytest.raises(ValueError, match="parameters out of range"):
-        derive(params)
+        ModelParams(omega=5e-324, nu=1.0)
+    with pytest.raises(ValueError, match="parameters out of range"):
+        ModelParams(hbar=7.607880939073406e-103, mass=1.3934693779598466e+89,
+                    omega=4.268010897836484e-109, mu=7.008624504449331e-99,
+                    nu=1.9399340176629578e-107)
+
+
+def test_scalars_are_derived_once_per_point(monkeypatch):
+    calls = []
+    original = params_module._derive
+    monkeypatch.setattr(params_module, "_derive",
+                        lambda p: calls.append(p) or original(p))
+    p = ModelParams(mu=0.2, nu=0.1)
+    assert derive(p) is derive(p)
+    wigner_state(1, 1, p)
+    reduce(wigner_state(0, 0, p), 1)
+    assert len(calls) == 1
+
+
+def test_replace_carries_the_scalars_of_a_fresh_point():
+    p = ModelParams(mu=0.2, nu=0.1)
+    moved = dataclasses.replace(p, mu=0.3)
+    assert derive(moved) == derive(ModelParams(mu=0.3, nu=0.1))
+    assert derive(moved) != derive(p)
+
+
+def test_derived_scalars_are_not_fields():
+    p = ModelParams(hbar=2.0, mu=0.2, nu=0.1)
+    assert [f.name for f in dataclasses.fields(p)] == list(_PARAM_KEYS)
+    assert repr(p) == "ModelParams(hbar=2.0, mass=1.0, omega=1.0, mu=0.2, nu=0.1)"
+    assert p == ModelParams(2.0, 1.0, 1.0, 0.2, 0.1)
+    assert hash(p) == hash((2.0, 1.0, 1.0, 0.2, 0.1))
+    assert p != ModelParams(hbar=2.0, mu=0.2, nu=0.2)
+
+
+@pytest.mark.parametrize("mu,nu", [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999),
+                                   (1e6, -(1.0 - 1e-12) / 1e6)])
+def test_root_is_the_one_square_root(mu, nu):
+    dq = derive(ModelParams(mu=mu, nu=nu))
+    assert dq.root == math.sqrt(1 + dq.delta**2)
+    assert dq.h_plus == dq.root + dq.eta and dq.h_minus == dq.root - dq.eta
+
+
+@pytest.mark.parametrize("mu,nu,digest", [
+    (0.0, 0.0, "47a8a8c9914732f179ac52dc46eade6263629debca100c84da1fb43692c2e783"),
+    (0.2, 0.1, "1c319104f361a170bda5482499767cbbd05c01e576315902830c0666f3ec8293"),
+    (3.0, -0.3, "49dc2362d5e4853b77ebea97b54aaa8d5030f84a7121d5a5abc1526eaaac1775"),
+    (1.0, 0.999, "0586d71790b4f42218b02feb77828223a47993747558009038978f672cd92f3b"),
+])
+def test_readers_of_root_keep_their_bits(mu, nu, digest):
+    # the bits of energy_level for i, j in 0..3, then of the reduced ground
+    # state's prefactor and exponent
+    p = ModelParams(mu=mu, nu=nu)
+    f = reduce(wigner_state(0, 0, p), 1).function
+    levels = [energy_level(i, j, p) for i in range(4) for j in range(4)]
+    data = np.array(levels + [f.prefactor]).tobytes() + f.exponent.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_load_params(tmp_path):
@@ -218,3 +281,16 @@ def test_load_params(tmp_path):
     bad.write_text("muu = 0.3\n")
     with pytest.raises(ValueError):
         load_params(bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("hbar = 1\nmu = abc\n", r":2: mu must be a number, got 'abc'"),
+    ("mu =\n", r":1: mu must be a number, got ''"),
+    ("mu = 0.1\nnu = 0.0\nmu = 0.2\n", r":3: repeated parameter 'mu'"),
+    ("muu = 0.3\n", r":1: unknown parameter 'muu'"),
+])
+def test_load_params_names_the_file_and_line(tmp_path, text, message):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(cfg)) + message):
+        load_params(cfg)
