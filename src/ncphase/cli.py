@@ -23,8 +23,8 @@ import numpy as np
 from . import entropy as ent
 from . import moments
 from .darboux import build_map, cell_size
-from .params import (_PARAM_KEYS, ModelParams, derive, lambda_from_theta, lambda_from_uv,
-                     load_params)
+from .params import (_PARAM_KEYS, ModelParams, _read_params, derive, lambda_from_theta,
+                     lambda_from_uv)
 from .starcalc import PhaseVariables, gaussian_star, grid_values, star_exp, star_log_gaussian
 from .wigner import (
     MAX_INDEX,
@@ -58,9 +58,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> ModelParams:
-    # the class attributes of ModelParams are its defaults
-    base = load_params(args.config) if args.config else ModelParams
-    fields = {k: getattr(base, k) for k in _PARAM_KEYS}
+    # the flags lie over the file's values, and ModelParams checks the point
+    # they make together; a key set by neither takes its default
+    fields = _read_params(args.config) if args.config else {}
     fields.update((k, getattr(args, k)) for k in _PARAM_KEYS if getattr(args, k) is not None)
     params = ModelParams(**fields)
     if params.near_singular:

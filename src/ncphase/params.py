@@ -177,14 +177,10 @@ def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
-def load_params(path: str | Path) -> ModelParams:
-    """Read a `key = value` parameter file; an unknown or repeated key and a
-    value that is not a number are refused with the file and line.
-
-    Recognized keys: hbar, mass, omega, mu, nu. Missing keys default to
-    hbar = mass = omega = 1 and mu = nu = 0. Lines starting with '#' and
-    blank lines are ignored.
-    """
+def _read_params(path: str | Path) -> dict[str, float]:
+    """The {key: value} of a `key = value` parameter file; an unknown or
+    repeated key and a value that is not a number are refused with the file
+    and line. Lines starting with '#' and blank lines are ignored."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -202,4 +198,13 @@ def load_params(path: str | Path) -> ModelParams:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} must be a number, "
                              f"got {text!r}") from None
-    return ModelParams(**values)
+    return values
+
+
+def load_params(path: str | Path) -> ModelParams:
+    """Read a `key = value` parameter file (`_read_params`).
+
+    Recognized keys: hbar, mass, omega, mu, nu. Missing keys default to
+    hbar = mass = omega = 1 and mu = nu = 0.
+    """
+    return ModelParams(**_read_params(path))

@@ -21,9 +21,13 @@ library needs while staying exactly testable:
 Intermediate series terms are genuinely complex; a GaussPoly's `coeffs.real`
 and `coeffs.imag` split them.
 
-Every sparse sum adds its terms, in input order, into one zeroed array indexed
-by monomial rank, or by place among the distinct ranks where those are sparse
-(`_Simplex`, `_block_sums`), to the bits of the dict loop.
+Every sum adds its terms one at a time, in the dict loop's order, into one
+zeroed array, to the bits of the dict loop. Products, marginals and Gram
+matrices index that array by monomial rank, or by place among the distinct
+ranks where those are sparse (`_Simplex`, `_block_sums`); the star series
+indexes it by place in a lattice of monomials whose neighbour tables turn
+each derivative and each multiplication by a variable into a gather
+(`_Lattice`).
 """
 
 from __future__ import annotations
@@ -89,33 +93,26 @@ class PhaseVariables:
 
 @dataclass(frozen=True)
 class _Simplex:
-    """Ranks, in lexicographic order (first axis slowest, as ascending
-    mixed-radix keys), of the monomials a in d variables of degree <= top.
-    Their (d, n) exponents pack into K, the prefix sums S_k = a_0 + ... + a_k
-    for k < d - 1 in fields of `bits` bits (S_0 highest), and L = S_(d-1);
-    both add when monomials multiply. Those before a that first differ from
-    it on axis k number comb(top - S_(k-1) + d - k, d - k) - comb(top - S_k
-    + d - k, d - k), S_(-1) = 0 (Knuth, TAOCP 4A, 7.2.1.3), which sums to
-    offset + L plus columns[k, S_k] = -comb(top - S_k + d - k - 1, d - k)
-    over k < d - 1. binomials[m, t] = comb(t + m, m)."""
+    """Ranks, in lexicographic order (first axis slowest), of the monomials a
+    in d variables of degree <= top. With the prefix sums S_k = a_0 + ... +
+    a_k, those before a that first differ from it on axis k number
+    comb(top - S_(k-1) + d - k, d - k) - comb(top - S_k + d - k, d - k),
+    S_(-1) = 0 (Knuth, TAOCP 4A, 7.2.1.3), which sums to offset + S_(d-1)
+    plus columns[k, S_k] = -comb(top - S_k + d - k - 1, d - k) over k < d - 1.
+    binomials[m, t] = comb(t + m, m)."""
 
     top: int
     size: int
     offset: int
-    bits: int
     columns: np.ndarray
     binomials: np.ndarray
 
-    def pack(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        K, L = np.zeros_like(exps[0]), exps[0]
-        for a in exps[1:]:
-            K, L = (K << self.bits) + L, L + a
-        return K, L
-
-    def rank(self, K: np.ndarray, L: np.ndarray) -> np.ndarray:
-        ranks = L + self.offset
-        for k, column in enumerate(self.columns[::-1]):  # from the lowest field
-            ranks += column.take((K >> k * self.bits) & ((1 << self.bits) - 1))
+    def rank(self, exps: np.ndarray) -> np.ndarray:
+        """Ranks of the columns of a (d, n) exponent array."""
+        sums = np.cumsum(exps, axis=0)
+        ranks = sums[-1] + self.offset
+        for column, s in zip(self.columns, sums):
+            ranks += column.take(s)
         return ranks
 
     def unrank(self, ranks: np.ndarray) -> np.ndarray:
@@ -134,16 +131,67 @@ class _Simplex:
 
 @functools.cache
 def _simplex(d: int, top: int) -> _Simplex:
-    """The one place that refuses ranks or packed keys beyond int64 (`_Simplex`)."""
-    size, bits = math.comb(top + d, d), top.bit_length()
-    if size >= 1 << 62 or (d - 1) * bits > 62:
+    """The one place that refuses ranks beyond int64 (`_Simplex`)."""
+    size = math.comb(top + d, d)
+    if size >= 1 << 62:
         raise ValueError("polynomial degrees too large to pack")
     binomials = np.ones((d + 1, top + 1), dtype=np.int64)
     for m in range(1, d + 1):  # comb(t + m, m) sums comb(u + m - 1, m - 1) over u <= t
         np.cumsum(binomials[m - 1], out=binomials[m])
     columns = -np.pad(binomials[d:1:-1, :top][:, ::-1], ((0, 0), (0, 1)))
     binomials.flags.writeable = columns.flags.writeable = False
-    return _Simplex(top, size, size - top - 1, bits, columns, binomials)
+    return _Simplex(top, size, size - top - 1, columns, binomials)
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """Monomials in ascending rank order, each with its position one unit
+    step up and one step down on every axis. Column k of exps holds the
+    exponents of monomial k (unsigned, as narrow as the top degree allows);
+    up[a, k] and down[a, k] are the positions of it plus and minus e_a, or n,
+    the number of monomials, where that one is not a member. Column n is a
+    sentinel: zero exponents, and every step from it stays at n, so a vector
+    of n + 1 coefficients with 0 in slot n reads 0 for a missing neighbour.
+    The arrays are read-only."""
+
+    exps: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+
+
+def _lattice(ranks: _Simplex, members: np.ndarray) -> _Lattice:
+    """The `_Lattice` of the monomials with the given ranks, distinct and
+    ascending. A unit step up on axis a raises the prefix sums S_k for
+    k >= a by one, so it adds 1 and the rise of columns[k] at S_k for
+    a <= k < d - 1 to the rank (`_Simplex`)."""
+    n, exps = len(members), ranks.unrank(members).astype(np.min_scalar_type(ranks.top))
+    d = len(exps)
+    up = np.full((d, n + 1), n, dtype=np.intp)
+    down = up.copy()
+    sums = np.cumsum(exps, axis=0, dtype=exps.dtype)
+    below = np.flatnonzero(sums[-1] < ranks.top)  # room for one more degree
+    rises = np.diff(ranks.columns, axis=1)
+    target = members[below] + 1
+    for a in range(d - 1, -1, -1):
+        if a < d - 1:
+            target += rises[a].take(sums[a, below])
+        # in the whole simplex (the cached case) a rank is its own position
+        at = target if n == ranks.size else members.searchsorted(target)
+        found = members.take(at, mode="clip") == target
+        at, source = at[found], below[found]
+        up[a, source] = at
+        down[a, at] = source
+    exps = np.pad(exps, ((0, 0), (0, 1)))
+    for table in (exps, up, down):
+        table.flags.writeable = False
+    return _Lattice(exps, up, down)
+
+
+@functools.cache
+def _simplex_lattice(d: int, top: int) -> _Lattice:
+    """Every monomial in d variables of degree <= top (`_lattice`)."""
+    ranks = _simplex(d, top)
+    return _lattice(ranks, np.arange(ranks.size))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -553,34 +601,30 @@ def _nonzero(keys: np.ndarray, values: np.ndarray
     return keys[keep], values[keep]
 
 
-def _gauss_operator(half_row: np.ndarray, shift_row: np.ndarray, ranks: _Simplex):
-    """E_a = sum_b half_row[b] d/dz_b on poly * exp(z gQ z), as a map from the
-    exponents and coefficients of poly to those of the polynomial part of
-    the result, in ascending rank order with exact zeros dropped. No other
-    term is cut: a cut relative to the largest coefficient would depend on
-    the units of z.
+def _series_lattice(exps: np.ndarray, steps: int, top: int
+                    ) -> tuple[_Lattice, np.ndarray]:
+    """The `_Lattice` of a series over the terms with exponent rows exps that
+    moves within `steps` unit steps of them and stays at degree <= top, and
+    the position of each term in it.
 
-    E_a adds half_row[b] d poly/dz_b for every b and shift_row[j] z_j poly
-    for every j, with shift_row = (2 half gQ)[a]; the derivative terms come
-    first, axis by axis, then the shift terms.
+    That is the whole degree simplex (`_simplex_lattice`, cached), unless it
+    holds more than m log2 m monomials, m the number of terms times the
+    lattice points within `steps` unit steps of the origin, as `_block_sums`
+    chooses dense or sorted sums; then the members are only the monomials
+    within `steps` unit steps of a term.
     """
-    b = np.flatnonzero(half_row)
-    unit = np.eye(len(half_row), dtype=int)
-    (down_k, down_l), c = ranks.pack(unit[:, b]), half_row[b, None]
-    j = np.flatnonzero(shift_row)
-    (up_k, up_l), u = ranks.pack(unit[:, j]), shift_row[j, None]
-
-    def apply(exps: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        K, L = ranks.pack(exps)
-        axis, row = np.nonzero(power := exps[b])
-        keys = ranks.rank(
-            np.concatenate((K[row] - down_k[axis], (K + up_k[:, None]).ravel())),
-            np.concatenate((L[row] - down_l[axis], (L + up_l[:, None]).ravel())))
-        values = np.concatenate(((vals * c * power)[axis, row], (vals * u).ravel()))
-        keys, values = _nonzero(*_block_sums(np.array([len(keys)]),
-                                             lambda lo, hi: (keys, values), ranks.size))
-        return ranks.unrank(keys), values
-    return apply
+    d = exps.shape[1]
+    ranks = _simplex(d, top)
+    at = ranks.rank(exps.T)
+    reach = len(exps) * sum(2**k * math.comb(d, k) * math.comb(steps, k)
+                            for k in range(d + 1))
+    if ranks.size <= reach * reach.bit_length():
+        return _simplex_lattice(d, top), at
+    box = np.indices((2 * steps + 1,) * d).reshape(d, -1) - steps
+    ball = box[:, abs(box).sum(axis=0) <= steps]
+    rows = (exps.T[:, :, None] + ball[:, None, :]).reshape(d, -1)
+    members = _distinct(ranks.rank(rows[:, (rows >= 0).all(axis=0)]))
+    return _lattice(ranks, members), members.searchsorted(at)
 
 
 def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
@@ -592,57 +636,77 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
     exp(<-d_a (i/2) B_ab ->d_b) = sum_alpha (<-d^alpha / alpha!) (i E)^alpha
     with E_a = half[a, b] ->d_b, since the E_a commute; so the series adds
     i^|alpha| / alpha! d^alpha f E^alpha g over the alpha with d^alpha f
-    nonzero, and ends at the total degree of f. Keys are ranks (`_Simplex`)
-    up to deg f + deg g, which no term exceeds. E^alpha g is one pass
-    (`_gauss_operator`) over E^(alpha less its first nonzero axis) g. Every
-    (alpha, f-term) row times its E^alpha g is one gather, summed by
-    `_block_sums`. Only exact zeros are dropped, here and after each pass,
-    so the terms kept do not depend on units. A row's factor
-    c i^|alpha| / alpha! is CPython scalar arithmetic: numpy divides a
-    complex array by an int through its reciprocal, to other bits.
+    nonzero, and ends at the total degree of f. Every term it reaches lies
+    within deg f unit steps of a term of g, at degree <= deg f + deg g, so
+    each E^alpha g is a dense vector of coefficients over the `_Lattice` of
+    `_series_lattice`. Repeated rows of g (a sum, `__add__`, may have them;
+    no caller in the package passes one) are summed first, in row order, as
+    `GaussPoly.poly` and the dict loops of the tests sum them.
+
+    E^alpha g is one pass of E_a over E^(alpha - e_a) g, a the first nonzero
+    axis of alpha. On poly * exp(z gQ z), E_a adds half[a, b] d poly/dz_b for
+    every b (the vector times half[a, b], times the exponent on b, gathered
+    one step up) and shift[a, j] z_j poly for every j (gathered one step
+    down, times shift[a, j]), with shift = 2 half gQ: the derivative terms
+    first, axis by axis, then the shift terms, each added in turn into a
+    zeroed vector. Each (alpha, f-term) row, in series order, then adds
+    E^alpha g, gathered through the f-term's exponent in down-steps, times
+    its factor into one zeroed sum. So every key is summed as the dict loop
+    sums it, to the same bits. The factor is rounded as c * 1j**|alpha| /
+    alpha! in CPython scalar arithmetic: numpy divides a complex array by an
+    int through its reciprocal, to other bits. Only exact zeros are dropped,
+    when the exponents are read at the end, so the terms kept do not depend
+    on units. A vector is kept only while a later pass needs it.
     """
     d = len(half)
     if not (len(f.coeffs) and len(g.coeffs)):
         return np.zeros((0, d), dtype=np.int64), np.zeros(0)
-    ranks = _simplex(d, f.degree + g.degree)
-    E = [_gauss_operator(row, shift, ranks) for row, shift in zip(half, 2.0 * half @ g.exponent)]
+    lattice, at = _series_lattice(g.exps, f.degree, f.degree + g.degree)
+    up, down = lattice.up, lattice.down
+    size = up.shape[1]  # the monomials and the sentinel
+    shift = 2.0 * half @ g.exponent
+    moves = [(np.flatnonzero(h), np.flatnonzero(s)) for h, s in zip(half, shift)]
+    series_sum = np.zeros(size, complex)
     unit = np.eye(d, dtype=np.int64)
+
+    def gather(alpha, fe, fc, eg):
+        turn, scale = 1j ** sum(alpha), math.prod(map(math.factorial, alpha))
+        for row, c in zip(fe.tolist(), fc.tolist()):
+            moved = eg
+            for axis, steps in enumerate(row):
+                for _ in range(steps):
+                    moved = moved[down[axis]]
+            np.add(series_sum, np.complex128(c * turn / scale) * moved, out=series_sum)
+
+    def step(a, eg):
+        out = np.zeros(size, eg.dtype)
+        derivative, shifted = moves[a]
+        for b in derivative:
+            out += (eg * half[a, b] * lattice.exps[b])[up[b]]
+        for j in shifted:
+            out += eg[down[j]] * shift[a, j]
+        return out
 
     # (alpha, d^alpha f, E^alpha g) order by order; alpha + e_a comes only
     # from alpha, with a at or before the first nonzero axis of alpha
-    level = [((0,) * d, (f.exps, f.coeffs), (g.exps.T, g.coeffs))]
-    series = list(level)
-    for _ in range(f.degree):
+    eg = np.zeros(size, g.coeffs.dtype)
+    np.add.at(eg, at, g.coeffs)
+    level = [((0,) * d, f.exps, f.coeffs, eg)]
+    gather(*level[0])
+    while level:
         kids = []
-        for alpha, (fe, fc), eg in level:
+        for alpha, fe, fc, eg in level:
             first = next((a for a, n in enumerate(alpha) if n), d - 1)
             for a in range(first + 1):
                 if (has := fe[:, a] > 0).any():
-                    kids.append((alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:],
-                                 (fe[has] - unit[a], fc[has] * fe[has, a]), E[a](*eg)))
+                    kid = (alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:],
+                           fe[has] - unit[a], fc[has] * fe[has, a], step(a, eg))
+                    gather(*kid)
+                    if kid[1].any():
+                        kids.append(kid)
         level = kids
-        series += level
-
-    # one row per (alpha, f-term), owning every term of its E^alpha g
-    seg_len = np.array([len(eg[1]) for *_, eg in series])
-    row_seg = np.repeat(np.arange(len(series)), [len(df[1]) for _, df, _ in series])
-    row_k, row_l = ranks.pack(np.concatenate([df[0] for _, df, _ in series]).T)
-    coeffs = np.array([c * 1j ** sum(alpha) / math.prod(map(math.factorial, alpha))
-                       for alpha, df, _ in series for c in df[1].tolist()], dtype=complex)
-    counts = seg_len[row_seg]
-    row_start = (np.cumsum(seg_len) - seg_len)[row_seg]
-    eg_k, eg_l = ranks.pack(np.concatenate([eg[0] for *_, eg in series], axis=1))
-    eg_vals = np.concatenate([eg[1] for *_, eg in series])
-
-    def entries(lo, hi):
-        row, offset = _ragged(counts[lo:hi])
-        row += lo
-        at = row_start[row] + offset
-        keys = ranks.rank(row_k[row] + eg_k[at], row_l[row] + eg_l[at])
-        return keys, coeffs[row] * eg_vals[at]
-
-    keys, vals = _nonzero(*_block_sums(counts, entries, ranks.size))
-    return ranks.unrank(keys).T, vals
+    keep = np.flatnonzero(series_sum[:-1])
+    return lattice.exps[:, keep].T.astype(np.int64), series_sum[keep]
 
 
 def _require_zero_exponent(g: GaussPoly, who: str) -> None:

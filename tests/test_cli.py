@@ -103,6 +103,27 @@ class TestEntropyCommand:
                            "--nu", "0", "--kind", "renyi", "--order", "2")
         assert json.loads(out)["value"] > 0.0
 
+    def test_flags_mend_an_invalid_config_point(self, capsys, tmp_path, monkeypatch):
+        # mu*nu = 2 > hbar^2 in the file; --nu 0 makes the point valid, and
+        # the scalars are derived once, for the point the flags and file make
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("mu = 2\nnu = 1\n")
+        calls = []
+        original = params_module._derive
+        monkeypatch.setattr(params_module, "_derive",
+                            lambda p: calls.append(p) or original(p))
+        code, out, err = run(capsys, "entropy", "--config", str(cfg), "--nu", "0",
+                             "--kind", "renyi", "--order", "2")
+        assert code == 0, err
+        assert json.loads(out)["value"] > 0.0
+        assert [(p.mu, p.nu) for p in calls] == [(2.0, 0.0)]
+        code, out, err = run(capsys, "entropy", "--config", str(cfg),
+                             "--kind", "renyi", "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("name", ["missing.cfg", "."])
     def test_unreadable_config_file_exit_code(self, capsys, tmp_path, name):
         # a missing file, or a directory: one error line, exit 2, no traceback

@@ -499,7 +499,7 @@ class TestMonomialRanks:
         rows = np.array(simplex_rows(d, top))
         ranks = starcalc._simplex(d, top)
         assert ranks.size == len(rows) == math.comb(top + d, d)
-        assert ranks.rank(*ranks.pack(rows.T)).tolist() == list(range(len(rows)))
+        assert ranks.rank(rows.T).tolist() == list(range(len(rows)))
         assert (ranks.unrank(np.arange(len(rows))) == rows.T).all()
 
     def test_rank_space_too_large_for_int64(self):
@@ -642,6 +642,17 @@ class TestPolyMul:
         assert max(map(sum, lag_i)) + max(map(sum, lag_j)) == 32
         assert starcalc._simplex(4, 32).size == math.comb(36, 4)
         assert hex_terms(poly_mul(lag_i, lag_j)) == hex_terms(sorted_poly_mul(lag_i, lag_j))
+
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch):
+        # the W(4,4) product sums 126 x 126 term pairs, many blocks of 64
+        w = wigner_state(4, 4, ModelParams(mu=0.2, nu=0.1)).function
+        blocked = _poly_mul(w.exps, w.coeffs, w.exps, w.coeffs)
+        assert len(w.coeffs) ** 2 > _MUL_BLOCK
+        for block in (64, 1 << 40):
+            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
+            exps, coeffs = _poly_mul(w.exps, w.coeffs, w.exps, w.coeffs)
+            assert np.array_equal(exps, blocked[0])
+            assert [c.hex() for c in coeffs.tolist()] == [c.hex() for c in blocked[1].tolist()]
 
     def test_wigner_state_has_reference_polynomial(self, monkeypatch):
         import ncphase.wigner as wg
@@ -835,6 +846,65 @@ def assert_near_exact(got, exact, rel=1e-14):
         assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= rel * scale, k
 
 
+def series_loop(f: dict, g: dict, Q: np.ndarray, half: np.ndarray) -> dict:
+    """The star series of `starcalc._star_series` as a float dict loop in its
+    documented per-key order, every sum from 0 and every product formed as
+    the kernel forms it, by numpy's array multiply (its complex128 loop may
+    round differently from numpy's scalar multiply and CPython's complex
+    product). E_a adds half[a, b] d/dz_b axis by axis, then shift[a, j] z_j
+    with shift = 2 half Q, and drops exact zeros; alpha + e_a comes from
+    alpha for a up to the first nonzero axis of alpha, order by order; each
+    (alpha, f-term) row adds its factor c * 1j**|alpha| / alpha!, rounded in
+    that order by CPython, times E^alpha g, row after row. Keys come back in
+    ascending order."""
+    d = len(half)
+    shift = 2.0 * half @ Q
+    unit = [tuple(row) for row in np.eye(d, dtype=int).tolist()]
+
+    def add(out, key, value):
+        out[key] = out.get(key, 0.0) + value
+
+    def times(x, y):
+        return (np.array([x]) * np.array([y]))[0]
+
+    def step(poly, a):
+        out = {}
+        for b in np.flatnonzero(half[a]):
+            for k, c in poly.items():
+                if k[b]:
+                    add(out, tuple(np.subtract(k, unit[b]).tolist()),
+                        times(times(c, half[a, b]), k[b]))
+        for j in np.flatnonzero(shift[a]):
+            for k, c in poly.items():
+                add(out, tuple(np.add(k, unit[j]).tolist()), times(c, shift[a, j]))
+        return {k: c for k, c in out.items() if c != 0}
+
+    total = {}
+
+    def gather(alpha, df, eg):
+        for kf, c in df.items():
+            factor = np.complex128(c.item() * 1j ** sum(alpha)
+                                   / math.prod(map(math.factorial, alpha)))
+            for kg, v in eg.items():
+                add(total, tuple(np.add(kf, kg).tolist()), times(factor, v))
+
+    level = [((0,) * d, f, g)]
+    gather(*level[0])
+    while level:
+        kids = []
+        for alpha, df, eg in level:
+            first = next((a for a, n in enumerate(alpha) if n), d - 1)
+            for a in range(first + 1):
+                down = {tuple(np.subtract(k, unit[a]).tolist()): times(c, k[a])
+                        for k, c in df.items() if k[a]}
+                if down:
+                    kid = (alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:], down, step(eg, a))
+                    gather(*kid)
+                    kids.append(kid)
+        level = kids
+    return {k: total[k] for k in sorted(total) if total[k] != 0}
+
+
 ANCHORS = [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999)]
 
 
@@ -886,55 +956,60 @@ class TestStarSeries:
             assert ([c.conjugate() for c in map(complex, left.values())]
                     == [complex(c) for c in right.values()])
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 4]),
+           kinds=st.tuples(*[st.sampled_from(["real", "complex"])] * 2),
+           form=st.sampled_from(["full", "diagonal", "zero"]))
+    def test_sums_in_the_documented_order(self, data, dim, kinds, form):
+        # bit for bit against the dict loop of the documented order; the
+        # factor of an alpha with alpha! > 2 (f of degree 3) tells
+        # c * 1j**|alpha| / alpha! from c * (1j**|alpha| / alpha!)
+        f, g = (data.draw(st.dictionaries(keys, coefficient(kind), min_size=1, max_size=8)
+                          .filter(lambda p: any(p.values())))
+                for keys, kind in zip((st.sampled_from(simplex_rows(dim, 3)),
+                                       st.tuples(*[st.integers(0, 4)] * dim)), kinds))
+        hbar = data.draw(st.floats(0.3, 2.0))
+        mu, nu = (data.draw(st.floats(-2.0, 2.0)) for _ in range(2))
+        variables = (PhaseVariables(4, hbar=hbar, mu=mu, nu=nu) if dim == 4
+                     else PhaseVariables(2, hbar=hbar))
+        a = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim * dim,
+                                        max_size=dim * dim))).reshape(dim, dim)
+        Q = {"full": -(a.T @ a + 0.1 * np.eye(dim)),
+             "diagonal": -np.diag(np.diag(a) ** 2 + 0.1),
+             "zero": np.zeros((dim, dim))}[form]
+        fp = GaussPoly(variables, 1.0, np.zeros((dim, dim)), *terms(f, dim))
+        gp = GaussPoly(variables, 1.0, Q, *terms(g, dim))
+        for sign in (1, -1):
+            half = sign * 0.5 * variables.deformation_matrix()
+            got = mapping(*starcalc._star_series(fp, gp, half))
+            want = series_loop(*(dict(zip(map(tuple, p.exps.tolist()), p.coeffs))
+                                 for p in (fp, gp)), gp.exponent, half)
+            assert hex_terms(got) == hex_terms({k: complex(c) for k, c in want.items()})
+
     def test_each_pass_keeps_every_nonzero_coefficient(self):
-        # E_0 = d/dx2 of x2 + 5e-13 x2^2 + 1e6 x2^3: the 1e-12 x2 term stays
-        # (a cut relative to 3e6 would drop it)
-        from ncphase.starcalc import _gauss_operator, _simplex
+        # x1 star g for g = x2 + 5e-13 x2^2 + 1e6 x2^3 with E_0 = d/dx2 is
+        # x1 g + i E_0 g: the 1e-12 x2 term of the pass stays (a cut relative
+        # to 3e6 would drop it)
         half = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        E0 = _gauss_operator(half[0], np.zeros(2), _simplex(2, 4))
-        exps, vals = E0(np.array([[0, 0, 0], [1, 2, 3]]), np.array([1.0, 5e-13, 1e6]))
-        assert exps.tolist() == [[0, 0, 0], [0, 1, 2]]
-        assert vals.tolist() == [1.0, 1e-12, 3e6]
+        f = GaussPoly(V2, 1.0, np.zeros((2, 2)), *terms({(1, 0): 1.0}, 2))
+        g = GaussPoly(V2, 1.0, np.zeros((2, 2)),
+                      *terms({(0, 1): 1.0, (0, 2): 5e-13, (0, 3): 1e6}, 2))
+        exps, vals = starcalc._star_series(f, g, half)
+        assert exps.tolist() == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [1, 3]]
+        assert vals.tolist() == [1j, 1e-12j, 3e6j, 1, 5e-13, 1e6]
 
-    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch):
-        from ncphase import oscillator_hamiltonian
-        params = ModelParams(mu=0.2, nu=0.1)
-        h = oscillator_hamiltonian(params)
-        w = wigner_state(4, 4, params).function
-        blocked = star_product_poly_left(h, w).poly
-        for block in (64, 1 << 40):
-            monkeypatch.setattr(starcalc, "_MUL_BLOCK", block)
-            assert hex_terms(star_product_poly_left(h, w).poly) == hex_terms(blocked)
-
-    def test_gather_sums_in_bounded_blocks(self, monkeypatch):
-        # each pass sums as one row, and the gather, the last sum, adds its
-        # (alpha, f-term) rows in several blocks of at most _MUL_BLOCK
-        # entries plus one row, every key a rank of the degree simplex
+    def test_memory_stays_within_a_few_vectors(self):
+        # H*W(6,6) with cold tables: the lattice of C(30, 4) = 27 405 ranks,
+        # its neighbour tables and a few coefficient vectors over it (about
+        # 4.1 MB), not an entry per (alpha, f-term) row and term of
+        # E^alpha g (5.8 MB when those were summed in bounded blocks)
         from ncphase import oscillator_hamiltonian
         params = ModelParams(mu=0.2, nu=0.1)
         h = oscillator_hamiltonian(params)
         w = wigner_state(6, 6, params).function
-        block_sums = starcalc._block_sums
-        calls = []
-
-        def spy_block_sums(counts, entries, span):
-            blocks = []
-            calls.append((counts, span, blocks))
-
-            def spy_entries(lo, hi):
-                out = entries(lo, hi)
-                blocks.append(len(out[0]))
-                return out
-            return block_sums(counts, spy_entries, span)
-
-        monkeypatch.setattr(starcalc, "_block_sums", spy_block_sums)
-        star_product_poly_left(h, w)
-        *passes, (counts, span, blocks) = calls
-        assert len(passes) == 8  # one per alpha with d^alpha H nonzero: e_a, 2 e_a
-        assert all(len(c) == 1 and b == [c[0]] for c, _, b in passes)
-        assert {s for _, s, _ in calls} == {math.comb(2 + 24 + 4, 4)}
-        assert len(blocks) > 1
-        assert all(size <= _MUL_BLOCK + counts.max() for size in blocks)
+        starcalc._simplex_lattice.cache_clear()
+        assert peak_bytes(lambda: star_product_poly_left(h, w)) < 5 << 20
+        assert starcalc._simplex_lattice(4, 26).up.shape == (4, math.comb(30, 4) + 1)
 
     def test_sparse_high_degree_operand(self):
         # degree 2 + 400 ranks C(406, 4) = 1.1e9 monomials; each pass and the
