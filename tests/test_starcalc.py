@@ -181,6 +181,36 @@ class TestKConstant:
         assert np.array_equal(moved.matrix, np.outer(u, u) + np.outer(v, v))
         assert moved.k == float(u @ v4.deformation_matrix() @ v)
 
+    @pytest.mark.parametrize("form", [
+        two_square_1d(2.0, 0.5),
+        QuadraticForm(V2, a=(0.3,), b=(-0.7,), c=(1.1,), d=(0.4,)),
+        QuadraticForm(PhaseVariables(4, hbar=1.3, mu=0.2, nu=-0.1),
+                      (0.3, -0.7), (0.5, 0.2), (1.1, 0.4), (-0.6, 0.9)),
+        QuadraticForm(PhaseVariables(4), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0)),
+    ])
+    def test_poly_keeps_the_triu_construction(self, form):
+        # the rows and coefficient bits of x_i x_j, i <= j, built per call
+        d = form.variables.dimension
+        i, j = np.triu_indices(d)
+        unit = np.eye(d, dtype=np.int64)
+        old = GaussPoly(form.variables, 1.0, np.zeros((d, d)), unit[i] + unit[j],
+                        np.where(i == j, 1.0, 2.0) * form.matrix[i, j])
+        h = form.poly()
+        assert h.exps.tolist() == old.exps.tolist()
+        assert h.coeffs.tobytes() == old.coeffs.tobytes()
+        assert h.prefactor == 1.0 and not h.exponent.any()
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_poly_tables_are_cached_and_read_only(self, d):
+        assert starcalc._pairs(d) is starcalc._pairs(d)
+        for table in starcalc._pairs(d):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+        form = QuadraticForm(PhaseVariables(d), (1.0,) * (d // 2), (0.5,) * (d // 2),
+                             (0.2,) * (d // 2), (0.7,) * (d // 2))
+        with pytest.raises(ValueError, match="read-only"):
+            form.poly().exps[0, 0] = 3
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_non_finite_entries_refused(self, entry):
         # a NaN entry gave k = nan
@@ -346,6 +376,40 @@ class TestGaussPolyAlgebra:
             GaussPoly.gaussian(V2, 1.0, np.array([[-1.0, 1.0], [1.0 + 5e-6, -1.0]]))
         GaussPoly.gaussian(V2, 1.0, np.array([[-1.0, 1.0], [1.0 + 1e-13, -1.0]]))
 
+    def test_symmetry_tolerance_is_the_old_allclose_boundary(self):
+        # |Q - Q^T| <= atol, as np.allclose(Q, Q.T, rtol=0, atol=atol) tests it:
+        # an asymmetry of exactly atol passes and the next float up does not
+        atol = 1e-12 * (1.0 + 1.0)
+        for gap, passes in [(atol, True), (np.nextafter(atol, 1.0), False)]:
+            Q = np.array([[-1.0, gap], [0.0, -1.0]])
+            assert np.allclose(Q, Q.T, rtol=0.0, atol=atol) is passes
+            if passes:
+                GaussPoly.gaussian(V2, 1.0, Q)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    GaussPoly.gaussian(V2, 1.0, Q)
+
+    def test_add_tolerance_is_the_old_allclose_boundary(self):
+        g1 = GaussPoly.gaussian(V2, 1.0, -np.eye(2))
+        atol = 1e-12 * (1.0 + 1.0 + 1.0)
+        for gap, passes in [(atol, True), (np.nextafter(atol, 1.0), False)]:
+            g2 = GaussPoly.gaussian(V2, 1.0, np.array([[-1.0, gap], [gap, -1.0]]))
+            assert np.allclose(g1.exponent, g2.exponent, rtol=0.0, atol=atol) is passes
+            if passes:
+                assert (g1 + g2).exponent.tolist() == [[-1.0, 0.0], [0.0, -1.0]]
+            else:
+                with pytest.raises(ValueError, match="different Gaussian exponents"):
+                    g1 + g2
+
+    def test_exponents_near_double_range_do_not_overflow(self):
+        # 0.5 * (Q + Q.T) gave -inf for -1e308 on the diagonal, and Q - Q.T
+        # overflowed on the huge asymmetric pair, each with a RuntimeWarning
+        with np.errstate(all="raise"):
+            g = GaussPoly.gaussian(V2, 1.0, [[-1e308, 0.0], [0.0, -1.0]])
+            assert g.exponent.tolist() == [[-1e308, 0.0], [0.0, -1.0]]
+            with pytest.raises(ValueError, match="symmetric"):
+                GaussPoly.gaussian(V2, 1.0, [[-1.0, 1e308], [-1e308, -1.0]])
+
     def test_add_folds_prefactors(self):
         # the rows are concatenated; the repeated x term is summed on reading
         g1 = GaussPoly(V2, 2.0, -np.eye(2), *terms({(1, 0): 1.0}, 2))
@@ -500,6 +564,9 @@ class TestMonomialRanks:
         ranks = starcalc._simplex(d, top)
         assert ranks.size == len(rows) == math.comb(top + d, d)
         assert ranks.rank(rows.T).tolist() == list(range(len(rows)))
+        cols = rows.T.copy()  # rank's row adds work on a copy of its operand
+        assert ranks.rank(cols).tolist() == list(range(len(rows)))
+        assert (cols == rows.T).all()
         assert (ranks.unrank(np.arange(len(rows))) == rows.T).all()
 
     def test_rank_space_too_large_for_int64(self):
