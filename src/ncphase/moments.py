@@ -5,7 +5,8 @@ exp(z^T Q z) with Q negative definite corresponds to a centered normal weight
 with covariance -Q^{-1}/2 and total mass pi^{d/2}/sqrt(det(-Q)). Polynomial
 parts are contracted against the weight through the Isserlis moment recursion,
 run as arrays one even degree at a time over every multi-index of that
-degree, through index plans cached per (dimension, degree).
+degree, through the one monomial index per dimension that the star series
+reads too (`starcalc._graded_lattice`).
 Dense quadrature exists only in the test suite as an independent oracle.
 
 The array kernels give the same bits as the per-term loops they replaced:
@@ -20,14 +21,13 @@ product above MAX_MOMENT_DEGREE before it sums anything.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import chain, combinations
 from math import comb, pi, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _distinct, _nonzero,
-                       _pair_sums, _ragged, _simplex)
+from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _distinct, _graded_lattice,
+                       _graded_rank, _nonzero, _pair_sums, _ragged)
 
 MAX_MOMENT_DEGREE = 48
 
@@ -40,54 +40,6 @@ def _sequential_sum(values: np.ndarray) -> float:
     np.sum adds pairwise, and the builtin sum compensates from Python 3.12.
     """
     return np.add.accumulate(np.concatenate(([0.0], values)))[-1]
-
-
-def _graded_rank(exps: np.ndarray) -> np.ndarray:
-    """Rank of each row among the multi-indices of its own degree.
-
-    A multi-index alpha of degree n in d variables is the (d-1)-subset of bar
-    positions b_k = alpha_0 + ... + alpha_(k-1) + k - 1 of {0, ..., n+d-2}
-    (stars and bars), ranked by the combinatorial number system as the sum of
-    comb(b_k, k) (Knuth, TAOCP 4A, 7.2.1.3), from 0 to comb(n+d-1, d-1) - 1.
-    The rows' degrees must not exceed MAX_MOMENT_DEGREE.
-    """
-    binomials = _simplex(exps.shape[1], MAX_MOMENT_DEGREE).binomials
-    below = binomials[1:] - binomials[:-1]  # below[k - 1, s] = comb(s + k - 1, k)
-    prefix = np.zeros(len(exps), dtype=np.int64)
-    rank = np.zeros(len(exps), dtype=np.int64)
-    for k in range(1, exps.shape[1]):
-        prefix += exps[:, k - 1]
-        rank += below[k - 1].take(prefix)
-    return rank
-
-
-@cache
-def _isserlis_plan(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index structure of the Isserlis recursion at even degree n in d
-    variables, for every multi-index alpha of degree n in rank order: the
-    pivot i (first axis with alpha_i > 0), beta = alpha - e_i, and the rank
-    of beta - e_j at degree n - 2 for each j, or the sentinel
-    comb(n+d-3, d-1) (one past the last rank) where beta_j = 0.
-    Read-only, shared by every call.
-    """
-    bars = np.fromiter(chain.from_iterable(combinations(range(n + d - 1), d - 1)),
-                       dtype=np.int64).reshape(comb(n + d - 1, d - 1), d - 1)
-    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + d - 1))
-    alpha = np.diff(edges, axis=1) - 1
-    beta = np.empty_like(alpha)  # alpha in rank order, then lowered at the pivot
-    beta[_graded_rank(alpha)] = alpha
-    pivot = (beta > 0).argmax(axis=1)
-    beta[np.arange(len(beta)), pivot] -= 1
-    sentinel = comb(n + d - 3, d - 1)
-    child = np.full(beta.shape, sentinel, dtype=np.min_scalar_type(sentinel))
-    row, j = np.nonzero(beta)
-    lowered = beta[row]
-    lowered[np.arange(len(row)), j] -= 1
-    child[row, j] = _graded_rank(lowered)
-    plan = pivot.astype(np.min_scalar_type(d)), beta.astype(np.uint8), child
-    for array in plan:
-        array.flags.writeable = False
-    return plan
 
 
 class MomentTable:
@@ -109,12 +61,16 @@ class MomentTable:
         Isserlis recursion: with i the first axis where alpha_i > 0 and
         beta = alpha - e_i, E[z^alpha] is the sum over j of
         (cov[i, j] * beta_j) * E[z^(beta - e_j)], added in j order from +0.0,
-        where a term with cov[i, j] = 0 or beta_j = 0 is skipped. Each even
-        degree up to the rows' highest is one array pass over every
-        multi-index of that degree, through the cached `_isserlis_plan`. A
-        moment depends only on alpha and the covariance, so it has the same
-        bits whichever rows are asked with it. A returned moment that leaves
-        double range (an overflow, or inf - inf) raises ValueError.
+        where a term with cov[i, j] = 0 or beta_j = 0 is skipped. One vector
+        holds the moments of every multi-index up to the rows' top degree in
+        the order of `starcalc._graded_lattice`, which tables i, beta and the
+        children; odd degrees stay 0.0, and each even degree is one array
+        pass over its slice. A skipped term is 0.0 times the 0.0 in the last
+        slot (never times an overflowed moment), and the terms add left to
+        right from the first, +0.0 or cov[0, 0] >= 0 times a moment, so as
+        from +0.0. A moment has the same bits whichever rows come with it. A
+        returned moment that leaves double range (an overflow, or inf - inf)
+        raises ValueError.
         """
         exps = np.asarray(exps, dtype=np.int64)
         d = len(self.covariance)
@@ -124,41 +80,26 @@ class MomentTable:
             raise ValueError("exponents must be non-negative")
         # column by column: numpy sums along a short row axis many times slower
         degree = reduce(np.add, exps.T, np.zeros(len(exps), dtype=np.int64))
-        top = degree.max(initial=0)
+        top = int(degree.max(initial=0))
         if top > MAX_MOMENT_DEGREE:
             raise ValueError(f"moment degree {degree[degree > MAX_MOMENT_DEGREE][0]} "
                              f"exceeds {MAX_MOMENT_DEGREE}")
-        levels = [np.ones(1)]
+        moment = np.zeros(comb(top + d, d) + 1)  # then the 0.0 a skipped term reads
+        moment[0] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             for n in range(2, top + 1, 2):
-                levels.append(self._level(n, levels[-1]))
-        sizes = [len(level) for level in levels]
-        zero = sum(sizes)  # the slot of the 0.0 after the levels, for odd degrees
-        start = np.zeros(top + 1, dtype=np.int64)
-        start[::2] = np.cumsum(sizes) - sizes
-        at = np.where(degree % 2, zero, start[degree] + _graded_rank(exps))
-        out = np.concatenate(levels + [np.zeros(1)]).take(at)
+                lattice = _graded_lattice(d, top)
+                level = slice(comb(n + d - 1, d), comb(n + d, d))
+                cij = self.covariance.take(lattice.pivot[level], axis=0)
+                live = (cij != 0.0) & (lattice.beta[level] > 0)
+                factor = np.where(live, cij * lattice.beta[level], 0.0)
+                terms = factor * moment.take(np.where(live, lattice.child[level], -1))
+                moment[level] = reduce(np.add, terms.T)
+        out = moment.take(_graded_rank(exps.T, top))
         if not np.isfinite(out).all():
             raise ValueError(f"a moment of degree {degree[~np.isfinite(out)][0]} "
                              "leaves double precision range")
         return out
-
-    def _level(self, n: int, below: np.ndarray) -> np.ndarray:
-        """The moments of every multi-index of degree n, in rank order, from
-        those of degree n - 2.
-
-        A skipped term is 0.0 times the 0.0 in the sentinel slot after the
-        moments below (never 0.0 times an overflowed moment), and adding it
-        to a sum from +0.0 changes nothing. The terms add left to right in j
-        order from the first, which is +0.0 (skipped) or cov[0, 0] >= 0 times
-        a moment, so the same sum as from +0.0.
-        """
-        pivot, beta, child = _isserlis_plan(len(self.covariance), n)
-        cij = self.covariance.take(pivot, axis=0)
-        live = (cij != 0.0) & (beta > 0)
-        factor = np.where(live, cij * beta, 0.0)
-        terms = factor * np.append(below, 0.0).take(np.where(live, child, len(below)))
-        return reduce(np.add, terms.T)
 
 
 def _gaussian_weight(Q: np.ndarray, moments: bool = True

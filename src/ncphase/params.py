@@ -78,7 +78,7 @@ class ModelParams:
 class DerivedQuantities:
     """Every scalar symbol derived from a parameter point.
 
-    eta, delta     dimensionless deformation combinations
+    eta, delta     dimensionless mixes of the deformations
     c              half arccot(delta), in (0, pi/2)
     root           sqrt(1 + delta^2)
     h_plus/h_minus mode actions hbar*(root +- eta), both positive

@@ -25,9 +25,10 @@ Every sum adds its terms one at a time, in the dict loop's order, into one
 zeroed array, to the bits of the dict loop. Products, marginals and Gram
 matrices index that array by monomial rank, or by place among the distinct
 ranks where those are sparse (`_Simplex`, `_block_sums`); the star series
-indexes it by place in a lattice of monomials whose neighbour tables turn
-each derivative and each multiplication by a variable into a gather
-(`_Lattice`).
+indexes it by place in one graded lattice of monomials per dimension, whose
+neighbour tables turn each derivative and each multiplication by a variable
+into a gather, and whose prefix serves every lower top degree
+(`_graded_lattice`); the moment recursion of `moments` reads it too.
 """
 
 from __future__ import annotations
@@ -99,23 +100,15 @@ class _Simplex:
     comb(top - S_(k-1) + d - k, d - k) - comb(top - S_k + d - k, d - k),
     S_(-1) = 0 (Knuth, TAOCP 4A, 7.2.1.3), which sums to offset + S_(d-1)
     plus columns[k, S_k] = -comb(top - S_k + d - k - 1, d - k) over k < d - 1.
-    binomials[m, t] = comb(t + m, m)."""
+    binomials[m, t] = comb(t + m, m), and graded[k, s] = comb(s + k, k + 1)
+    (`_graded_rank`)."""
 
     top: int
     size: int
     offset: int
     columns: np.ndarray
     binomials: np.ndarray
-
-    def rank(self, exps: np.ndarray) -> np.ndarray:
-        """Ranks of the columns of a (d, n) exponent array."""
-        sums = exps.copy()  # in-place row adds: np.cumsum down axis 0 takes 5x as long
-        for k in range(1, len(sums)):
-            sums[k] += sums[k - 1]
-        ranks = sums[-1] + self.offset
-        for column, s in zip(self.columns, sums):
-            ranks += column.take(s)
-        return ranks
+    graded: np.ndarray
 
     def unrank(self, ranks: np.ndarray) -> np.ndarray:
         """Axis by axis, with count the monomials from the rank to the end of
@@ -141,59 +134,110 @@ def _simplex(d: int, top: int) -> _Simplex:
     for m in range(1, d + 1):  # comb(t + m, m) sums comb(u + m - 1, m - 1) over u <= t
         np.cumsum(binomials[m - 1], out=binomials[m])
     columns = -np.pad(binomials[d:1:-1, :top][:, ::-1], ((0, 0), (0, 1)))
-    binomials.flags.writeable = columns.flags.writeable = False
-    return _Simplex(top, size, size - top - 1, columns, binomials)
+    graded = np.diff(binomials, axis=0)
+    binomials.flags.writeable = columns.flags.writeable = graded.flags.writeable = False
+    return _Simplex(top, size, size - top - 1, columns, binomials, graded)
+
+
+def _graded_rank(exps: np.ndarray, top: int) -> np.ndarray:
+    """Place of each column of a (d, n) exponent array, of degree <= top, in
+    graded order: degree first. With the prefix sums S_k = a_0 + ... + a_k,
+    a monomial a is the set of d bars b_k = S_(k-1) + k - 1, k = 1..d (stars
+    and bars), and its place is the rank of that set in the combinatorial
+    number system, the sum of comb(b_k, k) (Knuth, TAOCP 4A, 7.2.1.3). The
+    last bar is deg a + d - 1, so every monomial of lower degree comes first,
+    and the places of degree <= m are the same prefix whatever the top."""
+    graded = _simplex(len(exps), top).graded
+    prefix = np.zeros(exps.shape[1], dtype=np.int64)
+    rank = np.zeros(exps.shape[1], dtype=np.int64)
+    for column, table in zip(exps, graded):
+        prefix += column
+        rank += table.take(prefix)
+    return rank
 
 
 @dataclass(frozen=True)
 class _Lattice:
-    """Monomials in ascending rank order, each with its position one unit
-    step up and one step down on every axis. Column k of exps holds the
-    exponents of monomial k (unsigned, as narrow as the top degree allows);
-    up[a, k] and down[a, k] are the positions of it plus and minus e_a, or n,
-    the number of monomials, where that one is not a member. Column n is a
-    sentinel: zero exponents, and every step from it stays at n, so a vector
-    of n + 1 coefficients with 0 in slot n reads 0 for a missing neighbour.
-    The arrays are read-only."""
+    """Monomials in graded order (`_graded_rank`), each with its position
+    one unit step up and one step down on every axis, and the steps of the
+    Isserlis recursion. Column k of exps holds the exponents of monomial k
+    (unsigned, as narrow as the top degree allows); up[a, k] and down[a, k]
+    are the positions of it plus and minus e_a, or -1 where that one is not
+    a member. pivot[k] is the first nonzero axis of monomial k (0 for the
+    constant), beta[k] its exponents less e_pivot, and child[k, j] the
+    position of beta - e_j, or -1. A last column, the sentinel, has zero
+    exponents and steps -1. A vector over the first m monomials ends in a
+    0.0 slot that a step to -1 reads; the steps down from them stay among
+    them, so a lattice up to a top serves every lower one. Read-only."""
 
+    top: int
     exps: np.ndarray
     up: np.ndarray
     down: np.ndarray
+    pivot: np.ndarray
+    beta: np.ndarray
+    child: np.ndarray
 
 
-def _lattice(ranks: _Simplex, members: np.ndarray) -> _Lattice:
-    """The `_Lattice` of the monomials with the given ranks, distinct and
-    ascending. A unit step up on axis a raises the prefix sums S_k for
-    k >= a by one, so it adds 1 and the rise of columns[k] at S_k for
-    a <= k < d - 1 to the rank (`_Simplex`)."""
-    n, exps = len(members), ranks.unrank(members).astype(np.min_scalar_type(ranks.top))
-    d = len(exps)
-    up = np.full((d, n + 1), n, dtype=np.intp)
+def _lattice(exps: np.ndarray, members: np.ndarray, top: int) -> _Lattice:
+    """The `_Lattice` of the monomials with exponent columns exps (d, n) of
+    degree <= top and graded positions members, distinct and ascending. A
+    unit step up on axis a raises the prefix sums S_k for k >= a by one, so
+    it adds comb(S_k + k, k) for each to the place (`_graded_rank`)."""
+    d, n = exps.shape
+    exps = np.pad(exps, ((0, 0), (0, 1))).astype(np.min_scalar_type(top))
+    up = np.full((d, n + 1), -1, dtype=np.intp)
     down = up.copy()
-    sums = np.cumsum(exps, axis=0, dtype=exps.dtype)
-    below = np.flatnonzero(sums[-1] < ranks.top)  # room for one more degree
-    rises = np.diff(ranks.columns, axis=1)
-    target = members[below] + 1
+    sums = exps[:, :n].copy()  # in-place row adds: np.cumsum down axis 0 takes 5x as long
+    for k in range(1, d):
+        sums[k] += sums[k - 1]
+    room = np.flatnonzero(sums[-1] < top)  # one more degree fits
+    target = members[room]
     for a in range(d - 1, -1, -1):
-        if a < d - 1:
-            target += rises[a].take(sums[a, below])
-        # in the whole simplex (the cached case) a rank is its own position
-        at = target if n == ranks.size else members.searchsorted(target)
+        target = target + _simplex(d, top).binomials[a].take(sums[a][room])
+        # every monomial up to the top (the cached case): a place is a position
+        at = target if members[-1] == n - 1 else members.searchsorted(target)
         found = members.take(at, mode="clip") == target
-        at, source = at[found], below[found]
-        up[a, source] = at
-        down[a, at] = source
-    exps = np.pad(exps, ((0, 0), (0, 1)))
-    for table in (exps, up, down):
+        at, source = at[found], room[found]
+        up[a][source] = at
+        down[a][at] = source
+    pivot = (exps > 0).argmax(axis=0)
+    beta = (exps - ((np.arange(d)[:, None] == pivot) & exps.any(axis=0))).T.copy()
+    lowered = down[pivot, np.arange(n + 1)]
+    child = np.empty((n + 1, d), dtype=np.min_scalar_type(-n))
+    for j, table in enumerate(down):  # a row at a time: one (d, n) temporary less
+        child[:, j] = table.take(lowered)
+    lattice = _Lattice(top, exps, up, down, pivot.astype(np.min_scalar_type(d)), beta, child)
+    for table in (exps, up, down, lattice.pivot, beta, child):
         table.flags.writeable = False
-    return _Lattice(exps, up, down)
+    return lattice
 
 
-@functools.cache
-def _simplex_lattice(d: int, top: int) -> _Lattice:
-    """Every monomial in d variables of degree <= top (`_lattice`)."""
-    ranks = _simplex(d, top)
-    return _lattice(ranks, np.arange(ranks.size))
+def _graded_exps(d: int, top: int) -> np.ndarray:
+    """Every monomial in d variables of degree <= top, as exponent columns in
+    graded order (`_graded_rank`): those of degree n are the ones of degree
+    <= n in the first d - 1 variables, in their order, raised to n on the
+    last axis."""
+    if d == 1:
+        return np.arange(top + 1, dtype=np.min_scalar_type(top))[None, :]
+    degree, at = _ragged(np.array([math.comb(n + d - 1, d - 1) for n in range(top + 1)]))
+    head = _graded_exps(d - 1, top).take(at, axis=1)
+    return np.vstack((head, degree.astype(head.dtype) - head.sum(axis=0, dtype=head.dtype)))
+
+
+_LATTICES: dict[int, _Lattice] = {}
+
+
+def _graded_lattice(d: int, top: int) -> _Lattice:
+    """The one `_Lattice` of every monomial in d variables up to a top
+    degree of at least top, kept for the life of the process and built
+    again, higher, only when a call needs a higher top."""
+    lattice = _LATTICES.get(d)
+    if lattice is None or lattice.top < top:
+        _LATTICES.pop(d, None)  # the old tables go before the new ones come
+        exps = _graded_exps(d, top)
+        lattice = _LATTICES[d] = _lattice(exps, np.arange(exps.shape[1]), top)
+    return lattice
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -389,8 +433,8 @@ class GaussPoly:
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         if self.variables != other.variables:
             raise ValueError("cannot add functions over different variable blocks")
-        scale = abs(self.exponent).max() + abs(other.exponent).max() + 1.0
-        if not abs(self.exponent - other.exponent).max() <= 1e-12 * scale:
+        a, b = 0.5 * self.exponent, 0.5 * other.exponent  # halved, so no sum overflows
+        if not abs(a - b).max() <= 1e-12 * (abs(a).max() + abs(b).max() + 0.5):
             raise ValueError("cannot add functions with different Gaussian exponents")
         return GaussPoly(self.variables, 1.0, self.exponent,
                          np.concatenate((self.exps, other.exps)),
@@ -616,29 +660,35 @@ def _nonzero(keys: np.ndarray, values: np.ndarray
 
 
 def _series_lattice(exps: np.ndarray, steps: int, top: int
-                    ) -> tuple[_Lattice, np.ndarray]:
-    """The `_Lattice` of a series over the terms with exponent rows exps that
-    moves within `steps` unit steps of them and stays at degree <= top, and
-    the position of each term in it.
+                    ) -> tuple[_Lattice, int, int, np.ndarray]:
+    """A `_Lattice` for a series over the terms with exponent rows exps that
+    moves within `steps` unit steps of them and stays at degree <= top; how
+    many of its first monomials the series reads, and how many of those are
+    below the top degree; and the position of each term in it.
 
-    That is the whole degree simplex (`_simplex_lattice`, cached), unless it
-    holds more than m log2 m monomials, m the number of terms times the
-    lattice points within `steps` unit steps of the origin, as `_block_sums`
-    chooses dense or sorted sums; then the members are only the monomials
-    within `steps` unit steps of a term.
+    That is the cached `_graded_lattice`, read up to degree top, unless the
+    degree simplex holds more than m log2 m monomials, m the number of terms
+    times the lattice points within `steps` unit steps of the origin, as
+    `_block_sums` chooses dense or sorted sums; then the call builds one of
+    only the monomials within `steps` unit steps of a term.
     """
     d = exps.shape[1]
-    ranks = _simplex(d, top)
-    at = ranks.rank(exps.T)
+    ranks = _simplex(d, top)  # refuses a top whose ranks leave int64
+    at, below = _graded_rank(exps.T, top), math.comb(top + d - 1, d)
     reach = len(exps) * sum(2**k * math.comb(d, k) * math.comb(steps, k)
                             for k in range(d + 1))
     if ranks.size <= reach * reach.bit_length():
-        return _simplex_lattice(d, top), at
+        return _graded_lattice(d, top), ranks.size, below, at
     box = np.indices((2 * steps + 1,) * d).reshape(d, -1) - steps
     ball = box[:, abs(box).sum(axis=0) <= steps]
     rows = (exps.T[:, :, None] + ball[:, None, :]).reshape(d, -1)
-    members = _distinct(ranks.rank(rows[:, (rows >= 0).all(axis=0)]))
-    return _lattice(ranks, members), members.searchsorted(at)
+    rows = rows[:, (rows >= 0).all(axis=0)]
+    places = _graded_rank(rows, top)
+    order = places.argsort()
+    first = order[np.diff(places[order], prepend=-1) != 0]  # one column per place
+    members = places[first]
+    return (_lattice(rows[:, first], members, top), len(members),
+            members.searchsorted(below), members.searchsorted(at))
 
 
 def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
@@ -652,10 +702,11 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
     i^|alpha| / alpha! d^alpha f E^alpha g over the alpha with d^alpha f
     nonzero, and ends at the total degree of f. Every term it reaches lies
     within deg f unit steps of a term of g, at degree <= deg f + deg g, so
-    each E^alpha g is a dense vector of coefficients over the `_Lattice` of
-    `_series_lattice`. Repeated rows of g (a sum, `__add__`, may have them;
-    no caller in the package passes one) are summed first, in row order, as
-    `GaussPoly.poly` and the dict loops of the tests sum them.
+    each E^alpha g is a dense vector of coefficients over the first
+    monomials of the `_Lattice` of `_series_lattice`, and a 0.0 slot.
+    Repeated rows of g (a sum, `__add__`, may have them; no caller in the
+    package passes one) are summed first, in row order, as `GaussPoly.poly`
+    and the dict loops of the tests sum them.
 
     E^alpha g is one pass of E_a over E^(alpha - e_a) g, a the first nonzero
     axis of alpha. On poly * exp(z gQ z), E_a adds half[a, b] d poly/dz_b for
@@ -670,14 +721,17 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
     alpha! in CPython scalar arithmetic: numpy divides a complex array by an
     int through its reciprocal, to other bits. Only exact zeros are dropped,
     when the exponents are read at the end, so the terms kept do not depend
-    on units. A vector is kept only while a later pass needs it.
+    on units; they come back in ascending order (first axis slowest), as in
+    `_Simplex`. A vector is kept only while a later pass needs it.
     """
     d = len(half)
     if not (len(f.coeffs) and len(g.coeffs)):
         return np.zeros((0, d), dtype=np.int64), np.zeros(0)
-    lattice, at = _series_lattice(g.exps, f.degree, f.degree + g.degree)
-    up, down = lattice.up, lattice.down
-    size = up.shape[1]  # the monomials and the sentinel
+    top = f.degree + g.degree
+    lattice, size, below, at = _series_lattice(g.exps, f.degree, top)
+    # a step up from the top degree reads 0.0, so its derivative term is
+    # left out; every other step stays in the prefix, or reads the last slot
+    up, down, exps = lattice.up[:, :below], lattice.down[:, :size], lattice.exps[:, :size + 1]
     shift = 2.0 * half @ g.exponent
     moves = [(np.flatnonzero(h), np.flatnonzero(s)) for h, s in zip(half, shift)]
     series_sum = np.zeros(size, complex)
@@ -686,24 +740,25 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
     def gather(alpha, fe, fc, eg):
         turn, scale = 1j ** sum(alpha), math.prod(map(math.factorial, alpha))
         for row, c in zip(fe.tolist(), fc.tolist()):
-            moved = eg
+            at = slice(size)
             for axis, steps in enumerate(row):
                 for _ in range(steps):
-                    moved = moved[down[axis]]
-            np.add(series_sum, np.complex128(c * turn / scale) * moved, out=series_sum)
+                    at = lattice.down[axis][at]  # the whole row: -1 reads its sentinel
+            np.add(series_sum, np.complex128(c * turn / scale) * eg[at], out=series_sum)
 
     def step(a, eg):
-        out = np.zeros(size, eg.dtype)
+        out = np.zeros(size + 1, eg.dtype)
+        head, body = out[:below], out[:size]
         derivative, shifted = moves[a]
         for b in derivative:
-            out += (eg * half[a, b] * lattice.exps[b])[up[b]]
+            head += (eg * half[a, b] * exps[b])[up[b]]
         for j in shifted:
-            out += eg[down[j]] * shift[a, j]
+            body += eg[down[j]] * shift[a, j]
         return out
 
     # (alpha, d^alpha f, E^alpha g) order by order; alpha + e_a comes only
     # from alpha, with a at or before the first nonzero axis of alpha
-    eg = np.zeros(size, g.coeffs.dtype)
+    eg = np.zeros(size + 1, g.coeffs.dtype)
     np.add.at(eg, at, g.coeffs)
     level = [((0,) * d, f.exps, f.coeffs, eg)]
     gather(*level[0])
@@ -719,8 +774,9 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
                     if kid[1].any():
                         kids.append(kid)
         level = kids
-    keep = np.flatnonzero(series_sum[:-1])
-    return lattice.exps[:, keep].T.astype(np.int64), series_sum[keep]
+    keep = np.flatnonzero(series_sum)
+    keep = keep[np.lexsort(lattice.exps.take(keep, axis=1)[::-1])]  # first axis slowest
+    return lattice.exps.take(keep, axis=1).T.astype(np.int64), series_sum[keep]
 
 
 def _require_zero_exponent(g: GaussPoly, who: str) -> None:

@@ -410,6 +410,17 @@ class TestGaussPolyAlgebra:
             with pytest.raises(ValueError, match="symmetric"):
                 GaussPoly.gaussian(V2, 1.0, [[-1.0, 1e308], [-1e308, -1.0]])
 
+    def test_add_near_double_range_does_not_overflow(self):
+        # |A| + |B| + 1 overflowed to inf for two diagonals near -1e308, so
+        # the tolerance matched any pair, with a RuntimeWarning
+        a = GaussPoly.gaussian(V2, 1.0, [[-1e308, 0.0], [0.0, -1.0]])
+        b = GaussPoly.gaussian(V2, 1.0, [[-9e307, 0.0], [0.0, -1.0]])
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="different Gaussian exponents"):
+                a + b
+            assert (a + a).exponent.tolist() == [[-1e308, 0.0], [0.0, -1.0]]
+            assert (b + b).coeffs.tolist() == [1.0, 1.0]
+
     def test_add_folds_prefactors(self):
         # the rows are concatenated; the repeated x term is summed on reading
         g1 = GaussPoly(V2, 2.0, -np.eye(2), *terms({(1, 0): 1.0}, 2))
@@ -558,16 +569,25 @@ class TestMonomialRanks:
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 4]), top=st.integers(0, 50))
     def test_ranks_count_the_sorted_tuples(self, d, top):
-        # a bijection onto [0, C(top + d, d)) that ascends as the sorted
-        # tuples do, undone by unrank
+        # unrank maps [0, C(top + d, d)) onto the sorted tuples, in order
         rows = np.array(simplex_rows(d, top))
         ranks = starcalc._simplex(d, top)
         assert ranks.size == len(rows) == math.comb(top + d, d)
-        assert ranks.rank(rows.T).tolist() == list(range(len(rows)))
-        cols = rows.T.copy()  # rank's row adds work on a copy of its operand
-        assert ranks.rank(cols).tolist() == list(range(len(rows)))
-        assert (cols == rows.T).all()
         assert (ranks.unrank(np.arange(len(rows))) == rows.T).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3, 4]), top=st.integers(0, 40), low=st.integers(0, 40))
+    def test_graded_places_are_a_prefix_of_every_top(self, d, top, low):
+        # degree first; _graded_exps lists the monomials in the order of
+        # _graded_rank, and those of degree <= low lead at every top >= low
+        low = min(low, top)
+        cols = starcalc._graded_exps(d, top).astype(np.int64)
+        assert sorted(map(tuple, cols.T.tolist())) == simplex_rows(d, top)
+        assert (np.diff(cols.sum(axis=0)) >= 0).all()
+        assert starcalc._graded_rank(cols, top).tolist() == list(range(cols.shape[1]))
+        assert (starcalc._graded_rank(cols, 2 * top + 1) == starcalc._graded_rank(cols, top)).all()
+        head = starcalc._graded_exps(d, low)
+        assert (cols[:, :head.shape[1]] == head).all()
 
     def test_rank_space_too_large_for_int64(self):
         with pytest.raises(ValueError, match="too large to pack"):
@@ -1074,9 +1094,9 @@ class TestStarSeries:
         params = ModelParams(mu=0.2, nu=0.1)
         h = oscillator_hamiltonian(params)
         w = wigner_state(6, 6, params).function
-        starcalc._simplex_lattice.cache_clear()
+        starcalc._LATTICES.clear()
         assert peak_bytes(lambda: star_product_poly_left(h, w)) < 5 << 20
-        assert starcalc._simplex_lattice(4, 26).up.shape == (4, math.comb(30, 4) + 1)
+        assert starcalc._LATTICES[4].up.shape == (4, math.comb(30, 4) + 1)
 
     def test_sparse_high_degree_operand(self):
         # degree 2 + 400 ranks C(406, 4) = 1.1e9 monomials; each pass and the
@@ -1086,10 +1106,55 @@ class TestStarSeries:
         h = oscillator_hamiltonian(ModelParams(mu=0.2, nu=0.1)).poly
         g = {(0,) * 4: 1.0, (100,) * 4: 0.5}
         pairs = []
+        starcalc._graded_lattice(4, 6)
+        cached = dict(starcalc._LATTICES)
         assert peak_bytes(lambda: pairs.extend(
             series_and_exact(h, g, -0.5 * np.eye(4), variables))) < 32 << 20
         for got, exact in pairs:
             assert_near_exact(got, exact)
+        # the call built its own lattice and left the cached ones as they were
+        assert starcalc._LATTICES.keys() == cached.keys()
+        assert all(starcalc._LATTICES[d] is lattice for d, lattice in cached.items())
+
+    def test_results_do_not_depend_on_the_cached_top(self):
+        # the same rows and bits from a cold lattice and through the prefix
+        # of one built up to degree 50, for the series and for the moments
+        from ncphase import oscillator_hamiltonian
+        params = ModelParams(mu=0.2, nu=0.1)
+        h = oscillator_hamiltonian(params)
+        w = {ij: wigner_state(*ij, params).function for ij in [(1, 1), (3, 3)]}
+
+        def run():
+            return ([(p.exps.tolist(), hex_terms(mapping(p.exps, p.coeffs)))
+                     for p in (star_product_poly_left(h, w[1, 1]),
+                               star_product_poly_left(h, w[3, 3]))],
+                    integrate(w[3, 3]).hex())
+
+        starcalc._LATTICES.clear()
+        cold = run()
+        assert starcalc._LATTICES[4].top == 14
+        starcalc._graded_lattice(4, 50)
+        assert run() == cold and starcalc._LATTICES[4].top == 50
+        starcalc._LATTICES.clear()
+
+    def test_one_index_holds_every_top(self):
+        # H*W(i,i) for i = 0..12 reach degree 50 and the moments degree 48:
+        # one lattice per dimension, of the highest top, within 30 MB
+        from ncphase import oscillator_hamiltonian
+        from ncphase.moments import MomentTable
+        params = ModelParams(mu=0.2, nu=0.1)
+        h = oscillator_hamiltonian(params)
+        starcalc._LATTICES.clear()
+        for i in range(13):
+            star_product_poly_left(h, wigner_state(i, i, params).function)
+        rows = np.array([[48, 0, 0, 0], [12, 12, 12, 12], [2, 0, 2, 44]])
+        assert (MomentTable(0.3 * np.eye(4)).moments(rows) > 0).all()
+        assert list(starcalc._LATTICES) == [4] and starcalc._LATTICES[4].top == 50
+        lattice = starcalc._LATTICES[4]
+        held = sum(getattr(lattice, field.name).nbytes
+                   for field in dataclasses.fields(lattice) if field.name != "top")
+        starcalc._LATTICES.clear()
+        assert held <= 30e6
 
     def test_empty_operands(self):
         v4 = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
@@ -1103,6 +1168,67 @@ class TestStarSeries:
         g = GaussPoly(V2, 1.0, -np.eye(2), *terms({(2**31, 2**31): 1.0}, 2))
         with pytest.raises(ValueError, match="too large"):
             starcalc._star_series(f, g, 0.5 * V2.deformation_matrix())
+
+
+def degree_poly(rng, variables, count: int, degree: int) -> GaussPoly:
+    """count distinct monomials of degree <= degree with normal coefficients."""
+    pool = simplex_rows(variables.dimension, degree)
+    rows = [pool[k] for k in rng.choice(len(pool), count, replace=False)]
+    d = variables.dimension
+    return GaussPoly(variables, 1.0, np.zeros((d, d)), np.array(rows), rng.normal(size=count))
+
+
+def partials(func: GaussPoly) -> list[GaussPoly]:
+    """d poly / dz_b times func's Gaussian, for each axis b, term by term."""
+    out = []
+    for b, unit in enumerate(np.eye(func.variables.dimension, dtype=np.int64)):
+        has = func.exps[:, b] > 0
+        out.append(GaussPoly(func.variables, func.prefactor, func.exponent,
+                             func.exps[has] - unit, func.coeffs[has] * func.exps[has, b]))
+    return out
+
+
+# (mu, nu), W(i, j) and the gates of (f*g)*W against f*(g*W), (f*W)*g
+# against f*(W*g), and H*W - W*H against i grad H . B grad W, each as
+# max|difference| / max|first| on W's residual grid: ten times the worst of
+# seeds 0-19, rounded up (the tests draw seeds 0 and 1)
+IDENTITY_POINTS = [
+    ((0.2, 0.1), (2, 1), (2e-13, 2e-13, 3e-14)),
+    ((3.0, -0.3), (1, 3), (6e-12, 7e-12, 2e-12)),
+    ((0.0, 0.0), (4, 4), (2e-11, 2e-11, 3e-12)),
+    ((0.9, 1.0), (2, 2), (4e-10, 5e-10, 7e-11)),
+    ((0.999, 1.0), (1, 1), (4e-10, 5e-10, 5e-11)),
+    ((1e-9, 1e6), (1, 1), (8e-13, 2e-12, 3e-13)),
+]
+
+
+class TestStarIdentities:
+    """Identities of the star product that no single series call encodes,
+    checked on values with no code shared with the series: associativity of
+    left, right and mixed products (any constant antisymmetric B gives an
+    associative product, so this checks the series' structure), and the
+    exact Moyal bracket of a quadratic H, which checks B itself."""
+
+    @pytest.mark.parametrize("point,ij,gates", IDENTITY_POINTS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_associative_and_exact_bracket(self, point, ij, gates, seed):
+        from ncphase.wigner import _residual_axes, residual_grid
+        left, right = star_product_poly_left, star_product_poly_right
+        w = wigner_state(*ij, ModelParams(mu=point[0], nu=point[1])).function
+        variables, axes = w.variables, _residual_axes(w)
+        rng = np.random.default_rng(seed)
+        f, g = degree_poly(rng, variables, 6, 2), degree_poly(rng, variables, 8, 3)
+        h = degree_poly(rng, variables, 15, 2)
+        fg_w, f_gw, fw_g, f_wg, hw, wh, *dw = grid_values(
+            [left(left(f, g), w), left(f, left(g, w)), right(left(f, w), g),
+             left(f, right(w, g)), left(h, w), right(w, h), w, *partials(w)], axes)
+        # d(p e^(zQz))/dz_b = (dp/dz_b + p (2 Q z)_b) e^(zQz)
+        grad_w = np.stack(dw[1:], axis=-1) + 2.0 * dw[0][:, None] * (residual_grid(w) @ w.exponent)
+        grad_h = np.stack(grid_values(partials(h), axes), axis=-1)
+        bracket = 1j * np.einsum("na,ab,nb->n", grad_h, variables.deformation_matrix(), grad_w)
+        errors = [abs(a - b).max() / abs(a).max() for a, b in
+                  [(fg_w, f_gw), (fw_g, f_wg)]] + [abs(hw - wh - bracket).max() / abs(hw).max()]
+        assert all(e <= gate for e, gate in zip(errors, gates)), errors
 
 
 def exact_value(func: GaussPoly, points) -> np.ndarray:
