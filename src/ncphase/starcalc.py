@@ -719,7 +719,9 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
     its factor into one zeroed sum. So every key is summed as the dict loop
     sums it, to the same bits. The factor is rounded as c * 1j**|alpha| /
     alpha! in CPython scalar arithmetic: numpy divides a complex array by an
-    int through its reciprocal, to other bits. Only exact zeros are dropped,
+    int through its reciprocal, to other bits; and a complex E^alpha g takes
+    it by CPython's formula (`_times`), since numpy's array complex multiply
+    may round otherwise on another machine. Only exact zeros are dropped,
     when the exponents are read at the end, so the terms kept do not depend
     on units; they come back in ascending order (first axis slowest), as in
     `_Simplex`. A vector is kept only while a later pass needs it.
@@ -744,7 +746,7 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
             for axis, steps in enumerate(row):
                 for _ in range(steps):
                     at = lattice.down[axis][at]  # the whole row: -1 reads its sentinel
-            np.add(series_sum, np.complex128(c * turn / scale) * eg[at], out=series_sum)
+            np.add(series_sum, _times(np.complex128(c * turn / scale), eg[at]), out=series_sum)
 
     def step(a, eg):
         out = np.zeros(size + 1, eg.dtype)

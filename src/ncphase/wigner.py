@@ -2,11 +2,13 @@
 
 The Hamiltonian splits into two star-commuting quadratic forms H+ and H-
 obtained by a half-angle rotation; the Wigner functions are Laguerre towers
-over them and the spectrum is E_ij = hbar*omega*[(i+j+1)*sqrt(1+delta^2)
-+ (i-j)*eta]. The rotation uses the complementary half-angle pi/2 - c: that
-branch is the one under which the eigenvalue equation H*W = W*H = E*W holds
-(checked to machine precision), and it reduces to the same pi/4 rotation as
-c itself in the undeformed limit.
+over them, whose powers H^k are built on the graded monomial index of
+`starcalc` (`_form_powers`), and the spectrum is
+E_ij = hbar*omega*[(i+j+1)*sqrt(1+delta^2) + (i-j)*eta]. The rotation uses
+the complementary half-angle pi/2 - c: that branch is the one under which
+the eigenvalue equation H*W = W*H = E*W holds (checked to machine
+precision), and it reduces to the same pi/4 rotation as c itself in the
+undeformed limit.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .starcalc import (
     grid_values,
     star_product_poly_left,
     star_product_poly_right,  # unused here; perfbench's trace wraps this name
+    _graded_lattice,
     _integer_at_least,
     _poly_mul,
 )
@@ -99,37 +102,67 @@ def energy_level(i: int, j: int, params: ModelParams) -> float:
 
 @functools.cache
 def _laguerre_coefficients(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of L_n by the three-term recurrence, exact."""
-    if n == 0:
-        return (Fraction(1),)
-    prev = [Fraction(1)]
-    curr = [Fraction(1), Fraction(-1)]
-    for m in range(1, n):
-        # (m+1) L_{m+1} = (2m+1 - x) L_m - m L_{m-1}
-        nxt = [Fraction(0)] * (m + 2)
-        for idx, cm in enumerate(curr):
-            nxt[idx] += (2 * m + 1) * cm
-            nxt[idx + 1] -= cm
-        for idx, cp in enumerate(prev):
-            nxt[idx] -= m * cp
-        prev, curr = curr, [c / (m + 1) for c in nxt]
-    return tuple(curr)
+    """Coefficients of L_n, (-1)^k C(n, k) / k! for k = 0..n, exact."""
+    return tuple(Fraction((-1) ** k * math.comb(n, k), math.factorial(k))
+                 for k in range(n + 1))
+
+
+def _form_powers(h: GaussPoly, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of H^2, ..., H^n for the quadratic polynomial h of a form H, in
+    that order and each in ascending order (first axis slowest), and the
+    power k of each term.
+
+    H^k is built in one dense vector over the graded index of every
+    monomial up to degree 2n (`starcalc._graded_lattice`), H^0 = 1 first:
+    each term c x_a x_b of H, in h's row order, adds c H^(k-1), moved one
+    step up on a and one on b, into the zeroed degree-2k slice (np.add.at,
+    term after term). h's rows descend, so each coefficient of H^k is added
+    in the order in which the product of H^(k-1), whose rows ascend, and h
+    adds its term pairs (`starcalc._poly_mul`), to the same bits; for H^2
+    the two orders are mirror images, pair (a, b) against (b, a), with
+    equal products. Only the nonzero coefficients come back: a sum that is
+    exactly zero, or a monomial no pair reaches, adds nothing but a zero to
+    W, and `GaussPoly` drops W's zeros anyway.
+    """
+    d = h.variables.dimension
+    lattice = _graded_lattice(d, 2 * n)
+    first = [math.comb(m + d - 1, d) for m in range(2 * n + 2)]  # members of degree < m
+    on = h.exps > 0
+    a, b = on.argmax(axis=1), d - 1 - on[:, ::-1].argmax(axis=1)  # the term x_a x_b
+    steps = lattice.up[b[:, None], lattice.up[a, :first[2 * n - 1]]]
+    vector = np.zeros(first[2 * n + 1])
+    vector[0] = 1.0
+    for k in range(1, n + 1):
+        lo, hi = first[2 * k - 2], first[2 * k - 1]
+        np.add.at(vector, steps[:, lo:hi].ravel(),
+                  (h.coeffs[:, None] * vector[lo:hi]).ravel())
+    keep = np.flatnonzero(vector[first[4]:]) + first[4]
+    exps = lattice.exps.take(keep, axis=1)  # narrow, so lexsort takes a radix sort
+    power = exps.sum(axis=0, dtype=exps.dtype) // 2
+    order = np.lexsort((*exps[::-1], power))  # first axis slowest within a power
+    return exps.take(order, axis=1).T.astype(np.int64), vector[keep[order]], power[order]
 
 
 def _laguerre_of_form(n: int, form: QuadraticForm, scale: float
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Terms of L_n(scale * H) over the monomials of the quadratic form H:
     the constant, then H^k for k = 1..n. H^k has degree 2k, so no two powers
-    share a monomial and none is summed. L_0 = 1 builds no polynomial of H."""
-    powers = [(np.zeros((1, form.variables.dimension), dtype=np.int64), np.ones(1))]
+    share a monomial and none is summed. L_0 = 1 builds no polynomial of H,
+    H is the rows of `QuadraticForm.poly` in their order, and the higher
+    powers come from `_form_powers`, so L_1 touches no graded index."""
+    d = form.variables.dimension
+    factors = np.array([float(c) * scale**k
+                        for k, c in enumerate(_laguerre_coefficients(n))])
+    exps, coeffs = [np.zeros((1, d), dtype=np.int64)], [factors[:1]]
     if n:
         h = form.poly()
-        powers.append((h.exps, h.coeffs))
-        while len(powers) <= n:
-            powers.append(_poly_mul(*powers[-1], h.exps, h.coeffs))
-    factors = [float(c) * scale**k for k, c in enumerate(_laguerre_coefficients(n))]
-    return (np.concatenate([e for e, _ in powers]),
-            np.concatenate([f * c for f, (_, c) in zip(factors, powers)]))
+        exps.append(h.exps)
+        coeffs.append(factors[1] * h.coeffs)
+    if n > 1:
+        rows, terms, power = _form_powers(h, n)
+        exps.append(rows)
+        coeffs.append(factors[power] * terms)
+    return np.concatenate(exps), np.concatenate(coeffs)
 
 
 def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
@@ -137,8 +170,9 @@ def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
 
     The function is (-1)^(i+j)/(pi^2 h+ h-) * exp(-2H+/(h+ w) - 2H-/(h- w))
     * L_i(4H+/(h+ w)) * L_j(4H-/(h- w)), all expanded in the sparse
-    polynomial class; indices above 12 are rejected. README "Known limits"
-    lists where the accepted indices and points lose accuracy.
+    polynomial class: each tower by `_laguerre_of_form`, their product by
+    `starcalc._poly_mul`; indices above 12 are rejected. README "Known
+    limits" lists where the accepted indices and points lose accuracy.
     """
     indices = []
     for name, idx in (("i", i), ("j", j)):

@@ -43,13 +43,23 @@ def reference_poly_mul(a, b):
 
 @pytest.fixture
 def dict_loop_states(monkeypatch):
-    """wigner_state multiplies with the plain dict loop, so each state's terms
-    come in the loop's first-seen order, not in ascending order."""
+    """wigner_state multiplies with the plain dict loop, the powers of H+ and
+    H- included, so each state's terms come in the loop's first-seen order,
+    not in ascending order."""
     import ncphase.wigner as wg
 
     def poly_mul(ea, ca, eb, cb):
         return terms(reference_poly_mul(mapping(ea, ca), mapping(eb, cb)), ea.shape[1])
+
+    def form_powers(h, n):
+        powers = [(h.exps, h.coeffs)]
+        while len(powers) < n:
+            powers.append(poly_mul(*powers[-1], h.exps, h.coeffs))
+        return (np.concatenate([e for e, _ in powers[1:]]),
+                np.concatenate([c for _, c in powers[1:]]),
+                np.repeat(np.arange(2, n + 1), [len(c) for _, c in powers[1:]]))
     monkeypatch.setattr(wg, "_poly_mul", poly_mul)
+    monkeypatch.setattr(wg, "_form_powers", form_powers)
 
 
 def params_for_lambda(lam: float, hbar=1.0, mass=1.0, omega=1.0) -> ModelParams:

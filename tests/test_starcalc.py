@@ -936,14 +936,14 @@ def assert_near_exact(got, exact, rel=1e-14):
 def series_loop(f: dict, g: dict, Q: np.ndarray, half: np.ndarray) -> dict:
     """The star series of `starcalc._star_series` as a float dict loop in its
     documented per-key order, every sum from 0 and every product formed as
-    the kernel forms it, by numpy's array multiply (its complex128 loop may
-    round differently from numpy's scalar multiply and CPython's complex
-    product). E_a adds half[a, b] d/dz_b axis by axis, then shift[a, j] z_j
-    with shift = 2 half Q, and drops exact zeros; alpha + e_a comes from
-    alpha for a up to the first nonzero axis of alpha, order by order; each
-    (alpha, f-term) row adds its factor c * 1j**|alpha| / alpha!, rounded in
-    that order by CPython, times E^alpha g, row after row. Keys come back in
-    ascending order."""
+    the kernel forms it: a complex by a complex by CPython's formula, any
+    other by numpy's array multiply (numpy's complex128 array loop may round
+    a complex product differently from CPython). E_a adds half[a, b]
+    d/dz_b axis by axis, then shift[a, j] z_j with shift = 2 half Q, and
+    drops exact zeros; alpha + e_a comes from alpha for a up to the first
+    nonzero axis of alpha, order by order; each (alpha, f-term) row adds its
+    factor c * 1j**|alpha| / alpha!, rounded in that order by CPython, times
+    E^alpha g, row after row. Keys come back in ascending order."""
     d = len(half)
     shift = 2.0 * half @ Q
     unit = [tuple(row) for row in np.eye(d, dtype=int).tolist()]
@@ -952,6 +952,8 @@ def series_loop(f: dict, g: dict, Q: np.ndarray, half: np.ndarray) -> dict:
         out[key] = out.get(key, 0.0) + value
 
     def times(x, y):
+        if np.iscomplexobj(x) and np.iscomplexobj(y):
+            return complex(x) * complex(y)
         return (np.array([x]) * np.array([y]))[0]
 
     def step(poly, a):
@@ -1072,6 +1074,15 @@ class TestStarSeries:
             want = series_loop(*(dict(zip(map(tuple, p.exps.tolist()), p.coeffs))
                                  for p in (fp, gp)), gp.exponent, half)
             assert hex_terms(got) == hex_terms({k: complex(c) for k, c in want.items()})
+
+    def test_complex_products_round_as_cpython(self):
+        # numpy's complex128 array loop rounds this product's real part to
+        # ...408 on some machines; CPython's formula gives ...405 everywhere
+        f = GaussPoly(V2, 1.0, np.zeros((2, 2)), *terms({(0, 0): 240 + 1j}, 2))
+        g = GaussPoly(V2, 1.0, np.zeros((2, 2)),
+                      *terms({(0, 1): 546.1312374199949 - 1.8277941952809442j}, 2))
+        _, vals = starcalc._star_series(f, g, 0.5 * V2.deformation_matrix())
+        assert vals.tolist() == [(240 + 1j) * (546.1312374199949 - 1.8277941952809442j)]
 
     def test_each_pass_keeps_every_nonzero_coefficient(self):
         # x1 star g for g = x2 + 5e-13 x2^2 + 1e6 x2^3 with E_0 = d/dx2 is

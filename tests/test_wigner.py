@@ -20,8 +20,15 @@ from ncphase import (
     star_product_poly_right,
     wigner_state,
 )
-from ncphase.starcalc import QuadraticForm, grid_values
-from ncphase.wigner import _genvalue_residuals_and_scales, _residual_axes, residual_grid
+from ncphase import starcalc, wigner
+from ncphase.starcalc import QuadraticForm, _poly_mul, grid_values
+from ncphase.wigner import (
+    _genvalue_residuals_and_scales,
+    _laguerre_coefficients,
+    _laguerre_of_form,
+    _residual_axes,
+    residual_grid,
+)
 
 
 def grid_scale(state):
@@ -310,3 +317,50 @@ def test_ground_state_builds_no_form_polynomial(monkeypatch):
     monkeypatch.setattr(QuadraticForm, "poly", refuse)
     w = wigner_state(0, 0, ModelParams(mu=0.2, nu=0.1)).function
     assert w.exps.tolist() == [[0, 0, 0, 0]] and w.coeffs.tolist() == [1.0]
+
+
+# the four anchors, a point far from unit scales, and a large hbar
+TOWER_POINTS = [dict(mu=0.0, nu=0.0), dict(mu=0.2, nu=0.1), dict(mu=3.0, nu=-0.3),
+                dict(mu=1.0, nu=0.999),
+                dict(hbar=878.0, mass=205.0, omega=242.0, mu=-0.006194, nu=-1.2065e8),
+                dict(hbar=1e8)]
+
+
+def laguerre_by_products(n, form, scale):
+    """L_n(scale * H) as it was built before the graded index: each power
+    H^k = H^(k-1) * H by `_poly_mul`, the zero sums it keeps included."""
+    h = form.poly()
+    powers = [(np.zeros((1, 4), dtype=np.int64), np.ones(1)), (h.exps, h.coeffs)][:n + 1]
+    while len(powers) <= n:
+        powers.append(_poly_mul(*powers[-1], h.exps, h.coeffs))
+    factors = [float(c) * scale**k for k, c in enumerate(_laguerre_coefficients(n))]
+    return (np.concatenate([e for e, _ in powers]),
+            np.concatenate([f * c for f, (_, c) in zip(factors, powers)]))
+
+
+@pytest.mark.parametrize("point", TOWER_POINTS, ids=lambda p: "-".join(map(str, p.values())))
+def test_laguerre_towers_match_the_product_chain(point):
+    params = ModelParams(**point)
+    dq = derive(params)
+    for form, h in zip(hamiltonians_pm(params), (dq.h_plus, dq.h_minus)):
+        scale = 4.0 / (h * params.omega)
+        for n in range(13):
+            got, want = _laguerre_of_form(n, form, scale), laguerre_by_products(n, form, scale)
+            kept = [(exps[coeffs != 0], coeffs[coeffs != 0]) for exps, coeffs in (got, want)]
+            assert np.array_equal(kept[0][0], kept[1][0]), n
+            assert ([c.hex() for c in kept[0][1].tolist()]
+                    == [c.hex() for c in kept[1][1].tolist()]), n
+
+
+def test_low_states_build_no_lattice(monkeypatch):
+    # L_0 and L_1 are the constant and the rows of H: no graded index
+    def refuse(d, top):
+        raise AssertionError("a graded lattice was built")
+    for module in (starcalc, wigner):
+        monkeypatch.setattr(module, "_graded_lattice", refuse)
+    params = ModelParams(mu=0.2, nu=0.1)
+    for i in (0, 1):
+        for j in (0, 1):
+            wigner_state(i, j, params)
+    with pytest.raises(AssertionError, match="graded lattice"):
+        wigner_state(2, 0, params)
