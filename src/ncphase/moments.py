@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _distinct, _graded_lattice,
-                       _graded_rank, _nonzero, _pair_sums, _ragged)
+from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _distinct, _exponent_rows,
+                       _graded_lattice, _graded_rank, _pair_sums, _ragged)
 
 MAX_MOMENT_DEGREE = 48
 
@@ -53,10 +53,11 @@ class MomentTable:
 
     def moment(self, alpha: tuple[int, ...]) -> float:
         """E[z^alpha] under N(0, covariance); zero for odd total degree."""
-        return float(self.moments(np.array([alpha], dtype=np.int64))[0])
+        return float(self.moments(np.array([alpha]))[0])
 
     def moments(self, exps: np.ndarray) -> np.ndarray:
-        """E[z^alpha] for each row alpha of the exponent matrix exps.
+        """E[z^alpha] for each row alpha of the exponent matrix exps, whose
+        entries are non-negative integers.
 
         Isserlis recursion: with i the first axis where alpha_i > 0 and
         beta = alpha - e_i, E[z^alpha] is the sum over j of
@@ -72,12 +73,11 @@ class MomentTable:
         returned moment that leaves double range (an overflow, or inf - inf)
         raises ValueError.
         """
-        exps = np.asarray(exps, dtype=np.int64)
+        exps = np.asarray(exps)
         d = len(self.covariance)
         if exps.ndim != 2 or exps.shape[1] != d:
             raise ValueError(f"exponent rows must have {d} entries, one per variable")
-        if exps.min(initial=0) < 0:
-            raise ValueError("exponents must be non-negative")
+        exps = _exponent_rows(exps, "exponents must be non-negative integers")
         # column by column: numpy sums along a short row axis many times slower
         degree = reduce(np.add, exps.T, np.zeros(len(exps), dtype=np.int64))
         top = int(degree.max(initial=0))
@@ -157,8 +157,9 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
     The fs share one Gaussian exponent and the gs another. A product above
     MAX_MOMENT_DEGREE is refused before any sum. `starcalc._pair_sums` adds
     every term pair into per-(segment (a, b), monomial rank) sums, each in
-    the order `pointwise_mul` adds it, in ascending key order. One
-    MomentTable covers the distinct monomials, and np.bincount adds each
+    the order `pointwise_mul` adds it, in ascending key order, less those
+    that are exactly zero, as the product drops them. One MomentTable
+    covers the distinct monomials left, and np.bincount adds each
     segment's coefficient-moment products one by one from +0.0, in ascending
     monomial order as `integrate` does on a product. So entry (a, b) equals
     integrate(f_a.pointwise_mul(g_b)) exactly, and it raises the same errors.
@@ -236,9 +237,10 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     moment depend only on (n0, n1), so they are tabled once per distinct
     pair, and a row gathers its pair's table. A sum that passes through
     exactly zero and goes on from it matches the dict loop, which removed
-    the key and started it again from 0.0. Exact-zero sums drop. Keys pack
-    the kept exponents, not ranks: that 2-D box stays small (145^2 keys for
-    W(12,12)), where a rank would cost a table lookup per entry.
+    the key and started it again from 0.0; a sum that ends at exactly zero
+    is not returned, as there. Keys pack the kept exponents, not ranks:
+    that 2-D box stays small (145^2 keys for W(12,12)), where a rank would
+    cost a table lookup per entry.
     """
     if not len(coeffs):
         return np.zeros((0, 2), dtype=np.int64), coeffs
@@ -278,7 +280,7 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
         at = first[mono] + offset
         return base[mono] + shift[at], coeffs[mono] * c0[at] * c1[at] * m[at]
 
-    keys, sums = _nonzero(*_block_sums(count, entries, span))
+    keys, sums = _block_sums(count, entries, span)
     return np.stack(np.divmod(keys, radix), axis=1), sums
 
 

@@ -251,14 +251,15 @@ def _block_sums(counts: np.ndarray, entries, span: int
     """Distinct keys in ascending order, each with the values of its entries
     summed in input order, where row r owns counts[r] entries, entries(lo, hi)
     gives the keys and values of rows lo..hi-1, and every key lies in
-    [0, span). There is at least one row.
+    [0, span). There is at least one row. A key whose sum is exactly zero is
+    not returned.
 
     A block takes whole rows up to _MUL_BLOCK entries, or one row that alone
     holds more. np.add.at adds each block into one zeroed array indexed by
     key, one entry at a time in input order, so every sum is the one-pass
-    sum; a mask of the keys seen, read whole, gives them back in ascending
-    order, zero sums included. A span above n log2 n for n entries takes them
-    in one block, summed so into their distinct keys (one sort) instead.
+    sum; the nonzero sums, read whole, give their keys in ascending order. A
+    span above n log2 n for n entries takes them in one block, summed so into
+    their distinct keys (one sort) instead.
     """
     total = int(counts.sum())
     if span > total * total.bit_length():
@@ -266,9 +267,9 @@ def _block_sums(counts: np.ndarray, entries, span: int
         distinct = _distinct(keys)
         sums = np.zeros(len(distinct), values.dtype)
         np.add.at(sums, distinct.searchsorted(keys), values)
-        return distinct, sums
-    ends, lo = np.cumsum(counts), 0
-    seen, sums = np.zeros(span, dtype=bool), None
+        live = np.flatnonzero(sums != 0)
+        return distinct[live], sums[live]
+    ends, lo, sums = np.cumsum(counts), 0, None
     while lo < len(ends):
         limit = ends[lo] - counts[lo] + _MUL_BLOCK
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
@@ -276,9 +277,8 @@ def _block_sums(counts: np.ndarray, entries, span: int
         if sums is None:  # real or complex as the entries are
             sums = np.zeros(span, block_values.dtype)
         np.add.at(sums, block_keys, block_values)
-        seen[block_keys] = True
         lo = hi
-    keys = np.flatnonzero(seen)
+    keys = np.flatnonzero(sums != 0)  # a boolean scan: about twice as fast as the floats
     return keys, sums[keys]
 
 
@@ -315,7 +315,8 @@ def _poly_mul(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray
     """Product of two polynomials given as terms, summed as the dict loop sums.
 
     Rows come in ascending order, and each coefficient is added in the loop's
-    order (the term pairs in row-major order), to the same bits. A complex
+    order (the term pairs in row-major order), to the same bits; a monomial
+    whose sum is exactly zero is left out (`_block_sums`). A complex
     operand makes the whole product complex. `_pair_sums` ranks the
     monomials less each operand's per-axis minimum and adds the term pairs.
     """
@@ -332,6 +333,21 @@ def _integer_at_least(value, minimum: int, message: str) -> int:
             or value < minimum):
         raise ValueError(message)
     return int(value)
+
+
+def _exponent_rows(exps: np.ndarray, message: str) -> np.ndarray:
+    """exps as int64, or ValueError(message) where an entry is negative or not
+    an integer; NaN and inf fail the round trip through int64, which rows
+    that are int64 already (every kernel's) skip."""
+    if exps.dtype != np.int64:
+        with np.errstate(invalid="ignore"):  # np.errstate costs about 1 us a call
+            rows = exps.astype(np.int64)
+        if not np.array_equal(rows, exps):
+            raise ValueError(message)
+        exps = rows
+    if exps.min(initial=0) < 0:
+        raise ValueError(message)
+    return exps
 
 
 def _power_table(x: np.ndarray, top: int) -> np.ndarray:
@@ -351,8 +367,8 @@ class GaussPoly:
     exps is the exponent tuple of a monomial, coeffs[t] its coefficient.
     coeffs is real unless some coefficient has a nonzero imaginary part;
     construction makes it so and drops exact zeros. Products, star series
-    and marginals return distinct rows in ascending order; a sum (`__add__`)
-    may repeat one.
+    and marginals return distinct nonzero rows in ascending order; a sum
+    (`__add__`, of functions with equal exponents) may repeat one.
     """
 
     variables: PhaseVariables
@@ -378,14 +394,7 @@ class GaussPoly:
         coeffs = np.asarray(self.coeffs, complex if np.iscomplexobj(self.coeffs) else float)
         if exps.ndim != 2 or exps.shape[1] != d or coeffs.shape != exps.shape[:1]:
             raise ValueError(f"terms must be n exponent rows of {d} and n coefficients")
-        if exps.dtype != np.int64:  # the kernels' rows are int64 already
-            with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip
-                rows = exps.astype(np.int64)
-            if not np.array_equal(rows, exps):
-                raise ValueError("exponents must be nonnegative integers")
-            exps = rows
-        if exps.min(initial=0) < 0:
-            raise ValueError("exponents must be nonnegative integers")
+        exps = _exponent_rows(exps, "exponents must be nonnegative integers")
         if coeffs.dtype.kind == "c" and not coeffs.imag.any():
             coeffs = coeffs.real
         # only exact zeros go: the small coefficients of a Laguerre tower sit
@@ -433,8 +442,7 @@ class GaussPoly:
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         if self.variables != other.variables:
             raise ValueError("cannot add functions over different variable blocks")
-        a, b = 0.5 * self.exponent, 0.5 * other.exponent  # halved, so no sum overflows
-        if not abs(a - b).max() <= 1e-12 * (abs(a).max() + abs(b).max() + 0.5):
+        if not np.array_equal(self.exponent, other.exponent):
             raise ValueError("cannot add functions with different Gaussian exponents")
         return GaussPoly(self.variables, 1.0, self.exponent,
                          np.concatenate((self.exps, other.exps)),
@@ -650,13 +658,6 @@ def _times(a, b):
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
-
-
-def _nonzero(keys: np.ndarray, values: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The terms whose coefficient is not exactly zero."""
-    keep = values != 0
-    return keys[keep], values[keep]
 
 
 def _series_lattice(exps: np.ndarray, steps: int, top: int

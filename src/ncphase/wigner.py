@@ -95,7 +95,14 @@ def oscillator_hamiltonian(params: ModelParams) -> GaussPoly:
                      [0.5 * m * w**2, 0.5 * m * w**2, 0.5 / m, 0.5 / m])
 
 
+def _indices(i: int, j: int) -> tuple[int, int]:
+    """i and j as ints, each refused unless it is a nonnegative integer."""
+    return tuple(_integer_at_least(idx, 0, f"index {name} must be a nonnegative integer")
+                 for name, idx in (("i", i), ("j", j)))
+
+
 def energy_level(i: int, j: int, params: ModelParams) -> float:
+    i, j = _indices(i, j)
     dq = derive(params)
     return params.hbar * params.omega * ((i + j + 1) * dq.root + (i - j) * dq.eta)
 
@@ -174,12 +181,10 @@ def wigner_state(i: int, j: int, params: ModelParams) -> WignerState:
     `starcalc._poly_mul`; indices above 12 are rejected. README "Known
     limits" lists where the accepted indices and points lose accuracy.
     """
-    indices = []
+    i, j = _indices(i, j)
     for name, idx in (("i", i), ("j", j)):
-        indices.append(_integer_at_least(idx, 0, f"index {name} must be a nonnegative integer"))
-        if indices[-1] > MAX_INDEX:
+        if idx > MAX_INDEX:
             raise ValueError(f"index {name} exceeds the supported maximum {MAX_INDEX}")
-    i, j = indices
     dq = derive(params)
     h_plus, h_minus = hamiltonians_pm(params)
     w = params.omega

@@ -82,16 +82,18 @@ def test_moment_overflow_refused():
 
 def test_moment_rows_are_checked():
     # a row of the wrong width or with a negative exponent has no rank among
-    # the multi-indices of its degree
+    # the multi-indices of its degree; a float row was truncated, so
+    # E[x^2.5] read E[x^2] = 1.0
     table = MomentTable(np.eye(2))
     for rows in (np.array([[1]]), np.array([[1, 0, 1]]), np.array([2, 0])):
         with pytest.raises(ValueError, match="2 entries"):
             table.moments(rows)
     with pytest.raises(ValueError, match="2 entries"):
         table.moment((1,))
-    for alpha in [(-1, 1), (3, -1), (-2, 0)]:
+    for alpha in [(-1, 1), (3, -1), (-2, 0), (2.5, 0), (1.5, 0.5), (math.nan, 0), (math.inf, 0)]:
         with pytest.raises(ValueError, match="non-negative"):
             table.moment(alpha)
+    assert table.moment((2.0, 0.0)) == table.moment((2, 0)) == 1.0
 
 
 def test_covariance_must_be_a_square_matrix():
@@ -617,6 +619,15 @@ class TestGram:
         tiny = GaussPoly(V2, 1.0, Q, *terms({(0, 0): 1.0 + 1e-14j}, 2))
         assert gram([tiny], [real])[0, 0] == \
             pytest.approx(integrate(tiny.pointwise_mul(real)), rel=1e-15)
+
+    def test_cancelled_monomials_take_no_moment(self):
+        # the x^12 pair sums cancel exactly; their moment, about 2.5e360,
+        # leaves double range, so gram raised where integrate gave 0.0
+        Q = np.diag([-1e-60, -1.0])
+        f = GaussPoly(V2, 1.0, Q, *terms({(6, 0): 1.0, (5, 0): 1.0}, 2))
+        g = GaussPoly(V2, 1.0, Q, *terms({(6, 0): 1.0, (7, 0): -1.0}, 2))
+        assert integrate(f.pointwise_mul(g)) == 0.0
+        assert gram([f], [g]).tolist() == [[0.0]]
 
     def test_degree_cap_before_any_sum(self, monkeypatch):
         # the operands' top degrees decide: 24 + 24 is integrated, 24 + 25

@@ -389,17 +389,18 @@ class TestGaussPolyAlgebra:
                 with pytest.raises(ValueError, match="symmetric"):
                     GaussPoly.gaussian(V2, 1.0, Q)
 
-    def test_add_tolerance_is_the_old_allclose_boundary(self):
+    def test_add_needs_equal_exponents(self):
+        # a tolerance scaled by the largest entry matched (-1e308, -1) with
+        # (-1e308, -5), whose sum read 0.7358 at (0, 1) against 0.3746 for
+        # the parts; a gap of one ulp is refused too, and -0.0 equals 0.0
         g1 = GaussPoly.gaussian(V2, 1.0, -np.eye(2))
-        atol = 1e-12 * (1.0 + 1.0 + 1.0)
-        for gap, passes in [(atol, True), (np.nextafter(atol, 1.0), False)]:
-            g2 = GaussPoly.gaussian(V2, 1.0, np.array([[-1.0, gap], [gap, -1.0]]))
-            assert np.allclose(g1.exponent, g2.exponent, rtol=0.0, atol=atol) is passes
-            if passes:
-                assert (g1 + g2).exponent.tolist() == [[-1.0, 0.0], [0.0, -1.0]]
-            else:
-                with pytest.raises(ValueError, match="different Gaussian exponents"):
-                    g1 + g2
+        pairs = [(np.diag([-1e308, -1.0]), np.diag([-1e308, -5.0])),
+                 (-np.eye(2), np.diag([-1.0, np.nextafter(-1.0, 0.0)]))]
+        for a, b in pairs:
+            with pytest.raises(ValueError, match="different Gaussian exponents"):
+                GaussPoly.gaussian(V2, 1.0, a) + GaussPoly.gaussian(V2, 1.0, b)
+        g2 = GaussPoly.gaussian(V2, 1.0, np.zeros((2, 2)) - np.eye(2))
+        assert (g1 + g2).coeffs.tolist() == [1.0, 1.0]
 
     def test_exponents_near_double_range_do_not_overflow(self):
         # 0.5 * (Q + Q.T) gave -inf for -1e308 on the diagonal, and Q - Q.T
@@ -611,9 +612,12 @@ def poly_mul(a: dict, b: dict) -> dict:
 
 
 def assert_bit_identical(a, b):
-    """The dict loop's terms and bits, in ascending key order."""
+    """The dict loop's terms and bits, in ascending key order, less the keys
+    whose sum is exactly zero: no zero coefficient comes back."""
     got = poly_mul(a, b)
-    assert hex_terms(got) == hex_terms(sorted_poly_mul(a, b))
+    assert 0 not in got.values()
+    want = {k: c for k, c in sorted_poly_mul(a, b).items() if c != 0}
+    assert hex_terms(got) == hex_terms(want)
     return got
 
 
@@ -646,7 +650,20 @@ class TestPolyMul:
         top = {(2, True): 600, (2, False): 511, (4, True): 16, (4, False): 15}[dim, above]
         a, b = (data.draw(cornered_poly(dim, kind, top)) for kind in kinds)
         assert starcalc._simplex(dim, 2 * dim * top).size > (2 * top + 1) ** dim
-        assert hex_terms(poly_mul(a, b)) == hex_terms(sorted_poly_mul(a, b))
+        assert_bit_identical(a, b)
+
+    @pytest.mark.parametrize("span", [4, 1 << 20])  # dense sums, then sorted keys
+    def test_block_sums_drop_exact_zeros(self, span, monkeypatch):
+        # keys 0 and 2 cancel, across blocks of one row too; key 3 only
+        # ever adds 0.0
+        keys = np.array([0, 1, 2, 0, 2, 3, 1])
+        values = np.array([1.5, 2.0, -0.5, -1.5, 0.5, 0.0, 0.25])
+        monkeypatch.setattr(starcalc, "_MUL_BLOCK", 1)
+        for counts in ([7], [3, 4], [1] * 7):
+            ends = np.cumsum([0] + counts)
+            got = starcalc._block_sums(np.array(counts), lambda lo, hi: (
+                keys[ends[lo]:ends[hi]], values[ends[lo]:ends[hi]]), span)
+            assert [part.tolist() for part in got] == [[1], [2.25]]
 
     def test_mixed_coefficient_types_in_one_operand(self, rng):
         """One complex coefficient makes the whole product complex: the dict

@@ -136,20 +136,24 @@ class TestWignerStates:
                                for k in range(7))
 
     def test_index_cap(self):
-        with pytest.raises(ValueError):
-            wigner_state(13, 0, ModelParams())
-        with pytest.raises(ValueError):
-            wigner_state(0, -1, ModelParams())
-        with pytest.raises(ValueError, match="index i must be a nonnegative integer"):
-            wigner_state(True, 0, ModelParams())
-        with pytest.raises(ValueError, match="index j must be a nonnegative integer"):
-            wigner_state(0, 1.0, ModelParams())
+        # energy_level refuses what wigner_state refuses, MAX_INDEX aside: a
+        # negative index gave -0.15 there, and 1.5 gave 2.728
+        params = ModelParams(mu=0.2, nu=0.1)
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            wigner_state(13, 0, params)
+        assert energy_level(13, 0, params) > 0.0
+        for i, j, name in [(0, -1, "j"), (-1, 0, "i"), (1.5, 0, "i"), (True, 0, "i"),
+                           (0, 1.0, "j")]:
+            for build in (energy_level, wigner_state):
+                with pytest.raises(ValueError, match=f"index {name} must be a nonnegative integer"):
+                    build(i, j, params)
 
     def test_numpy_integer_indices_accepted(self):
         params = ModelParams(mu=0.2, nu=0.1)
         got = wigner_state(np.int64(1), np.int32(0), params)
         want = wigner_state(1, 0, params)
         assert (type(got.i), type(got.j)) == (int, int)
+        assert got.energy == want.energy == energy_level(np.int64(1), np.int32(0), params)
         assert got.function.prefactor == want.function.prefactor
         assert np.array_equal(got.function.coeffs, want.function.coeffs)
 
@@ -328,7 +332,7 @@ TOWER_POINTS = [dict(mu=0.0, nu=0.0), dict(mu=0.2, nu=0.1), dict(mu=3.0, nu=-0.3
 
 def laguerre_by_products(n, form, scale):
     """L_n(scale * H) as it was built before the graded index: each power
-    H^k = H^(k-1) * H by `_poly_mul`, the zero sums it keeps included."""
+    H^k = H^(k-1) * H by `_poly_mul`."""
     h = form.poly()
     powers = [(np.zeros((1, 4), dtype=np.int64), np.ones(1)), (h.exps, h.coeffs)][:n + 1]
     while len(powers) <= n:
