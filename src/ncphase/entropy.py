@@ -12,11 +12,12 @@ lam in (sqrt(3)/3, 1]. With r = (1-lam)/(1+lam), the closed forms are
 the paper's ln(beta_alpha)/(alpha-1) - ln(2 lam) and
 [1 - (2 lam)^(q-1)/beta_q]/(q-1) rewritten with
 beta_n(lam) = [(1+lam)^n - (1-lam)^n] / (2 lam). beta/gamma are the exact
-integer-coefficient polynomials in lam^2 of beta_n = beta_{n-1} + gamma_{n-1},
-gamma_n = lam^2 beta_{n-1} + gamma_{n-1}; the log-sum forms need no such
-table, so every integer order that converts to a double has a value. A
-second, independent route evaluates the same quantities through star powers
-of the reduced Gaussian and exact moment integration.
+integer-coefficient polynomials in lam^2 of beta_n and
+gamma_n = [(1+lam)^n + (1-lam)^n] / 2, the odd and the even binomial terms of
+(1+lam)^n; the log-sum forms need no such table, so every integer order that
+converts to a double has a value. A second, independent route evaluates the
+same quantities through star powers of the reduced Gaussian and exact moment
+integration.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 from . import moments
 from .darboux import cell_size
 from .params import LAMBDA_MIN, ModelParams, derive
-from .starcalc import (GaussPoly, QuadraticForm, _integer_at_least, star_log_gaussian,
-                       star_power)
-from .wigner import ReducedState, WignerState, hamiltonians_pm
+from .starcalc import (GaussPoly, PhaseVariables, QuadraticForm, _integer_at_least,
+                       star_log_gaussian, star_power)
+from .wigner import ReducedState, WignerState, hamiltonians_pm, phase_variables
 
 
 @dataclass(frozen=True)
@@ -70,28 +71,11 @@ class EntropyResult:
 
 
 def beta_gamma(n: int) -> BetaGamma:
-    """Exact coefficient polynomials at depth n >= 1."""
+    """Exact coefficient polynomials at depth n >= 1: the odd and the even
+    binomial terms of (1 + lam)^n, C(n, 2k + 1) and C(n, 2k) on lam^(2k)."""
     n = _integer_at_least(n, 1, "recursion depth n must be a positive integer")
-
-    def strip(coeffs: list[int]) -> list[int]:
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return coeffs
-
-    beta, gamma = [1], [1]
-    for _ in range(n - 1):
-        new_beta = [0] * max(len(beta), len(gamma))
-        for i, c in enumerate(beta):
-            new_beta[i] += c
-        for i, c in enumerate(gamma):
-            new_beta[i] += c
-        new_gamma = [0] * max(len(beta) + 1, len(gamma))
-        for i, c in enumerate(beta):
-            new_gamma[i + 1] += c  # lam^2 shift
-        for i, c in enumerate(gamma):
-            new_gamma[i] += c
-        beta, gamma = strip(new_beta), strip(new_gamma)
-    return BetaGamma(n, tuple(beta), tuple(gamma))
+    return BetaGamma(n, tuple(math.comb(n, k) for k in range(1, n + 1, 2)),
+                     tuple(math.comb(n, k) for k in range(0, n + 1, 2)))
 
 
 def _check_lambda(lam: float) -> None:
@@ -202,16 +186,24 @@ def von_neumann_supremum() -> float:
     return _von_neumann_of(LAMBDA_MIN)
 
 
-def _reduced_form(reduced: ReducedState) -> QuadraticForm:
-    return QuadraticForm.from_matrix(reduced.function.variables,
-                                     -reduced.function.exponent)
+def _same_phase_space(func: GaussPoly, variables: PhaseVariables) -> None:
+    if func.variables != variables:
+        raise ValueError("the state and params belong to different phase spaces")
+
+
+def _reduced_form(reduced: ReducedState, params: ModelParams) -> QuadraticForm:
+    """The form of a reduced state of params: its hbar is checked, while its
+    mu and nu, which a reduced state does not carry, are not."""
+    variables = PhaseVariables(2, hbar=params.hbar)
+    _same_phase_space(reduced.function, variables)
+    return QuadraticForm.from_matrix(variables, -reduced.function.exponent)
 
 
 def _star_power_numeric(kind: str, reduced: ReducedState, order: int,
                         params: ModelParams, entropy_of) -> EntropyResult:
     """entropy_of(order, int W^order_*, (2 pi hbar)^(order-1)), W reduced."""
     order = _check_integer_order(order)
-    power = star_power(reduced.function, order, forms=[_reduced_form(reduced)])
+    power = star_power(reduced.function, order, forms=[_reduced_form(reduced, params)])
     total = moments.integrate(power)
     value = _finite_at_order(order, lambda: entropy_of(
         order, total, (2.0 * math.pi * params.hbar) ** (order - 1)))
@@ -247,7 +239,7 @@ def von_neumann_numeric(reduced: ReducedState,
                         params: ModelParams) -> EntropyResult:
     """von Neumann entropy as -int W ln_star(2 pi hbar W), evaluated exactly."""
     hbar = params.hbar
-    form = _reduced_form(reduced)
+    form = _reduced_form(reduced, params)
     scaled = reduced.function.scaled(2.0 * math.pi * hbar)
     const, quad = star_log_gaussian(scaled, form=form)
     norm = moments.integrate(reduced.function)
@@ -267,6 +259,7 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
     """
     alpha = _check_integer_order(alpha)
     func = state.function if isinstance(state, WignerState) else state
+    _same_phase_space(func, phase_variables(params))
     cell = cell_size(params)  # 4 pi^2 (hbar^2 - mu nu), normalizing 4D entropies
     if alpha == 2:
         total = float(moments.gram([func], [func])[0, 0])

@@ -13,9 +13,10 @@ The array kernels give the same bits as the per-term loops they replaced:
 every product keeps its operand order, and every sum adds its terms one by one
 in the loop's order (never pairwise). marginalize returns its monomials in
 ascending order, as the star series does, and drops a monomial whose sum is
-exactly zero, as the dict accumulation did. gram integrates products without
-building them, equals integrate of the built product exactly, and refuses a
-product above MAX_MOMENT_DEGREE before it sums anything.
+exactly zero, as the dict accumulation did. integrate and gram share one
+sum, `_moment_sums`. gram integrates products without building them, equals
+integrate of the built product exactly, and refuses a product above
+MAX_MOMENT_DEGREE before it sums anything.
 """
 
 from __future__ import annotations
@@ -32,14 +33,6 @@ from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _distinct, _expon
 MAX_MOMENT_DEGREE = 48
 
 _IMAG_TOL = 1e-10
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """values added one by one from +0.0, as a Python loop adds them.
-
-    np.sum adds pairwise, and the builtin sum compensates from Python 3.12.
-    """
-    return np.add.accumulate(np.concatenate(([0.0], values)))[-1]
 
 
 class MomentTable:
@@ -134,13 +127,23 @@ def _real(coeffs: np.ndarray, segment: np.ndarray | int = 0, count: int = 1
     return coeffs.real
 
 
-def integrate(func: GaussPoly) -> float:
-    """Integral of a GaussPoly over all of its variables, exactly."""
-    mass, table = _gaussian_weight(func.exponent, func.exps.any())
-    coeffs = _real(func.coeffs)
+def _moment_sums(coeffs: np.ndarray, exps: np.ndarray, table: MomentTable | None,
+                 segment: np.ndarray, count: int = 1) -> np.ndarray:
+    """Per segment, its rows' coefficients times their moments (the
+    coefficients alone with no table) added one by one in row order from +0.0,
+    as a loop adds them (np.sum adds pairwise); complex coefficients are
+    refused per segment (`_real`), and an overflowing sum is inf, unwarned."""
+    coeffs = _real(coeffs, segment, count)
     if table:
-        coeffs = coeffs * table.moments(func.exps)
-    return func.prefactor * mass * _sequential_sum(coeffs)
+        coeffs = coeffs * table.moments(exps)
+    return np.bincount(segment, coeffs, count)
+
+
+def integrate(func: GaussPoly) -> float:
+    """Integral of a GaussPoly over all its variables, exactly: one `_moment_sums`."""
+    mass, table = _gaussian_weight(func.exponent, func.exps.any())
+    segment = np.zeros(len(func.coeffs), np.intp)
+    return func.prefactor * mass * _moment_sums(func.coeffs, func.exps, table, segment)[0]
 
 
 def _family_terms(funcs: Sequence[GaussPoly]) -> tuple[np.ndarray, ...]:
@@ -156,12 +159,12 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
 
     The fs share one Gaussian exponent and the gs another. A product above
     MAX_MOMENT_DEGREE is refused before any sum. `starcalc._pair_sums` adds
-    every term pair into per-(segment (a, b), monomial rank) sums, each in
-    the order `pointwise_mul` adds it, in ascending key order, less those
-    that are exactly zero, as the product drops them. One MomentTable
-    covers the distinct monomials left, and np.bincount adds each
-    segment's coefficient-moment products one by one from +0.0, in ascending
-    monomial order as `integrate` does on a product. So entry (a, b) equals
+    every term pair into per-(segment (a, b), monomial) sums, each in the
+    order `pointwise_mul` adds it, and hands them back with their exponent
+    rows in ascending order, less those that are exactly zero, as the product
+    drops them. `_moment_sums` then adds each segment's coefficient-moment
+    products in that order, as `integrate` adds a product's; a moment has the
+    same bits whichever rows come with it. So entry (a, b) equals
     integrate(f_a.pointwise_mul(g_b)) exactly, and it raises the same errors.
     """
     for side in (fs, gs):
@@ -177,14 +180,8 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
     if top > MAX_MOMENT_DEGREE:
         raise ValueError(f"moment degree {top} exceeds {MAX_MOMENT_DEGREE}")
     count = len(fs) * len(gs)
-    keys, sums, ranks, low = _pair_sums(ef, cf, eg, cg, of * len(gs), og, count)
-    segment, mono = np.divmod(keys, ranks.size)
-    sums = _real(sums, segment, count)
-    if table:
-        distinct = _distinct(mono)
-        exps = (ranks.unrank(distinct) + low[:, None]).T
-        sums = sums * table.moments(exps)[np.searchsorted(distinct, mono)]
-    totals = np.bincount(segment, sums, count).reshape(len(fs), len(gs))
+    segment, exps, sums = _pair_sums(ef, cf, eg, cg, of * len(gs), og, count)
+    totals = _moment_sums(sums, exps, table, segment, count).reshape(len(fs), len(gs))
     return np.multiply.outer(pf, pg) * mass * totals
 
 

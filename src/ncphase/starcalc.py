@@ -283,13 +283,14 @@ def _block_sums(counts: np.ndarray, entries, span: int
 
 
 def _pair_sums(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray,
-               sa=0, sb=0, count: int = 1) -> tuple:
-    """Keys segment * size + rank in ascending order, for the term pairs of
-    exponent rows ea, eb less their per-axis minima, with ca[i] * cb[j]
-    summed per key in row-major pair order (`_block_sums`, a row per i); then
-    the `_Simplex` and the minima. Pair (i, j) is in segment sa[i] + sb[j].
-    Its rank takes column k at S_k(a_i) + S_k(b_j) for each axis k < d - 1,
-    tabled against every b_j once per value S_k(a_i) takes."""
+               sa=0, sb=0, count: int = 1) -> tuple[np.ndarray, ...]:
+    """Segments, int64 exponent rows and sums, ascending by segment then row,
+    of the term pairs of exponent rows ea, eb, with ca[i] * cb[j] summed per
+    (segment, monomial) in row-major pair order (`_block_sums`, a row per i).
+    Pair (i, j) is in segment sa[i] + sb[j], keyed by segment * size plus the
+    `_Simplex` rank of its monomial less the per-axis minima; the rank takes
+    column k at S_k(a_i) + S_k(b_j) for each axis k < d - 1, tabled against
+    every b_j once per value S_k(a_i) takes."""
     low_a, low_b = ea.min(axis=0), eb.min(axis=0)
     pa, pb = np.cumsum(ea - low_a, axis=1).T, np.cumsum(eb - low_b, axis=1).T
     ranks = _simplex(len(pa), int(pa[-1].max() + pb[-1].max()))
@@ -307,7 +308,8 @@ def _pair_sums(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray,
         return keys.ravel(), _times(ca[lo:hi, None], cb).ravel()
 
     keys, values = _block_sums(np.full(len(ca), len(cb)), entries, count * ranks.size)
-    return keys, values, ranks, low_a + low_b
+    segment, rank = np.divmod(keys, ranks.size)
+    return segment, (ranks.unrank(rank) + (low_a + low_b)[:, None]).T, values
 
 
 def _poly_mul(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray
@@ -317,13 +319,12 @@ def _poly_mul(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray
     Rows come in ascending order, and each coefficient is added in the loop's
     order (the term pairs in row-major order), to the same bits; a monomial
     whose sum is exactly zero is left out (`_block_sums`). A complex
-    operand makes the whole product complex. `_pair_sums` ranks the
-    monomials less each operand's per-axis minimum and adds the term pairs.
+    operand makes the whole product complex. The rows and sums are those of
+    `_pair_sums` in one segment.
     """
     if not (len(ca) and len(cb)):
         return np.zeros((0, ea.shape[1]), dtype=np.int64), np.zeros(0)
-    keys, values, ranks, low = _pair_sums(ea, ca, eb, cb)
-    return (ranks.unrank(keys) + low[:, None]).T, values
+    return _pair_sums(ea, ca, eb, cb)[1:]
 
 
 def _integer_at_least(value, minimum: int, message: str) -> int:
@@ -777,7 +778,7 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
                     if kid[1].any():
                         kids.append(kid)
         level = kids
-    keep = np.flatnonzero(series_sum)
+    keep = np.flatnonzero(series_sum != 0)  # a boolean scan: about 5x as fast as the sums
     keep = keep[np.lexsort(lattice.exps.take(keep, axis=1)[::-1])]  # first axis slowest
     return lattice.exps.take(keep, axis=1).T.astype(np.int64), series_sum[keep]
 

@@ -143,7 +143,7 @@ def _form_powers(h: GaussPoly, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         lo, hi = first[2 * k - 2], first[2 * k - 1]
         np.add.at(vector, steps[:, lo:hi].ravel(),
                   (h.coeffs[:, None] * vector[lo:hi]).ravel())
-    keep = np.flatnonzero(vector[first[4]:]) + first[4]
+    keep = np.flatnonzero(vector[first[4]:] != 0) + first[4]
     exps = lattice.exps.take(keep, axis=1)  # narrow, so lexsort takes a radix sort
     power = exps.sum(axis=0, dtype=exps.dtype) // 2
     order = np.lexsort((*exps[::-1], power))  # first axis slowest within a power

@@ -105,6 +105,22 @@ class TestBetaGamma:
                 assert error < Decimal("1e-50")
 
 
+    def test_matches_the_recursion(self):
+        # beta_n = beta_(n-1) + gamma_(n-1), gamma_n = lam^2 beta_(n-1) +
+        # gamma_(n-1), on coefficient lists in powers of lam^2
+        beta, gamma = [1], [1]
+        for n in range(1, 65):
+            assert beta_gamma(n) == entropy.BetaGamma(n, tuple(beta), tuple(gamma))
+            width = max(len(beta), len(gamma)) + 1
+            b, g = (beta + [0] * width)[:width], (gamma + [0] * width)[:width]
+            beta = [x + y for x, y in zip(b, g)]
+            gamma = [y + x for x, y in zip([0] + b, g)]
+            while beta[-1] == 0:
+                beta.pop()
+            while gamma[-1] == 0:
+                gamma.pop()
+
+
 class TestClosedForms:
     def test_renyi_vanishes_at_unity(self):
         assert renyi_entanglement(2, 1.0).value == 0.0
@@ -216,6 +232,18 @@ class TestNumericRoute:
                 closed = renyi_entanglement(alpha, actual_lam).value
                 numeric = renyi_numeric(reduced, alpha, params).value
                 assert abs(closed - numeric) <= 1e-9
+
+    def test_state_from_another_phase_space_is_refused(self):
+        # a reduced state at hbar = 1 against params at hbar = 2: the
+        # numeric routes refused it, where they gave about -0.69
+        p, q = ModelParams(mu=0.2, nu=0.1), ModelParams(hbar=2.0, mu=0.2, nu=0.1)
+        reduced = reduce(wigner_state(0, 0, p), 1)
+        message = "^the state and params belong to different phase spaces$"
+        for route in (lambda: renyi_numeric(reduced, 2, q),
+                      lambda: tsallis_numeric(reduced, 3, q),
+                      lambda: von_neumann_numeric(reduced, q)):
+            with pytest.raises(ValueError, match=message):
+                route()
 
     def test_alpha_two_identity(self):
         for lam in LAMBDA_GRID:
@@ -382,6 +410,14 @@ class TestTotalEntropy:
         with pytest.raises(ValueError, match="unsupported order 2: "
                                              "the star-power trace underflows"):
             renyi_total(w00.scaled(1e-155), 2, params)
+
+    def test_state_from_another_phase_space_is_refused(self):
+        # a pure state's total entropy is 0; against another point's params
+        # it came out -0.66
+        state = wigner_state(0, 0, ModelParams(mu=0.2, nu=0.1))
+        with pytest.raises(ValueError, match="^the state and params belong to "
+                                             "different phase spaces$"):
+            renyi_total(state, 2, ModelParams(mu=3.0, nu=-0.3))
 
     def test_excited_higher_order_unsupported(self):
         params = ModelParams(mu=0.2, nu=0.1)

@@ -515,13 +515,34 @@ class TestIntegrateKernel:
                 assert got == [together[i] for i in pick.tolist()]
 
 
+def loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def test_sequential_sum_adds_left_to_right(rng):
-    for values in ([], [-0.0], [-0.0, -0.0], [1.0, -1.0, -0.0],
-                   (rng.normal(size=5000) * 10.0 ** rng.integers(-8, 8, 5000)).tolist()):
-        want = 0.0
-        for v in values:
-            want += v
-        assert float(moments._sequential_sum(np.array(values))).hex() == want.hex()
+    # the one moment sum behind integrate and gram, with no moment table:
+    # each segment's values added one by one from +0.0, -0.0 included
+    lists = [[], [-0.0], [-0.0, -0.0], [1.0, -1.0, -0.0],
+             (rng.normal(size=5000) * 10.0 ** rng.integers(-8, 8, 5000)).tolist()]
+    for values in lists:
+        got = moments._moment_sums(np.array(values), None, None, np.zeros(len(values), np.intp))
+        assert [float(x).hex() for x in got] == [loop_sum(values).hex()]
+    # interleaved segments, each against its own loop; segment 7 is empty
+    values = np.concatenate([np.array(v, dtype=float) for v in lists])
+    segment = rng.integers(0, 7, len(values))
+    got = moments._moment_sums(values, None, None, segment, 8)
+    for s in range(8):
+        assert float(got[s]).hex() == loop_sum(values[segment == s].tolist()).hex()
+
+
+def test_overflowing_sum_is_inf_on_both_routes():
+    # integrate and gram add through the same sum: a total past double range
+    # is inf on both, with no warning (the suite raises warnings as errors)
+    f = GaussPoly(V2, 1.0, -0.5 * np.eye(2), *terms({(0, 0): 1e308, (2, 0): 1e308}, 2))
+    assert integrate(f) == gram([f], [GaussPoly.constant(V2)])[0, 0] == np.inf
 
 
 # ---------------------------------------------------------------------------
