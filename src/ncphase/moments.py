@@ -3,10 +3,10 @@
 Convention, stated once and used everywhere: a function prefactor * poly *
 exp(z^T Q z) with Q negative definite corresponds to a centered normal weight
 with covariance -Q^{-1}/2 and total mass pi^{d/2}/sqrt(det(-Q)). Polynomial
-parts are contracted against the weight through the Isserlis moment recursion,
-run as arrays one even degree at a time over every multi-index of that
-degree, through the one monomial index per dimension that the star series
-reads too (`starcalc._graded_lattice`).
+parts are contracted against the weight through the Isserlis moment recursion
+over the one monomial index per dimension that the star series reads too
+(`starcalc._graded_lattice`), its factors formed once per call; marginalize
+reads its shifted powers from one cached table and its moments with one take.
 Dense quadrature exists only in the test suite as an independent oracle.
 
 The array kernels give the same bits as the per-term loops they replaced:
@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _distinct, _exponent_rows,
-                       _graded_lattice, _graded_rank, _pair_sums, _ragged)
+from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _exponent_rows,
+                       _graded_lattice, _graded_rank, _integer_at_least, _pair_sums)
 
 MAX_MOMENT_DEGREE = 48
 
@@ -58,13 +58,15 @@ class MomentTable:
         where a term with cov[i, j] = 0 or beta_j = 0 is skipped. One vector
         holds the moments of every multi-index up to the rows' top degree in
         the order of `starcalc._graded_lattice`, which tables i, beta and the
-        children; odd degrees stay 0.0, and each even degree is one array
-        pass over its slice. A skipped term is 0.0 times the 0.0 in the last
-        slot (never times an overflowed moment), and the terms add left to
-        right from the first, +0.0 or cov[0, 0] >= 0 times a moment, so as
-        from +0.0. A moment has the same bits whichever rows come with it. A
-        returned moment that leaves double range (an overflow, or inf - inf)
-        raises ValueError.
+        children; odd degrees stay 0.0. The even-degree rows are copied out
+        once per call, their cov[i, j] * beta_j factors formed and set to 0.0,
+        and their children to -1, where a term is skipped (`np.putmask`, in
+        place); each even degree is then one array pass over its slice. A
+        skipped term is 0.0 times the 0.0 in the last slot (never times an
+        overflowed moment), and the terms add left to right from the first,
+        +0.0 or cov[0, 0] >= 0 times a moment, so as from +0.0. A moment has
+        the same bits whichever rows come with it. A returned moment that
+        leaves double range (an overflow, or inf - inf) raises ValueError.
         """
         exps = np.asarray(exps)
         d = len(self.covariance)
@@ -79,15 +81,20 @@ class MomentTable:
                              f"exceeds {MAX_MOMENT_DEGREE}")
         moment = np.zeros(comb(top + d, d) + 1)  # then the 0.0 a skipped term reads
         moment[0] = 1.0
+        levels = [slice(comb(n + d - 1, d), comb(n + d, d)) for n in range(2, top + 1, 2)]
+        lattice = _graded_lattice(d, top)  # the even degrees' rows, masked and scaled at once
+        pivot, beta, child = (np.concatenate([table[:0], *(table[level] for level in levels)])
+                              for table in (lattice.pivot, lattice.beta, lattice.child))
+        factor = self.covariance.take(pivot, axis=0)
+        skipped = (factor == 0.0) | (beta == 0)
+        factor *= beta
+        np.putmask(factor, skipped, 0.0)
+        np.putmask(child, skipped, -1)
+        at = 0  # where the next even degree's rows start
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            for n in range(2, top + 1, 2):
-                lattice = _graded_lattice(d, top)
-                level = slice(comb(n + d - 1, d), comb(n + d, d))
-                cij = self.covariance.take(lattice.pivot[level], axis=0)
-                live = (cij != 0.0) & (lattice.beta[level] > 0)
-                factor = np.where(live, cij * lattice.beta[level], 0.0)
-                terms = factor * moment.take(np.where(live, lattice.child[level], -1))
-                moment[level] = reduce(np.add, terms.T)
+            for level in levels:
+                rows = slice(at, at := at + level.stop - level.start)
+                moment[level] = reduce(np.add, (factor[rows] * moment.take(child[rows])).T)
         out = moment.take(_graded_rank(exps.T, top))
         if not np.isfinite(out).all():
             raise ValueError(f"a moment of degree {degree[~np.isfinite(out)][0]} "
@@ -186,38 +193,40 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
 
 
 @cache
-def _trinomial_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents (j, r, s), j then r ascending, and comb(n, j) comb(n-j, r) as
-    floats for the terms of (w + u + v)^n; read-only, shared by every call."""
-    jrs = np.array([(j, r, n - j - r) for j in range(n + 1) for r in range(n - j + 1)],
-                   dtype=np.int64)
-    binom = np.array([float(comb(n, j) * comb(n - j, r)) for j, r, _ in jrs.tolist()])
+def _trinomial_terms(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows j, r, s and comb(n, j) comb(n-j, r) as floats for the
+    terms of (w + u + v)^n, n = 0..top in turn, j then r ascending (those of
+    n from column comb(n + 2, 3)); read-only, shared by every call."""
+    jrs = np.array([(j, r, n - j - r) for n in range(top + 1) for j in range(n + 1)
+                    for r in range(n - j + 1)], dtype=np.int64).T.copy()
+    binom = np.array([float(comb(j + r + s, j) * comb(r + s, r)) for j, r, s in jrs.T.tolist()])
     jrs.flags.writeable = binom.flags.writeable = False
     return jrs, binom
 
 
-def _shifted_powers(a: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Terms of z^n with z = w - a[0]*u - a[1]*v expanded, for each n in ns.
+def _shifted_powers(a: np.ndarray, top: int) -> tuple[np.ndarray, ...]:
+    """Terms of z^n with z = w - a[0]*u - a[1]*v expanded, for n = 0..top.
 
     z^n is the sum of comb(n, j) comb(n-j, r) (-a[0])^r (-a[1])^s w^j u^r v^s
-    over j, then r, with s = n-j-r; terms with a zero coefficient are dropped.
-    The powers are scalar `**` (numpy's array power may round differently)
-    and a coefficient rounds as ((comb product) * (-a[0])^r) * (-a[1])^s.
-    Returns the terms' j, r, s and coefficient arrays, then each n's first
-    term and term count (indexed by n).
+    over j, then r, with s = n-j-r, read from `_trinomial_terms(top)`; terms
+    with a zero coefficient are dropped. The powers are scalar `**` (numpy's
+    array power may round differently) and a coefficient rounds as
+    ((comb product) * (-a[0])^r) * (-a[1])^s. Returns the terms' j, r, s and
+    coefficient arrays, then each n's first term and term count.
     """
-    top = int(ns.max())
     p0 = np.array([(-a[0]) ** r for r in range(top + 1)])
     p1 = np.array([(-a[1]) ** s for s in range(top + 1)])
-    parts = [_trinomial_terms(n) for n in ns.tolist()]
-    j, r, s = np.concatenate([jrs for jrs, _ in parts]).T
-    coeff = np.concatenate([binom for _, binom in parts]) * p0[r] * p1[s]
-    nonzero = coeff != 0.0
-    full = (ns + 1) * (ns + 2) // 2
-    count = np.zeros(top + 1, dtype=np.int64)
-    count[ns] = np.add.reduceat(nonzero, np.cumsum(full) - full)
-    start = np.cumsum(count) - count
-    return j[nonzero], r[nonzero], s[nonzero], coeff[nonzero], start, count
+    jrs, binom = _trinomial_terms(top)
+    coeff = binom * p0.take(jrs[1]) * p1.take(jrs[2])
+    live = np.flatnonzero(coeff != 0.0)
+    start = live.searchsorted([comb(n + 2, 3) for n in range(top + 2)])
+    return (*jrs.take(live, axis=1), coeff.take(live), start[:-1], start[1:] - start[:-1])
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., counts[k] of them, for each k in turn."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) + (starts - (ends - counts)).repeat(counts)
 
 
 def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
@@ -232,52 +241,58 @@ def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
     then y-term, and those with a zero moment are skipped; `_block_sums`
     adds them in that order, a row per monomial. The entries with a nonzero
     moment depend only on (n0, n1), so they are tabled once per distinct
-    pair, and a row gathers its pair's table. A sum that passes through
-    exactly zero and goes on from it matches the dict loop, which removed
-    the key and started it again from 0.0; a sum that ends at exactly zero
-    is not returned, as there. Keys pack the kept exponents, not ranks:
-    that 2-D box stays small (145^2 keys for W(12,12)), where a rank would
-    cost a table lookup per entry.
+    pair, the moments read with one flat take, and a row's entries are its
+    base key and coefficient repeated over a run into its pair's table. A
+    sum that passes through exactly zero and goes on from it matches the
+    dict loop, which removed the key and started it again from 0.0; a sum
+    that ends at exactly zero is not returned, as there, and one past double
+    range raises ValueError. Keys pack the kept exponents, not ranks: that
+    2-D box stays small (145^2 keys for W(12,12)), where a rank would cost a
+    table lookup per entry.
     """
     if not len(coeffs):
         return np.zeros((0, 2), dtype=np.int64), coeffs
     n0, n1 = integrated.T
+    top0, top1 = int(n0.max()), int(n1.max())
     # the moments first: they raise for a degree above MAX_MOMENT_DEGREE
-    j0, j1 = np.nonzero(np.add.outer(np.arange(n0.max() + 1), np.arange(n1.max() + 1))
-                        <= (n0 + n1).max())
-    moment = np.zeros((n0.max() + 1, n1.max() + 1))
-    moment[j0, j1] = table.moments(np.stack((j0, j1), axis=1))
-    J0, R0, S0, C0, start0, count0 = _shifted_powers(A[0], _distinct(n0))
-    J1, R1, S1, C1, start1, count1 = _shifted_powers(A[1], _distinct(n1))
-    radix = kept[:, 1].max() + n0.max() + n1.max() + 1
+    box = np.add.outer(np.arange(top0 + 1), np.arange(top1 + 1)) <= (n0 + n1).max()
+    moment = np.zeros(box.size)
+    moment[np.flatnonzero(box)] = table.moments(np.argwhere(box))
+    J0, R0, S0, C0, start0, count0 = _shifted_powers(A[0], top0)
+    J1, R1, S1, C1, start1, count1 = _shifted_powers(A[1], top1)
+    radix = kept[:, 1].max() + top0 + top1 + 1
     base = kept[:, 0] * radix + kept[:, 1]
-    span = (kept[:, 0].max() + n0.max() + n1.max() + 1) * radix
+    span = (kept[:, 0].max() + top0 + top1 + 1) * radix
 
     # the tables: per distinct (n0, n1), its (x-term, y-term) entries with a
     # nonzero moment, x-term then y-term, as key shift, c0, c1 and moment
-    pair_code = n0 * (n1.max() + 1) + n1
-    pairs = _distinct(pair_code)
-    p0, p1 = np.divmod(pairs, n1.max() + 1)
-    owner, offset = _ragged(count0[p0] * count1[p1])
-    width = count1[p1][owner]
-    e0 = start0[p0][owner] + offset // width
-    e1 = start1[p1][owner] + offset % width
-    m = moment[J0[e0], J1[e1]]
-    live = m != 0.0
-    owner, e0, e1, m = owner[live], e0[live], e1[live], m[live]
-    shift = (R0[e0] + R1[e1]) * radix + S0[e0] + S1[e1]
-    c0, c1 = C0[e0], C1[e1]
-    size = np.bincount(owner, minlength=len(pairs))
-    pair = np.searchsorted(pairs, pair_code)
-    count, first = size[pair], (np.cumsum(size) - size)[pair]
+    pair_code = n0 * (top1 + 1) + n1
+    seen = np.bincount(pair_code, minlength=box.size) > 0
+    pairs = np.flatnonzero(seen)
+    p0, p1 = np.divmod(pairs, top1 + 1)
+    rows, cols = count0.take(p0), count1.take(p1)  # a pair's x-terms, each by its y-terms
+    width = cols.repeat(rows)
+    e0 = _runs(start0.take(p0), rows).repeat(width)
+    e1 = _runs(start1.take(p1).repeat(rows), width)
+    m = moment.take((J0 * (top1 + 1)).take(e0) + J1.take(e1))
+    live = np.flatnonzero(m != 0.0)
+    e0, e1, m = e0.take(live), e1.take(live), m.take(live)
+    shift = (R0 * radix + S0).take(e0) + (R1 * radix + S1).take(e1)
+    c0, c1 = C0.take(e0), C1.take(e1)
+    bounds = live.searchsorted(np.append(0, (rows * cols).cumsum()))  # of each pair's entries
+    pair = (seen.cumsum() - 1).take(pair_code)
+    first, count = bounds[:-1].take(pair), (bounds[1:] - bounds[:-1]).take(pair)
 
     def entries(lo, hi):
-        mono, offset = _ragged(count[lo:hi])
-        mono += lo
-        at = first[mono] + offset
-        return base[mono] + shift[at], coeffs[mono] * c0[at] * c1[at] * m[at]
+        reps, at = count[lo:hi], _runs(first[lo:hi], count[lo:hi])
+        values = coeffs[lo:hi].repeat(reps)  # times c0, c1 and m in turn, in place
+        for factor in (c0, c1, m):
+            values *= factor.take(at)
+        return base[lo:hi].repeat(reps) + shift.take(at), values
 
     keys, sums = _block_sums(count, entries, span)
+    if not np.isfinite(sums).all():
+        raise ValueError("a marginal coefficient leaves double precision range")
     return np.stack(np.divmod(keys, radix), axis=1), sums
 
 
@@ -291,8 +306,7 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
     """
     if func.variables.dimension != 4:
         raise ValueError("marginalize expects a 4-variable function")
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
+    keep = _integer_at_least(keep, 1, "keep must be 1 or 2", maximum=2)
     keep_idx = [0, 2] if keep == 1 else [1, 3]
     int_idx = [1, 3] if keep == 1 else [0, 2]
 
@@ -306,7 +320,8 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
     A = np.linalg.solve(QII, QKI.T)
     Q_red = QKK - QKI @ A
     exps = func.exps
-    terms = _marginal_poly(exps[:, keep_idx], exps[:, int_idx], _real(func.coeffs), A, table)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _marginal_poly
+        terms = _marginal_poly(exps[:, keep_idx], exps[:, int_idx], _real(func.coeffs), A, table)
 
     reduced_vars = PhaseVariables(2, hbar=func.variables.hbar)
     return GaussPoly(reduced_vars, func.prefactor * mass_i, Q_red, *terms)

@@ -327,11 +327,11 @@ def _poly_mul(ea: np.ndarray, ca: np.ndarray, eb: np.ndarray, cb: np.ndarray
     return _pair_sums(ea, ca, eb, cb)[1:]
 
 
-def _integer_at_least(value, minimum: int, message: str) -> int:
+def _integer_at_least(value, minimum: int, message: str, maximum: float = math.inf) -> int:
     """value as an int when it is a Python or numpy integer, not a bool, of at
-    least minimum; ValueError(message) otherwise."""
+    least minimum and at most maximum; ValueError(message) otherwise."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
+            or not minimum <= value <= maximum):
         raise ValueError(message)
     return int(value)
 

@@ -204,8 +204,7 @@ def reduce(state: WignerState, subsystem: int) -> ReducedState:
     """Closed-form reduced Gaussian of the ground state for one oscillator."""
     if (state.i, state.j) != (0, 0):
         raise ValueError("closed-form reduced states exist for the ground state only")
-    if subsystem not in (1, 2):
-        raise ValueError("subsystem must be 1 or 2")
+    subsystem = _integer_at_least(subsystem, 1, "subsystem must be 1 or 2", maximum=2)
     params = state.params
     dq = derive(params)
     hbar, m, w = params.hbar, params.mass, params.omega

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +255,7 @@ def reference_marginalize(func, keep):
     A = np.linalg.solve(QII, QKI.T)
     table = ReferenceMoments(-0.5 * np.linalg.inv(QII))
 
+    @functools.cache  # the loop asks for the same expansions again and again
     def shifted_powers(var, n):
         out = {}
         for j in range(n + 1):
@@ -322,6 +325,18 @@ ORIGIN = ModelParams()
 SMALL = ModelParams(mu=0.2, nu=0.1)
 
 
+def tower_envelope_point(seed):
+    """A seeded point of the benchmark's tower envelope: hbar log-uniform over
+    [1/2, 2], mass and omega over [1.4^-1/2, 1.4^1/2], and theta = mu nu /
+    hbar^2 uniform over [-1e-3, 1e-3], split evenly between u and v."""
+    rng = np.random.default_rng(seed)
+    hbar, mass, omega = np.exp(rng.uniform(-1.0, 1.0, 3) * np.log([2.0, 1.4**0.5, 1.4**0.5]))
+    theta = rng.uniform(-1e-3, 1e-3)
+    u = math.sqrt(abs(theta))
+    return ModelParams(hbar=hbar, mass=mass, omega=omega, mu=u * hbar / (mass * omega),
+                       nu=math.copysign(u, theta) * hbar * mass * omega)
+
+
 class TestMarginalizeKernel:
     @pytest.mark.parametrize("keep", [1, 2])
     @pytest.mark.parametrize("pair", [(1, 1), (2, 2), (4, 0)])
@@ -376,6 +391,56 @@ class TestMarginalizeKernel:
             for keep in (1, 2):
                 assert_same_marginal(marginalize(w, keep),
                                      reference_marginalize(w, keep)[0])
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    @pytest.mark.parametrize("pair", [(4, 6), (5, 5), (5, 6), (6, 4), (6, 5), (6, 6)])
+    def test_deep_tower_pairs(self, pair, keep):
+        # the benchmark's deepest eigenstates (i + j >= 10) at a point of its
+        # tower envelope with hbar, mass and omega away from 1
+        params = tower_envelope_point(28)
+        assert min(abs(math.log(x)) for x in (params.hbar, params.mass, params.omega)) > 0.05
+        w = wigner_state(*pair, params).function
+        assert_same_integral(w)
+        got = marginalize(w, keep)
+        assert_same_marginal(got, reference_marginalize(w, keep)[0])
+        assert_same_integral(got)
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_dense_exponent_at_degree_24(self, rng, keep):
+        # an integrated pair of degree 24 on either axis reads the trinomial
+        # table up to its top, with every term kept (A has no zero entry)
+        f = random_gauss_poly(rng, 4)
+        poly = {(0, 24, 0, 0): 0.7, (24, 0, 0, 0): -1.1, (0, 0, 0, 24): 0.3,
+                (0, 0, 24, 0): 1.9, (1, 12, 2, 12): -0.4, (12, 1, 12, 2): 2.3, (3, 0, 1, 0): 0.5}
+        f = GaussPoly(V4, f.prefactor, f.exponent, *terms(poly, 4))
+        want, _, added = reference_marginalize(f, keep)
+        assert added > 1000
+        got = marginalize(f, keep)
+        assert_same_marginal(got, want)
+        assert_same_integral(got)
+
+    def test_coefficient_past_double_range_refused(self):
+        # A = -1e13 on x2, so the u^24 coefficient of the marginal of x2^24 is
+        # (1e13)^24 times a moment: it read inf after an overflow warning,
+        # while the integral of f is 8.99e255
+        Q = np.diag([-1e7, -1e-20, -1.0, -1.0])
+        Q[0, 1] = Q[1, 0] = 1e-7
+        f = GaussPoly(V4, 1.0, Q, *terms({(0, 24, 0, 0): 1.0}, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert integrate(f) == pytest.approx(8.99e255, rel=1e-3)
+            with pytest.raises(ValueError,
+                               match="a marginal coefficient leaves double precision range"):
+                marginalize(f, 1)
+
+    def test_keep_is_an_integer(self):
+        # the check of wigner_state's indices: True, 1.0 and 2.0 passed
+        w = wigner_state(2, 1, SMALL).function
+        for keep in (True, False, 1.0, 2.0, np.float64(1.0), 0, 3, np.int64(3)):
+            with pytest.raises(ValueError, match="keep must be 1 or 2"):
+                marginalize(w, keep)
+        for keep in (np.int64(1), np.int32(2)):
+            assert_same_function(marginalize(w, keep), marginalize(w, int(keep)))
 
     @pytest.mark.parametrize("keep", [1, 2])
     def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, keep):

@@ -209,6 +209,20 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(wigner_state(1, 0, params), 1)
 
+    def test_subsystem_is_an_integer(self):
+        # the check of wigner_state's indices: True and 1.0 passed, and True
+        # became the state's subsystem
+        state = wigner_state(0, 0, ModelParams(mu=0.2, nu=0.1))
+        for subsystem in (True, False, 1.0, 2.0, np.float64(1.0), 0, 3, np.int64(3)):
+            with pytest.raises(ValueError, match="subsystem must be 1 or 2"):
+                reduce(state, subsystem)
+        for subsystem in (np.int64(1), np.int32(2)):
+            got = reduce(state, subsystem)
+            assert type(got.subsystem) is int and got.subsystem == subsystem
+            want = reduce(state, int(subsystem)).function
+            assert got.function.prefactor == want.prefactor
+            assert np.array_equal(got.function.exponent, want.exponent)
+
 
 class TestGenvalueResidual:
     @pytest.mark.parametrize("mu,nu", [(0.0, 0.0), (0.2, 0.1), (1.0, 0.0)])
