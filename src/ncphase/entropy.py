@@ -100,13 +100,17 @@ def _finite_at_order(order: int, compute) -> float:
     return value
 
 
-def _positive_trace(order: int, total: float) -> float:
+def _positive_trace(order: int, total: float, rounding: float = 0.0) -> float:
     """total, the trace of a state's order-th star power, or ValueError when
-    it is not positive: then the state's overlap has lost its digits."""
-    if not total > 0.0:
+    it is not positive beyond rounding, machine epsilon times a bound on the
+    magnitudes its sum adds (0.0 where the sum has one term): then the state's
+    overlap has lost its digits, and a positive total is no closer to the
+    trace than a negative one."""
+    if not total > rounding:
         power = "W*W" if order == 2 else f"the order-{order} star power of W"
-        raise ValueError(f"the trace of {power} is {total!r}, not positive: the "
-                         "state's overlap has lost its digits")
+        raise ValueError(f"the trace of {power} is {total!r}, not positive beyond the "
+                         f"rounding of its terms ({rounding:.2g}): the state's overlap "
+                         "has lost its digits")
     return total
 
 
@@ -256,6 +260,7 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
     alpha = 2 uses the trace identity int W*W = int W^2, valid for any state
     in the class. Higher integer orders run the two-mode Gaussian star-power
     route and therefore require a Gaussian state (the ground-state family).
+    A trace that cancellation leaves no digit of is refused (`_positive_trace`).
     """
     alpha = _check_integer_order(alpha)
     func = state.function if isinstance(state, WignerState) else state
@@ -263,16 +268,17 @@ def renyi_total(state: WignerState | GaussPoly, alpha: int,
     cell = cell_size(params)  # 4 pi^2 (hbar^2 - mu nu), normalizing 4D entropies
     if alpha == 2:
         total = float(moments.gram([func], [func])[0, 0])
+        rounding = sys.float_info.epsilon * moments._overlap_bound(func)
     elif func.is_pure_gaussian():
         h_plus, h_minus = hamiltonians_pm(params)
         power = star_power(func, alpha, forms=[h_plus, h_minus])
-        total = moments.integrate(power)
+        total, rounding = moments.integrate(power), 0.0
     else:
         raise ValueError(
             "unsupported state class: star powers beyond order 2 are "
             "implemented for Gaussian states only"
         )
-    total = _positive_trace(alpha, total)
+    total = _positive_trace(alpha, total, rounding)
     value = _finite_at_order(
         alpha, lambda: _renyi_of_trace(alpha, total, cell ** (alpha - 1)))
     lam = derive(params).lam

@@ -192,6 +192,17 @@ def gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly]) -> np.ndarray:
     return np.multiply.outer(pf, pg) * mass * totals
 
 
+def _overlap_bound(f: GaussPoly) -> float:
+    """A bound on the magnitudes that gram([f], [f]) adds: the sum over term
+    pairs of |c_a c_b E[z^(a+b)]| is at most (sum_a |c_a| sqrt(E[z^2a]))^2 by
+    Cauchy-Schwarz, times prefactor^2 and the mass, under the weight of f * f.
+    One moment per term of f, no product; f * f must be within
+    MAX_MOMENT_DEGREE, as gram checks."""
+    mass, table = _gaussian_weight(2.0 * f.exponent, f.exps.any())
+    root = np.sqrt(table.moments(2 * f.exps)) if table else 1.0
+    return float(np.square(abs(f.prefactor) * (np.abs(f.coeffs) * root).sum()) * mass)
+
+
 @cache
 def _trinomial_terms(top: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponent rows j, r, s and comb(n, j) comb(n-j, r) as floats for the

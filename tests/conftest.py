@@ -2,6 +2,7 @@
 
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,25 +42,100 @@ def reference_poly_mul(a, b):
     return out
 
 
+def laguerre_by_products(n, form, scale, product=None):
+    """L_n(scale * H) as it was built before the graded index: the constant,
+    then each power H^k = H^(k-1) * H by `product` (`starcalc._poly_mul` by
+    default), times the float coefficient c_k scale^k."""
+    from ncphase.starcalc import _poly_mul
+    from ncphase.wigner import _laguerre_coefficients
+    product = product or _poly_mul
+    h = form.poly()
+    powers = [(np.zeros((1, 4), dtype=np.int64), np.ones(1)), (h.exps, h.coeffs)][:n + 1]
+    while len(powers) <= n:
+        powers.append(product(*powers[-1], h.exps, h.coeffs))
+    factors = [float(c) * scale**k for k, c in enumerate(_laguerre_coefficients(n))]
+    return (np.concatenate([e for e, _ in powers]),
+            np.concatenate([f * c for f, (_, c) in zip(factors, powers)]))
+
+
+def laguerre_scales(params: ModelParams) -> tuple[tuple, tuple]:
+    """(H+, 4/(h+ omega)) and (H-, 4/(h- omega)): each form with its scale."""
+    from ncphase import hamiltonians_pm
+    dq = derive(params)
+    h_plus, h_minus = hamiltonians_pm(params)
+    return ((h_plus, 4.0 / (dq.h_plus * params.omega)),
+            (h_minus, 4.0 / (dq.h_minus * params.omega)))
+
+
 @pytest.fixture
-def dict_loop_states(monkeypatch):
-    """wigner_state multiplies with the plain dict loop, the powers of H+ and
-    H- included, so each state's terms come in the loop's first-seen order,
-    not in ascending order."""
-    import ncphase.wigner as wg
+def dict_loop_states():
+    """W(i, j) with the terms of the plain dict loop: L_i(s+ H+) and
+    L_j(s- H-) by products of the powers of H, each product a dict loop,
+    and L_i * L_j by the dict loop too (a zero index leaves the other
+    factor as it is), so the terms come in the loop's first-seen order, not
+    in ascending order. Prefactor and exponent are wigner_state's."""
+    from ncphase import wigner_state
 
     def poly_mul(ea, ca, eb, cb):
         return terms(reference_poly_mul(mapping(ea, ca), mapping(eb, cb)), ea.shape[1])
 
-    def form_powers(h, n):
-        powers = [(h.exps, h.coeffs)]
-        while len(powers) < n:
-            powers.append(poly_mul(*powers[-1], h.exps, h.coeffs))
-        return (np.concatenate([e for e, _ in powers[1:]]),
-                np.concatenate([c for _, c in powers[1:]]),
-                np.repeat(np.arange(2, n + 1), [len(c) for _, c in powers[1:]]))
-    monkeypatch.setattr(wg, "_poly_mul", poly_mul)
-    monkeypatch.setattr(wg, "_form_powers", form_powers)
+    def build(i, j, params):
+        lag_i, lag_j = (laguerre_by_products(n, form, scale, poly_mul)
+                        for n, (form, scale) in zip((i, j), laguerre_scales(params)))
+        w = wigner_state(i, j, params).function
+        return GaussPoly(w.variables, w.prefactor, w.exponent,
+                         *(lag_j if i == 0 else lag_i if j == 0 else poly_mul(*lag_i, *lag_j)))
+    return build
+
+
+def exact_laguerre(n: int, form, scale: float) -> dict:
+    """L_n(scale * H) in exact rationals, from the float entries of the
+    form's matrix S (H = z^T S z, all 16 entries) and the float scale: the
+    powers of H by a dict loop of Fractions."""
+    h = {}
+    for a, b in zip(*(axis.tolist() for axis in np.nonzero(form.matrix))):
+        mono = tuple((k == a) + (k == b) for k in range(4))
+        h[mono] = h.get(mono, 0) + Fraction(form.matrix[a, b])
+    out, power, s = {}, {(0,) * 4: Fraction(1)}, Fraction(scale)
+    for k in range(n + 1):
+        factor = Fraction((-1) ** k * math.comb(n, k), math.factorial(k)) * s**k
+        for mono, x in power.items():
+            out[mono] = out.get(mono, 0) + factor * x
+        step = {}
+        for m1, x1 in power.items():
+            for m2, x2 in h.items():
+                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                step[m] = step.get(m, 0) + x1 * x2
+        power = step
+    return out
+
+
+def exact_wigner_terms(i: int, j: int, params: ModelParams) -> dict:
+    """{exponent tuple: Fraction} of L_i(s+ H+) L_j(s- H-), W(i, j) less its
+    prefactor and Gaussian, exact for the same float inputs as wigner_state:
+    the entries of `form.matrix` and the scales 4/(h+- omega). The product
+    runs over integers, each tower brought to one denominator; exact zeros
+    are left out."""
+    towers = []
+    for n, (form, scale) in zip((i, j), laguerre_scales(params)):
+        tower = {m: x for m, x in exact_laguerre(n, form, scale).items() if x}
+        den = math.lcm(*(x.denominator for x in tower.values()))
+        towers.append(([(m, x.numerator * (den // x.denominator)) for m, x in tower.items()], den))
+    (left, den_i), (right, den_j) = towers
+    out = {}
+    for (a, b, c, d), x in left:
+        for (e, f, g, h), y in right:
+            key = (a + e, b + f, c + g, d + h)
+            out[key] = out.get(key, 0) + x * y
+    return {m: Fraction(x, den_i * den_j) for m, x in out.items() if x}
+
+
+def exact_error(exps: np.ndarray, coeffs: np.ndarray, exact: dict) -> float:
+    """max |c - c_exact| / max |c_exact| over the monomials of either side,
+    in exact arithmetic."""
+    got = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+    worst = max(abs(Fraction(got.get(m, 0.0)) - exact.get(m, 0)) for m in got.keys() | exact)
+    return float(worst / max(map(abs, exact.values())))
 
 
 def params_for_lambda(lam: float, hbar=1.0, mass=1.0, omega=1.0) -> ModelParams:

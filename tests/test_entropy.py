@@ -394,11 +394,22 @@ class TestTotalEntropy:
             math.log(2.0), abs=1e-9)
 
     def test_non_positive_overlap_names_its_cause(self):
-        # near the band the self-overlap of W(0, 3) has lost its digits and
-        # comes out negative; no logarithm of it is taken
+        # near the band the self-overlap of W(0, 3) has lost its digits: it
+        # comes out at or below the rounding of the terms it adds; no
+        # logarithm of it is taken
         params = ModelParams(mu=0.99, nu=1.0)
         with pytest.raises(ValueError, match=r"trace of W\*W is .*not positive"):
             renyi_total(wigner_state(0, 3, params), 2, params)
+
+    def test_overlap_within_its_rounding_is_refused(self):
+        # a positive self-overlap can have lost its digits too: at (0.99, 1)
+        # W(3, 3)'s comes out at 580 where 1/cell is 2.53, and a plain sign
+        # check took it for a total entropy of -5.8; W(2, 2)'s keeps about
+        # three digits
+        params = ModelParams(mu=0.99, nu=1.0)
+        with pytest.raises(ValueError, match=r"trace of W\*W is .*not positive beyond"):
+            renyi_total(wigner_state(3, 3, params), 2, params)
+        assert abs(renyi_total(wigner_state(2, 2, params), 2, params).value) <= 1e-3
 
     def test_subnormal_trace_is_refused(self):
         # the same trace check as the 2-D route: a subnormal int W*W has lost

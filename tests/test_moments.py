@@ -345,7 +345,7 @@ class TestMarginalizeKernel:
         # key leaves the dict and enters it again later, and its sum goes on
         # from 0.0 as the kernel's does. Whether a key re-enters depends on
         # W's term order: the dict loop's first-seen order makes it happen
-        w = wigner_state(*pair, ORIGIN).function
+        w = dict_loop_states(*pair, ORIGIN)
         want, reentered, _ = reference_marginalize(w, keep)
         assert reentered > 0
         got = marginalize(w, keep)

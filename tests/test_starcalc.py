@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mapping, reference_poly_mul, terms
+from conftest import (exact_error, exact_wigner_terms, laguerre_by_products, laguerre_scales,
+                      mapping, reference_poly_mul, terms)
 from ncphase import (
     GaussPoly,
     ModelParams,
@@ -722,24 +723,16 @@ class TestPolyMul:
         assert len(got) > _MUL_BLOCK
 
     def test_laguerre_product_spanning_many_blocks(self):
-        from ncphase.wigner import _laguerre_of_form
-        params = ModelParams(mu=0.2, nu=0.1)
-        dq = derive(params)
-        h_plus, h_minus = hamiltonians_pm(params)
-        lag_i = mapping(*_laguerre_of_form(6, h_plus, 4.0 / dq.h_plus))
-        lag_j = mapping(*_laguerre_of_form(6, h_minus, 4.0 / dq.h_minus))
+        lag_i, lag_j = (mapping(*laguerre_by_products(6, form, scale))
+                        for form, scale in laguerre_scales(ModelParams(mu=0.2, nu=0.1)))
         assert len(lag_i) * len(lag_j) > 4 * _MUL_BLOCK
         assert_bit_identical(lag_i, lag_j)
 
     def test_laguerre_product_ranked_in_its_degree_simplex(self):
         # W(8,8): 1 365 x 1 365 term pairs of degree up to 32, summed over
         # C(36, 4) = 58 905 ranks where the mixed-radix box has 33^4 keys
-        from ncphase.wigner import _laguerre_of_form
-        params = ModelParams(mu=0.2, nu=0.1)
-        dq = derive(params)
-        h_plus, h_minus = hamiltonians_pm(params)
-        lag_i = mapping(*_laguerre_of_form(8, h_plus, 4.0 / dq.h_plus))
-        lag_j = mapping(*_laguerre_of_form(8, h_minus, 4.0 / dq.h_minus))
+        lag_i, lag_j = (mapping(*laguerre_by_products(8, form, scale))
+                        for form, scale in laguerre_scales(ModelParams(mu=0.2, nu=0.1)))
         assert len(lag_i) == len(lag_j) == 1365
         spread = [np.ptp(list(lag), axis=0) for lag in (lag_i, lag_j)]
         assert math.prod((spread[0] + spread[1] + 1).tolist()) == 33**4
@@ -758,41 +751,33 @@ class TestPolyMul:
             assert np.array_equal(exps, blocked[0])
             assert [c.hex() for c in coeffs.tolist()] == [c.hex() for c in blocked[1].tolist()]
 
-    def test_wigner_state_has_reference_polynomial(self, monkeypatch):
-        import ncphase.wigner as wg
+    def test_wigner_state_has_reference_polynomial(self):
+        # W(6,6) from the rotation invariants has the monomials of the dict
+        # loop's product of the two Laguerre towers, each coefficient within
+        # 1e-14 of its largest: the two routes round differently, and they
+        # part by 3.7e-15
         params = ModelParams(mu=0.2, nu=0.1)
-        got = wigner_state(6, 6, params).function.poly
-        monkeypatch.setattr(wg, "_poly_mul", lambda ea, ca, eb, cb: terms(
-            sorted_poly_mul(mapping(ea, ca), mapping(eb, cb)), 4))
-        want = wigner_state(6, 6, params).function.poly
-        assert hex_terms(got) == hex_terms(want)
+        w = wigner_state(6, 6, params).function
+        lag_i, lag_j = (mapping(*laguerre_by_products(6, form, scale))
+                        for form, scale in laguerre_scales(params))
+        want = sorted_poly_mul(lag_i, lag_j)
+        got = dict(zip(map(tuple, w.exps.tolist()), w.coeffs.tolist()))
+        assert list(got) == [k for k, c in want.items() if c != 0]
+        scale = max(map(abs, want.values()))
+        assert max(abs(got[k] - c) for k, c in want.items() if c != 0) <= 1e-14 * scale
 
     @pytest.mark.parametrize("i,j", [(0, 0), (3, 0), (0, 2), (2, 3)])
     def test_wigner_state_matches_plain_laguerre_loop(self, i, j):
-        """Powers of H written into one dict with no sum, and a zero index
-        taken as the factor 1, give the plain loop's bits: powers from H,
-        each added into the dict, then L_i * L_j."""
-        from ncphase.wigner import _laguerre_coefficients
+        """The state has the monomials of its exact expansion
+        (conftest.exact_wigner_terms), distinct and ascending, and its
+        coefficients lie within 1e-15 of the largest: measured at most
+        3.6e-16, at (2, 3), where the product of Laguerre towers gave
+        2.9e-16."""
         params = ModelParams(mu=0.2, nu=0.1)
-        dq = derive(params)
-
-        def laguerre(n, form, scale):
-            coeffs = _laguerre_coefficients(n)
-            out, power = {(0,) * 4: float(coeffs[0])}, form
-            for k in range(1, n + 1):
-                if k > 1:
-                    power = sorted_poly_mul(power, form)
-                s = float(coeffs[k]) * scale**k
-                add_into(out, ((m, s * c) for m, c in power.items()))
-            return out
-
-        h_plus, h_minus = hamiltonians_pm(params)
-        want = sorted_poly_mul(
-            laguerre(i, h_plus.poly().poly, 4.0 / (dq.h_plus * params.omega)),
-            laguerre(j, h_minus.poly().poly, 4.0 / (dq.h_minus * params.omega)))
-        got = wigner_state(i, j, params).function.poly
-        assert hex_terms(dict(sorted(got.items()))) == \
-            hex_terms({k: c for k, c in want.items() if c != 0})
+        exact = exact_wigner_terms(i, j, params)
+        w = wigner_state(i, j, params).function
+        assert [tuple(row) for row in w.exps.tolist()] == sorted(exact)
+        assert exact_error(w.exps, w.coeffs, exact) <= 1e-15
 
 
 def _product(x, y):
@@ -1322,7 +1307,7 @@ class TestGridValues:
         # nearer (1.4e-13 against the grid's 2.5e-13 at worst, over all 11^4
         # points), so those six points are the grid's own worst
         from ncphase.wigner import _residual_axes, residual_grid
-        w = wigner_state(5, 5, ModelParams(mu=0.2, nu=0.1)).function
+        w = dict_loop_states(5, 5, ModelParams(mu=0.2, nu=0.1))
         grid = residual_grid(w)
         got = grid_values([w], _residual_axes(w))[0]
         old = w.value(grid)

@@ -20,12 +20,15 @@ from ncphase import (
     star_product_poly_right,
     wigner_state,
 )
+from conftest import exact_error, exact_wigner_terms
 from ncphase import starcalc, wigner
-from ncphase.starcalc import QuadraticForm, _poly_mul, grid_values
+from ncphase.starcalc import PhaseVariables, QuadraticForm, grid_values
 from ncphase.wigner import (
+    MAX_INDEX,
+    _cell_sums,
     _genvalue_residuals_and_scales,
-    _laguerre_coefficients,
-    _laguerre_of_form,
+    _invariants_up_to,
+    _laguerre_cells,
     _residual_axes,
     residual_grid,
 )
@@ -273,42 +276,43 @@ class TestGenvalueResidual:
 
 # SHA-256 of exps.tobytes() then coeffs.tobytes() at each (mu, nu), in the
 # order W(0,0), W(2,1), W(3,3), W(6,6), H*W(2,1) and the keep = 1 marginal of
-# W(3,3). Pinned when polynomials were {exponent tuple: coefficient} dicts,
-# from the matrix and vector that `starcalc._terms(f.poly, d)` built of them
-# (real unless an imaginary part was nonzero): the arrays keep their rows,
-# order and bits.
+# W(3,3). W(0,0)'s was pinned when polynomials were {exponent tuple:
+# coefficient} dicts. The other five were pinned again when W came to be
+# expanded from the rotation invariants (R, P, L), which moved the last bits
+# of its coefficients by design; test_terms_match_the_exact_expansion below
+# gates their accuracy, which the digests do not measure.
 TERM_DIGESTS = {
     (0.0, 0.0): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
-        "1762435b38c91d4e020cd4cfa4c290e204af3ec9145800a59dc1cd97bcd9944f",
-        "aeeddc45d677845b7b89e812b5903fe7ca510567c303f415c4dfe5b2955dba29",
-        "ceb3676f390033c7b1f3fde24395f50a14ba5e07cfe516f0f5614a987778f5bf",
-        "ab912bc109356a3de0676c2ba0dec6fca8b465c4c77ac77d604b581fbfbdbde9",
-        "33e2d0a11ec68bc29ba390ea28a6b8093cebeb7ad74578c1aed2e85e7e438bcf",
+        "32c81ceed6fb95d8decc2d712e019b6614cb3cc4cbf38738d7bdf538f24ba987",
+        "0599c021dc2f7549298e4fc38555081c62df63610102f12c6bbcd72538168cdf",
+        "02dd0ab1c9500ffc3d750f5931758d52a1f1ab14ff69c91526e63f42fd7a9301",
+        "be8163aad8cb4987c633a0aff4cf9aa86ca8ebf7343a63d971fa46d68fa7dc55",
+        "3a61711f34329f8703d4c20b388f851fef5b0ae08b9c5c073ec2bbbdad27666c",
     ),
     (0.2, 0.1): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
-        "45a7c8712e3220030624c873a493c1b8825ff26bbbb3492b3e7252ec43979484",
-        "e51b36807e428e067cd64206fdd1ce230d821b9512401b5cb64325f28815fda3",
-        "6e498489ec284abe973766befdd1174ba401f28f46c345d2e1e653755b780cfa",
-        "e855aa84782cd2596a3f01d281a264735177d7f3daeba8b95348e92e0f242586",
-        "9c71d2e7111adb8370c49878cdbab42b543541ff2dd83837ae901bb3d8afb8b5",
+        "5176124cba6182f1b5a5b11fdb7de0ddd5fbd5b7354ee390fa41f13d2f1901c6",
+        "5bc7b7d2e5f81e4ddbae64025c282cdd2235d399524c19a34ab471e1052c3d8f",
+        "cbacfe512e71eb0dc110e7d7c9524669ceca70dcce2ec270c5c5d899dfcc19e8",
+        "ddec82b2deac319f99dcee7025ed1b29299f323282ab6e115dec38adcf722c52",
+        "337c232921a733c819f47d39690bebc22168d8819bb9fdd555032710c6ed6685",
     ),
     (3.0, -0.3): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
-        "0973fa567063ddf121104eecb1297749ec83696d112236329cd80b1b05f5045a",
-        "346cc58d5b6cc3a59368dbb658b89b2f870435e403fa2b2892c479dfc3afe661",
-        "49f114b3424cc78c38a0460140b171c7402d7a27ed34708ea52563d0c52017ba",
-        "c7963ae9a64178655c00082e4da391d01adbad46300e059944a6b25a67c7d891",
-        "a72c101bb318bfbc6bab750ac8ab6df84afc21c97fb8cac35dc752c1a4c25579",
+        "82509964323374877e67ccfb834f741ebfef063c5e8b065c077bbe4ed465405e",
+        "d8996b9dccd91dfdf970f5b8dd6daaeb0c6544aae9ee15f9be998433731e95a5",
+        "3aacb1be9a52ceb37d61b9d9d7599b43572ecb66e8f43799818fbf77921f3826",
+        "8b2f6cf0327b974bb72e6393a8ca92db4fd607e83b4ae894b469afe43b86eeed",
+        "ddef9fdf3e21bfe0328878afcb69e3b2267f9f97e7d88fafc6ab0045ceb80044",
     ),
     (1.0, 0.999): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
-        "b77d1b1aba69aa24669e6fff4b1653227c754aa05e3f3fcc88fee1b642061890",
-        "c1d998f0e87c7ff851cec025b6c0b1e5bc5f8e3a0a8d3c86bc1cc556454c384d",
-        "b5825786d247aa1decd1d423f31113ede828dd3ab4c5758cc06a2d1bc9df21c9",
-        "7a228ef9cd3f99cdb0641065a330862bd9c1905aaa6c94e4ad610e62917d18a0",
-        "46e350ca93078a4ef6071acea5c54b943c5f1e2f9a026187c198df301ac90c64",
+        "c66017e821d619631b81c5b7887cd9ed9c48eb113e28337548061e4e786afcf4",
+        "b24708e6a06050e7a58a2970171d92312f0aab1fd1116ad02790a7851f4e4a0f",
+        "5bf657bbd7da57ce6b4d18a73abf7bd8a0fdd23b4ad35eaa0ca0783d72e6f9da",
+        "b2f00f72f7822846f271d6ab82d3aab2f43313887d05f192f9c3376c6499710a",
+        "eac0fe79a1a12377279e072566d8b126e1393e58449c89261f0c9f9c03c16c53",
     ),
 }
 
@@ -328,6 +332,102 @@ def test_terms_keep_their_bits(mu, nu):
     assert [term_digest(f) for f in funcs] == list(TERM_DIGESTS[mu, nu])
 
 
+# max |c - c_exact| / max |c_exact| of W's coefficients against their exact
+# expansion (conftest.exact_wigner_terms), per state. Measured over the
+# anchors and the tower point below: at most 1.0e-16 for W(2,1), 5.6e-16
+# for W(3,3) and 3.5e-15 for W(6,6); the product of Laguerre towers term pair
+# by term pair measured 1.7e-16, 6.1e-16 and 3.8e-15 on the same cases. Each
+# gate is about three times the larger of the two.
+EXACT_GATES = {(2, 1): 5e-16, (3, 3): 2e-15, (6, 6): 1e-14}
+GATE_POINTS = [dict(mu=0.0, nu=0.0), dict(mu=0.2, nu=0.1), dict(mu=3.0, nu=-0.3),
+               dict(mu=1.0, nu=0.999), dict(hbar=1.0, mass=1.1, omega=0.9, mu=1e-3, nu=0.4)]
+
+
+@pytest.mark.parametrize("point", GATE_POINTS, ids=lambda p: "-".join(map(str, p.values())))
+@pytest.mark.parametrize("i,j", list(EXACT_GATES))
+def test_terms_match_the_exact_expansion(i, j, point):
+    params = ModelParams(**point)
+    w = wigner_state(i, j, params).function
+    assert exact_error(w.exps, w.coeffs, exact_wigner_terms(i, j, params)) <= EXACT_GATES[i, j]
+
+
+def test_cell_sums_are_within_a_rounding_of_exact():
+    # products of widely spread magnitudes and signs, summed per key: within
+    # one unit in the last place of the exact sum (measured 0.50 over these
+    # draws, where plain np.bincount sums of the same products missed by 33)
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(200):
+        a = rng.normal(size=12) * 10.0 ** rng.integers(-8, 8, size=12)
+        b = rng.normal(size=15) * 10.0 ** rng.integers(-8, 8, size=15)
+        keys = rng.integers(0, 6, size=a.size * b.size)
+        exact = [Fraction(0)] * 6
+        products = (Fraction(x) * Fraction(y) for x in a.tolist() for y in b.tolist())
+        for key, product in zip(keys.tolist(), products):
+            exact[key] += product
+        for got, want in zip(_cell_sums(keys, a, b).tolist(), exact):
+            worst = max(worst, float(abs(Fraction(got) - want)) / math.ulp(float(want)))
+    assert worst <= 1.0
+
+
+def test_cell_sums_stay_finite_near_the_top_of_the_range():
+    # where the 26-bit split (a factor of 2^995 or more) or the grid sigma (a
+    # key's sum of magnitudes of 2^1021 or more) would overflow into inf - inf,
+    # the plain sums are taken: both cases here came out NaN
+    keys = np.arange(4)
+    a, b = np.array([2.0**1000, 1.0]), np.array([2.0**-20, 1.0])
+    assert _cell_sums(keys, a, b).tolist() == [2.0**980, 2.0**1000, 2.0**-20, 1.0]
+    a, b = np.array([2.0**511, 2.0**511]), np.array([2.0**511, 2.0**510])
+    assert _cell_sums(np.zeros(4, np.intp), a, b).tolist() == [1.5 * 2.0**1023]
+
+
+@pytest.mark.parametrize("hbar,i,j", [(1e-100, 2, 1), (3e-154, 1, 1)])
+def test_states_at_large_scale(hbar, i, j):
+    # coefficients up to 1e301 and 8.9e307, within W(2,1)'s gate (measured
+    # 1.8e-16 and 4.2e-17); one step on, a coefficient overflows and the
+    # state is refused rather than built with inf or NaN
+    params = ModelParams(hbar=hbar)
+    w = wigner_state(i, j, params).function
+    assert exact_error(w.exps, w.coeffs, exact_wigner_terms(i, j, params)) <= EXACT_GATES[2, 1]
+    with pytest.raises(ValueError, match=r"coefficient of W\(.*leaves double precision range"):
+        wigner_state(i + 1, j + 1, params)
+
+
+ANCHORS = [(0.0, 0.0), (0.2, 0.1), (3.0, -0.3), (1.0, 0.999)]
+
+
+@pytest.mark.parametrize("mu,nu", ANCHORS)
+def test_rows_over_the_whole_index_range(mu, nu):
+    # L_i(0) L_j(0) = 1, so the constant coefficient is exactly 1.0 and
+    # W_ij(0) = (-1)^(i+j)/(pi^2 h+ h-), the prefactor
+    params = ModelParams(mu=mu, nu=nu)
+    for i in range(MAX_INDEX + 1):
+        for j in range(MAX_INDEX + 1):
+            w = wigner_state(i, j, params).function
+            assert w.exps.dtype == np.int64
+            assert (np.diff(w.exps @ 49 ** np.arange(3, -1, -1)) > 0).all(), (i, j)
+            assert not (w.exps.sum(axis=1) % 2).any(), (i, j)
+            assert not w.exps[0].any() and w.coeffs[0] == 1.0, (i, j)
+    if (mu, nu) == (0.2, 0.1):  # the counts of the product of towers
+        assert [len(wigner_state(n, n, params).function.coeffs) for n in (3, 6)] == [532, 5551]
+
+
+def test_form_without_the_invariants_is_refused():
+    variables = PhaseVariables(4, hbar=1.0, mu=0.2, nu=0.1)
+    table = _invariants_up_to(2)
+    # R = x1^2 + x2^2 has them: L_2(R) = 1 - 2 R + R^2/2
+    form = QuadraticForm(variables, (1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+    cells, values = _laguerre_cells(2, form, 1.0, table)
+    pqr = np.unravel_index(cells, (len(table.ends),) * 3)
+    assert {pqr: v for pqr, v in zip(zip(*(x.tolist() for x in pqr)), values.tolist()) if v} == \
+        {(0, 0, 0): 1.0, (1, 0, 0): -2.0, (2, 0, 0): 0.5}
+    for a, b, c, d in [((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),  # x1^2
+                       ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0)),  # (x1 + p2)^2
+                       ((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0))]:  # x1^2 + p2^2
+        with pytest.raises(ValueError, match=r"not A R \+ B P \+ C L"):
+            _laguerre_cells(2, QuadraticForm(variables, a, b, c, d), 1.0, table)
+
+
 def test_ground_state_builds_no_form_polynomial(monkeypatch):
     # L_0 = 1, so W(0,0) needs no polynomial of H+ or H-
     def refuse(form):
@@ -337,48 +437,17 @@ def test_ground_state_builds_no_form_polynomial(monkeypatch):
     assert w.exps.tolist() == [[0, 0, 0, 0]] and w.coeffs.tolist() == [1.0]
 
 
-# the four anchors, a point far from unit scales, and a large hbar
-TOWER_POINTS = [dict(mu=0.0, nu=0.0), dict(mu=0.2, nu=0.1), dict(mu=3.0, nu=-0.3),
-                dict(mu=1.0, nu=0.999),
-                dict(hbar=878.0, mass=205.0, omega=242.0, mu=-0.006194, nu=-1.2065e8),
-                dict(hbar=1e8)]
-
-
-def laguerre_by_products(n, form, scale):
-    """L_n(scale * H) as it was built before the graded index: each power
-    H^k = H^(k-1) * H by `_poly_mul`."""
-    h = form.poly()
-    powers = [(np.zeros((1, 4), dtype=np.int64), np.ones(1)), (h.exps, h.coeffs)][:n + 1]
-    while len(powers) <= n:
-        powers.append(_poly_mul(*powers[-1], h.exps, h.coeffs))
-    factors = [float(c) * scale**k for k, c in enumerate(_laguerre_coefficients(n))]
-    return (np.concatenate([e for e, _ in powers]),
-            np.concatenate([f * c for f, (_, c) in zip(factors, powers)]))
-
-
-@pytest.mark.parametrize("point", TOWER_POINTS, ids=lambda p: "-".join(map(str, p.values())))
-def test_laguerre_towers_match_the_product_chain(point):
-    params = ModelParams(**point)
-    dq = derive(params)
-    for form, h in zip(hamiltonians_pm(params), (dq.h_plus, dq.h_minus)):
-        scale = 4.0 / (h * params.omega)
-        for n in range(13):
-            got, want = _laguerre_of_form(n, form, scale), laguerre_by_products(n, form, scale)
-            kept = [(exps[coeffs != 0], coeffs[coeffs != 0]) for exps, coeffs in (got, want)]
-            assert np.array_equal(kept[0][0], kept[1][0]), n
-            assert ([c.hex() for c in kept[0][1].tolist()]
-                    == [c.hex() for c in kept[1][1].tolist()]), n
-
-
 def test_low_states_build_no_lattice(monkeypatch):
-    # L_0 and L_1 are the constant and the rows of H: no graded index
+    # W expands through the rotation invariants' own table, so no state
+    # builds the graded monomial index: not the low ones, with L_0 and L_1,
+    # nor those above them. The star series still reads it
     def refuse(d, top):
         raise AssertionError("a graded lattice was built")
     for module in (starcalc, wigner):
-        monkeypatch.setattr(module, "_graded_lattice", refuse)
+        monkeypatch.setattr(module, "_graded_lattice", refuse, raising=False)
     params = ModelParams(mu=0.2, nu=0.1)
-    for i in (0, 1):
-        for j in (0, 1):
-            wigner_state(i, j, params)
+    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (6, 6)]:
+        wigner_state(i, j, params)
     with pytest.raises(AssertionError, match="graded lattice"):
-        wigner_state(2, 0, params)
+        star_product_poly_left(oscillator_hamiltonian(params),
+                               wigner_state(1, 1, params).function)
