@@ -827,12 +827,43 @@ def _gaussian_scale(g: GaussPoly) -> tuple[float, np.ndarray]:
     return g.prefactor * const.real, g.exponent
 
 
-def _mode_scales(Q: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Solve Q = sum_f s_f * M_f in the least-squares sense and validate."""
-    A = np.stack([m.ravel() for m in mats], axis=1)
-    s, *_ = np.linalg.lstsq(A, Q.ravel(), rcond=None)
-    resid = abs(A @ s - Q.ravel()).max()
-    if resid > _MATCH_RTOL * (abs(Q).max() + 1.0):
+def _mode_scales(Q: np.ndarray, mats: Sequence[np.ndarray]) -> list[float]:
+    """The scales s_f with Q = sum_f s_f M_f, one per matrix M_f.
+
+    Modified Gram-Schmidt over the M_f, with Q carried along as the last
+    column (Bjorck 1967): one matrix gives s = <M, Q>/<M, M>, and more stay
+    backward stable where the normal equations lose twice the digits. A
+    matrix whose part orthogonal to those before it is at most _MATCH_RTOL
+    of its norm (a repeated, proportional or zero form) is refused, and so is
+    a Q that the scales miss by more than _MATCH_RTOL (max|Q| + 1) in an
+    entry; a NaN misses.
+    """
+    n = len(mats)
+    if not n:
+        raise ValueError("forms must name at least one quadratic form")
+    cols = [m.ravel() for m in mats] + [Q.ravel()]
+    upper, sizes = [], []  # R[j][k] = <v_j, a_k>/<v_j, v_j> for k > j; <v_j, v_j>
+    for j in range(n):
+        v = cols[j]
+        vv = float(v @ v)
+        # |a_j|^2 = |v_j|^2 + sum_i R[i][j]^2 |v_i|^2
+        full = vv + sum(r[j] ** 2 * size for r, size in zip(upper, sizes))
+        if not vv > _MATCH_RTOL**2 * full:
+            raise ValueError("forms must be linearly independent")
+        row = [0.0] * (n + 1)
+        for k in range(j + 1, n + 1):
+            row[k] = float(v @ cols[k]) / vv
+            if j + 1 < n:  # the last sweep's columns are not read again
+                cols[k] = cols[k] - row[k] * v
+        upper.append(row)
+        sizes.append(vv)
+    s = [0.0] * n
+    for j in reversed(range(n)):
+        s[j] = upper[j][n] - sum(upper[j][k] * s[k] for k in range(j + 1, n))
+    fit = s[0] * mats[0]
+    for scale, m in zip(s[1:], mats[1:]):
+        fit = fit + scale * m
+    if not abs(fit - Q).max() <= _MATCH_RTOL * (abs(Q).max() + 1.0):
         raise ValueError(
             "exponent is not a combination of the given forms: outside the "
             "supported Gaussian class"
@@ -845,8 +876,12 @@ def gaussian_star(left: GaussPoly, right: GaussPoly,
     """Star product of two Gaussians generated by shared quadratic forms.
 
     Each operand must be exp of a combination of the forms the caller names
-    (one form, or a commuting family of them). Per form, scales compose
-    by the tanh addition law
+    (one form, or a commuting family of them). The forms' matrices must be
+    linearly independent, so that the combination is unique
+    (`_mode_scales`): a repeated, proportional or zero form, or no form at
+    all, is refused with ValueError. A constant operand, a multiple of the
+    star identity, reads no form. Per form, scales compose by the tanh
+    addition law
 
         s_out = (s_L + s_R) / (1 + k^2 s_L s_R),
 

@@ -118,7 +118,11 @@ def _laguerre_coefficients(n: int) -> tuple[Fraction, ...]:
 # p2^2, L = x1 p2 - x2 p1): the k-th (p, q, r), degree first, is cell box[k] =
 # (p b + q) b + r, b = top + 1 = len(ends), the first ends[k] entries have degree
 # <= k, and entry e adds coef[e] times cell term[e] to rows[slot[e]] (ascending).
-_Invariants = namedtuple("_Invariants", "box ends term slot coef rows")
+# The parameter-free parts of the Laguerre tensors ride along: pqrk[:, k] is
+# the k-th (p, q, r, p + q + r), multinomial[k] its (p + q + r)!/(p! q! r!),
+# and laguerre[n] the coefficients of L_n as floats, n <= top.
+_Invariants = namedtuple("_Invariants",
+                         "box ends term slot coef rows pqrk multinomial laguerre")
 _INVARIANTS: list[_Invariants] = []
 
 
@@ -143,11 +147,15 @@ def _invariants_up_to(top: int) -> _Invariants:
     mono, slot = np.unique(mono, return_inverse=True)
     rows = np.stack(np.unravel_index(mono, (radix,) * 4), axis=1).astype(np.int64)
     box = np.ravel_multi_index(pqr, (base,) * 3)
+    pqrk = np.vstack([pqr, pqr.sum(axis=0)])
+    multinomial = np.array([math.factorial(k) // math.prod(map(math.factorial, (p, q, r)))
+                            for p, q, r, k in pqrk.T.tolist()], dtype=float)
+    laguerre = tuple(np.array([float(c) for c in _laguerre_coefficients(n)]) for n in range(base))
     tables = (box, column.searchsorted([math.comb(k + 3, 3) for k in range(base)]),
-              box[column], slot, sums[sums != 0], rows)
-    for table in tables:
+              box[column], slot, sums[sums != 0], rows, pqrk, multinomial)
+    for table in (*tables, *laguerre):
         table.flags.writeable = False
-    _INVARIANTS[:] = [_Invariants(*tables)]
+    _INVARIANTS[:] = [_Invariants(*tables, laguerre)]
     return _INVARIANTS[0]
 
 
@@ -163,12 +171,11 @@ def _laguerre_cells(n: int, form: QuadraticForm, scale: float, table: _Invariant
         raise ValueError("form is not A R + B P + C L in the rotation invariants")
     if not n:  # L_0 = 1
         return table.box[:1], np.ones(1)
-    cells, steps = table.box[:math.comb(n + 3, 3)], np.arange(n + 1)
-    p, q, r = np.unravel_index(cells, (len(table.ends),) * 3)
-    c_k = np.array([float(c) for c in _laguerre_coefficients(n)]) * scale**steps
+    end, steps = math.comb(n + 3, 3), np.arange(n + 1)
+    p, q, r, k = table.pqrk[:, :end]
+    c_k = table.laguerre[n] * scale**steps
     a, b, c = (x**steps for x in (s[0][0], s[2][2], 2.0 * s[0][3]))
-    k, f = p + q + r, np.cumprod([1.0, *steps[1:]])  # factorials, exact to 12!
-    return cells, c_k[k] * (f[k] / (f[p] * f[q] * f[r])) * a[p] * b[q] * c[r]
+    return table.box[:end], c_k[k] * table.multinomial[:end] * a[p] * b[q] * c[r]
 
 
 def _cell_sums(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

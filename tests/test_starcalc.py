@@ -17,6 +17,7 @@ from ncphase import (
     QuadraticForm,
     derive,
     gaussian_star,
+    gram,
     hamiltonians_pm,
     integrate,
     reduce,
@@ -1435,6 +1436,99 @@ class TestGaussianStar:
             lhs = integrate(gaussian_star(g1, g2, forms=[form]))
             rhs = integrate(g1.pointwise_mul(g2))
             assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_dependent_forms_are_refused(self):
+        # a split between a form and its copy is not unique, and the tanh law
+        # composes whichever split a solver picks: a repeated form once gave
+        # prefactor 0.9157 here where [f] gives 0.8475
+        f = QuadraticForm.from_matrix(V2, np.diag([1.0, 2.0]))
+        g = GaussPoly.gaussian(V2, 1.0, -0.3 * f.matrix)
+        assert gaussian_star(g, g, forms=[f]).prefactor == pytest.approx(1.0 / 1.18, rel=1e-15)
+        thrice = QuadraticForm.from_matrix(V2, 3.0 * np.diag([1.0, 2.0]))
+        zero = QuadraticForm(V2, (0.0,), (0.0,), (0.0,), (0.0,))
+        h_plus, _ = hamiltonians_pm(ModelParams(mu=0.2, nu=0.1))
+        doubled = QuadraticForm(h_plus.variables, *(
+            tuple(2.0 * x for x in getattr(h_plus, name)) for name in "abcd"))
+        full = GaussPoly.gaussian(h_plus.variables, 1.0, -0.3 * h_plus.matrix)
+        for operand, forms in [(g, [f, f]), (g, [f, thrice]), (g, [f, zero]), (g, [zero]),
+                               (full, [h_plus, h_plus]), (full, [h_plus, doubled])]:
+            with pytest.raises(ValueError, match="forms must be linearly independent"):
+                gaussian_star(operand, operand, forms=forms)
+
+    def test_no_forms_is_refused(self):
+        g = GaussPoly.gaussian(V2, 1.0, -0.5 * np.eye(2))
+        with pytest.raises(ValueError, match="at least one quadratic form"):
+            gaussian_star(g, g, forms=[])
+        with pytest.raises(ValueError, match="at least one quadratic form"):
+            star_power(g, 2, forms=())
+
+    @pytest.mark.parametrize("point", [dict(mu=1e-9, nu=1e6), dict(mu=3e-5, nu=2e3)])
+    def test_two_mode_trace_property_with_scales_far_apart(self, point):
+        # verify's trace-property pair: s- is about 1e12 times s+ at (1e-9,
+        # 1e6), where a least-squares solve (lstsq) missed s+ by 8e-5 and the
+        # trace by 1.5e-4
+        params = ModelParams(**point)
+        h_plus, h_minus = hamiltonians_pm(params)
+        g1, g2 = (star_exp(h_plus, tp / abs(h_plus.k)).pointwise_mul(
+            star_exp(h_minus, tm / abs(h_minus.k))) for tp, tm in ((-0.2, -0.5), (-0.35, -0.15)))
+        lhs = integrate(gaussian_star(g1, g2, forms=[h_plus, h_minus]))
+        rhs = float(gram([g1], [g2])[0, 0])
+        assert abs(lhs - rhs) <= 1e-14 * abs(rhs)
+
+
+# the anchors, (hbar, mass, omega, mu, nu) = (878, 205, 242, -0.006194,
+# -1.2065e8) (the two-form solve's worst conditioning met, 8.8e4), scales far
+# apart and theta = 1 - 1e-6
+SCALE_POINTS = [dict(), dict(mu=0.2, nu=0.1), dict(mu=3.0, nu=-0.3), dict(mu=1.0, nu=0.999),
+                dict(hbar=878.0, mass=205.0, omega=242.0, mu=-0.006194, nu=-1.2065e8),
+                dict(mu=1e-9, nu=1e6), dict(mu=3e-5, nu=2e3), dict(mu=1.0, nu=1.0 - 1e-6)]
+
+
+def lstsq_scales(Q, mats):
+    A = np.stack([m.ravel() for m in mats], axis=1)
+    return np.linalg.lstsq(A, Q.ravel(), rcond=None)[0]
+
+
+class TestModeScales:
+    # max |s - s_lstsq| / max |s_lstsq| measured 4.7e-16 over these points,
+    # one form and two; the gate is about twenty times that
+    @pytest.mark.parametrize("point", SCALE_POINTS)
+    def test_matches_least_squares(self, point):
+        params = ModelParams(**point)
+        reduced = reduce(wigner_state(0, 0, params), 1).function
+        ground = wigner_state(0, 0, params).function
+        h_plus, h_minus = hamiltonians_pm(params)
+        cases = [(reduced.exponent, own_form(reduced)),
+                 (star_exp(h_plus, -0.3 / abs(h_plus.k)).exponent, [h_plus]),
+                 (ground.exponent, [h_plus, h_minus])]
+        for Q, forms in cases:
+            mats = [f.matrix for f in forms]
+            got, want = np.array(starcalc._mode_scales(Q, mats)), lstsq_scales(Q, mats)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_small_scale_matches_the_exact_split(self):
+        # at (1e-9, 1e6) the exact least-squares split of the float data
+        # (rational arithmetic) has s+ about 1e-12 of s-: each scale lands
+        # within an ulp of it, where lstsq's s+ is 8.2e-5 off
+        params = ModelParams(mu=1e-9, nu=1e6)
+        Q = wigner_state(0, 0, params).function.exponent
+        mats = [f.matrix for f in hamiltonians_pm(params)]
+        a, b = ([Fraction(x) for x in m.ravel().tolist()] for m in mats)
+        q = [Fraction(x) for x in Q.ravel().tolist()]
+        dot = lambda u, v: sum(x * y for x, y in zip(u, v))  # noqa: E731
+        det = dot(a, a) * dot(b, b) - dot(a, b) ** 2
+        exact = [(dot(b, b) * dot(a, q) - dot(a, b) * dot(b, q)) / det,
+                 (dot(a, a) * dot(b, q) - dot(a, b) * dot(a, q)) / det]
+        got = starcalc._mode_scales(Q, mats)
+        for s, e in zip(got, exact):
+            assert abs(s - float(e)) <= 2.3e-16 * abs(float(e))
+
+    def test_residual_check_fails_on_nan(self):
+        form = two_square_1d(1.0, 2.0)
+        Q = -0.3 * form.matrix
+        Q[0, 0] = np.nan
+        with pytest.raises(ValueError, match="not a combination of the given forms"):
+            starcalc._mode_scales(Q, [form.matrix])
 
 
 def reference_star_power(g, n, forms):

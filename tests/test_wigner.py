@@ -29,6 +29,7 @@ from ncphase.wigner import (
     _genvalue_residuals_and_scales,
     _invariants_up_to,
     _laguerre_cells,
+    _laguerre_coefficients,
     _residual_axes,
     residual_grid,
 )
@@ -426,6 +427,30 @@ def test_form_without_the_invariants_is_refused():
                        ((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0))]:  # x1^2 + p2^2
         with pytest.raises(ValueError, match=r"not A R \+ B P \+ C L"):
             _laguerre_cells(2, QuadraticForm(variables, a, b, c, d), 1.0, table)
+
+
+def test_laguerre_parts_follow_a_rebuilt_table(monkeypatch):
+    # the table keeps each cell's (p, q, r, k), multinomial and the float
+    # coefficients of L_n; a higher top replaces them with the box encoding
+    monkeypatch.setattr(wigner, "_INVARIANTS", [])
+    h_plus, _ = hamiltonians_pm(ModelParams(mu=0.2, nu=0.1))
+    low = _invariants_up_to(3)
+    by_cell = {}
+    for table in (low, _invariants_up_to(7)):
+        base = len(table.ends)
+        p, q, r, k = table.pqrk
+        assert np.array_equal(np.ravel_multi_index((p, q, r), (base,) * 3), table.box)
+        assert (k == p + q + r).all()
+        assert table.multinomial.tolist() == [
+            math.factorial(a + b + c) / (math.factorial(a) * math.factorial(b) * math.factorial(c))
+            for a, b, c in zip(p.tolist(), q.tolist(), r.tolist())]
+        assert [x.tolist() for x in table.laguerre] == [
+            [float(c) for c in _laguerre_coefficients(n)] for n in range(base)]
+        cells, values = _laguerre_cells(3, h_plus, 0.7, table)
+        pqr = zip(*(x.tolist() for x in np.unravel_index(cells, (base,) * 3)))
+        by_cell[base] = dict(zip(pqr, values.tolist()))
+    assert _invariants_up_to(5) is wigner._INVARIANTS[0]
+    assert by_cell[4] == by_cell[8]
 
 
 def test_ground_state_builds_no_form_polynomial(monkeypatch):
