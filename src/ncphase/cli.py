@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid physics parameters
 or a file that cannot be read or written, 3 unsupported request. `main` alone
 maps errors to codes: an OSError from a command is one `error:` line on
-stderr and exit 2, and a ValueError or ArithmeticError is one such line and
-exit 3, so `verify` exits 3 at accepted points where a step leaves double
-range (README "Known limits"). All output is plain text (JSON or CSV); CSV is
+stderr and exit 2, and a ValueError, ArithmeticError or MemoryError is one
+such line and exit 3, so `verify` exits 3 at accepted points where a step
+leaves double range (README "Known limits"), and a figure grid too large to
+allocate is refused the same way. All output is plain text (JSON or CSV); CSV is
 deterministic, 9 significant digits, newline-terminated rows.
 """
 
@@ -367,7 +368,7 @@ def main(argv=None) -> int:
                "figure": cmd_figure, "verify": cmd_verify}[args.command]
     try:
         return command(args)
-    except (ValueError, ArithmeticError) as exc:  # a request the library refuses
+    except (ValueError, ArithmeticError, MemoryError) as exc:  # a request refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except OSError as exc:  # an --out path that cannot be written

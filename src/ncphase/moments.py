@@ -3,14 +3,18 @@
 Convention, stated once and used everywhere: a function prefactor * poly *
 exp(z^T Q z) with Q negative definite corresponds to a centered normal weight
 with covariance -Q^{-1}/2 and total mass pi^{d/2}/sqrt(det(-Q)). Polynomial
-parts are contracted against the weight through the Isserlis moment recursion
-over the one monomial index per dimension that the star series reads too
-(`starcalc._graded_lattice`), its factors formed once per call; marginalize
-reads its shifted powers from one cached table and its moments with one take.
-Dense quadrature exists only in the test suite as an independent oracle.
+parts are contracted against the weight through its moments: in two
+variables by counting cross pairings over an integer table per top degree,
+with the 2x2 weight from the 2x2 formulas; otherwise through the Isserlis
+recursion over the one monomial index per dimension that the star series
+reads too (`starcalc._graded_lattice`), its factors formed once per call;
+marginalize reads its shifted powers from one cached table and its moments
+with one take. Dense quadrature exists only in the test suite as an
+independent oracle.
 
-The array kernels give the same bits as the per-term loops they replaced:
-every product keeps its operand order, and every sum adds its terms one by one
+The array kernels give the same bits as the per-term loops they replaced
+(for two variables, loops over the same formulas): every product keeps its
+operand order, and every sum adds its terms one by one
 in the loop's order (never pairwise). marginalize returns its monomials in
 ascending order, as the star series does, and drops a monomial whose sum is
 exactly zero, as the dict accumulation did. integrate and gram share one
@@ -22,13 +26,14 @@ MAX_MOMENT_DEGREE before it sums anything.
 from __future__ import annotations
 
 from functools import cache, reduce
-from math import comb, pi, sqrt
+from math import comb, factorial, frexp, pi, prod, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _exponent_rows,
-                       _graded_lattice, _graded_rank, _integer_at_least, _pair_sums)
+                       _graded_exps, _graded_lattice, _graded_rank, _integer_at_least,
+                       _pair_sums, _runs)
 
 MAX_MOMENT_DEGREE = 48
 
@@ -44,29 +49,17 @@ class MomentTable:
             raise ValueError("covariance must be a square matrix")
         self.covariance = cov
 
-    def moment(self, alpha: tuple[int, ...]) -> float:
-        """E[z^alpha] under N(0, covariance); zero for odd total degree."""
-        return float(self.moments(np.array([alpha]))[0])
-
     def moments(self, exps: np.ndarray) -> np.ndarray:
         """E[z^alpha] for each row alpha of the exponent matrix exps, whose
-        entries are non-negative integers.
+        entries are non-negative integers; zero for odd total degree.
 
-        Isserlis recursion: with i the first axis where alpha_i > 0 and
-        beta = alpha - e_i, E[z^alpha] is the sum over j of
-        (cov[i, j] * beta_j) * E[z^(beta - e_j)], added in j order from +0.0,
-        where a term with cov[i, j] = 0 or beta_j = 0 is skipped. One vector
-        holds the moments of every multi-index up to the rows' top degree in
-        the order of `starcalc._graded_lattice`, which tables i, beta and the
-        children; odd degrees stay 0.0. The even-degree rows are copied out
-        once per call, their cov[i, j] * beta_j factors formed and set to 0.0,
-        and their children to -1, where a term is skipped (`np.putmask`, in
-        place); each even degree is then one array pass over its slice. A
-        skipped term is 0.0 times the 0.0 in the last slot (never times an
-        overflowed moment), and the terms add left to right from the first,
-        +0.0 or cov[0, 0] >= 0 times a moment, so as from +0.0. A moment has
-        the same bits whichever rows come with it. A returned moment that
-        leaves double range (an overflow, or inf - inf) raises ValueError.
+        One vector holds the moments of every multi-index up to the rows'
+        top degree in the graded order of `starcalc._graded_rank`, odd
+        degrees 0.0: for two variables from the count of cross pairings
+        (`_pair_moments`), otherwise from the Isserlis recursion
+        (`_recursion_moments`). A moment has the same bits whichever rows
+        come with it. A returned moment that leaves double range (an
+        overflow, or inf - inf) raises ValueError.
         """
         exps = np.asarray(exps)
         d = len(self.covariance)
@@ -79,22 +72,8 @@ class MomentTable:
         if top > MAX_MOMENT_DEGREE:
             raise ValueError(f"moment degree {degree[degree > MAX_MOMENT_DEGREE][0]} "
                              f"exceeds {MAX_MOMENT_DEGREE}")
-        moment = np.zeros(comb(top + d, d) + 1)  # then the 0.0 a skipped term reads
-        moment[0] = 1.0
-        levels = [slice(comb(n + d - 1, d), comb(n + d, d)) for n in range(2, top + 1, 2)]
-        lattice = _graded_lattice(d, top)  # the even degrees' rows, masked and scaled at once
-        pivot, beta, child = (np.concatenate([table[:0], *(table[level] for level in levels)])
-                              for table in (lattice.pivot, lattice.beta, lattice.child))
-        factor = self.covariance.take(pivot, axis=0)
-        skipped = (factor == 0.0) | (beta == 0)
-        factor *= beta
-        np.putmask(factor, skipped, 0.0)
-        np.putmask(child, skipped, -1)
-        at = 0  # where the next even degree's rows start
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            for level in levels:
-                rows = slice(at, at := at + level.stop - level.start)
-                moment[level] = reduce(np.add, (factor[rows] * moment.take(child[rows])).T)
+            moment = (_pair_moments if d == 2 else _recursion_moments)(self.covariance, top)
         out = moment.take(_graded_rank(exps.T, top))
         if not np.isfinite(out).all():
             raise ValueError(f"a moment of degree {degree[~np.isfinite(out)][0]} "
@@ -102,21 +81,159 @@ class MomentTable:
         return out
 
 
+_EVEN_ROWS: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def _even_rows(d: int, top: int) -> tuple[np.ndarray, ...]:
+    """The rows of `starcalc._graded_lattice(d, top)` of even degree 2 to
+    top: for each row and axis j, the place (pivot * d + j) * (top + 1) +
+    beta_j of its factor cov[pivot, j] * beta_j in a (d * d, top + 1) table,
+    and its child (intp: a take through narrower indices runs several times
+    slower); then where the rows of each even degree end. They depend on
+    the covariance not at all and on the top only through their length, so
+    one table per dimension is kept, read as a prefix, and read again from
+    the index only for a higher top."""
+    rows = _EVEN_ROWS.get(d)
+    if rows is None or len(rows[-1]) <= top // 2:
+        top -= top % 2
+        lattice = _graded_lattice(d, top)
+        levels = [slice(comb(n + d - 1, d), comb(n + d, d)) for n in range(2, top + 1, 2)]
+        pivot, beta, child = (np.concatenate([table[:0], *(table[level] for level in levels)])
+                              for table in (lattice.pivot, lattice.beta, lattice.child))
+        place = (pivot[:, None].astype(np.intp) * d + np.arange(d)) * (top + 1) + beta
+        ends = np.cumsum([0] + [level.stop - level.start for level in levels])
+        rows = _EVEN_ROWS[d] = (place, child.astype(np.intp), ends)
+        for table in rows:
+            table.flags.writeable = False
+    return rows
+
+
+def _recursion_moments(cov: np.ndarray, top: int) -> np.ndarray:
+    """Every moment up to degree top in graded order, then a 0.0 slot.
+
+    Isserlis recursion: with i the first axis where alpha_i > 0 and
+    beta = alpha - e_i, E[z^alpha] is the sum over j of
+    (cov[i, j] * beta_j) * E[z^(beta - e_j)], added in j order from +0.0,
+    where a term with cov[i, j] = 0 or beta_j = 0 is skipped. The products
+    cov[i, j] * b for every entry and every b up to the rows' top are tabled
+    once per call, +0.0 where cov[i, j] = 0 or b = 0, and the even-degree
+    rows (`_even_rows`) read their factors from it with one gather; a child
+    is set to -1 where its factor is 0.0, which is where a term is skipped
+    (|cov[i, j] b| >= |cov[i, j]| for b >= 1). Each even degree is then one
+    array pass over its slice. A skipped term is 0.0 times the 0.0 in the
+    last slot (never times an overflowed moment), and the terms add left to
+    right from the first, +0.0 or cov[0, 0] >= 0 times a moment, so as from
+    +0.0.
+    """
+    d = len(cov)
+    place, child, ends = _even_rows(d, top)
+    end = ends[top // 2]
+    table = np.multiply.outer(cov.ravel(), np.arange(2 * len(ends) - 1, dtype=float))
+    table[:, 0] = 0.0
+    table[cov.ravel() == 0.0] = 0.0
+    factor = table.ravel()[place[:end]]  # take through read-only indices runs slower
+    child = np.where(factor == 0.0, -1, child[:end])
+    moment = np.zeros(comb(top + d, d) + 1)  # then the 0.0 a skipped term reads
+    moment[0] = 1.0
+    for n, at, stop in zip(range(2, top + 1, 2), ends, ends[1:]):
+        rows = slice(at, stop)
+        moment[comb(n + d - 1, d):comb(n + d, d)] = reduce(
+            np.add, (factor[rows] * moment.take(child[rows])).T)
+    return moment
+
+
+def _double_factorial(n: int) -> int:
+    """n!! for n >= -1, with (-1)!! = 0!! = 1."""
+    return prod(range(n, 0, -2))
+
+
+@cache
+def _pairings(top: int) -> tuple[np.ndarray, ...]:
+    """The terms of E[x^a y^b] = the sum over k, the number of cross
+    pairings, of C(a,k) C(b,k) k! (a-k-1)!! (b-k-1)!! c01^k c00^i c11^j,
+    i = (a-k)/2, j = (b-k)/2 (Isserlis, 1918), for every monomial of even
+    degree up to top in graded order (`starcalc._graded_rank`), each
+    monomial's terms k ascending: the monomial's graded position, the flat
+    places of c01^k, c00^i and c11^j in a (3, top + 1) table of powers, and
+    the integer coefficient rounded once to a float; then the exponent
+    columns of every monomial up to top, graded. Read-only, shared by every
+    call."""
+    width = top + 1
+    terms = [(comb(n + 1, 2) + a, k, width + (a - k) // 2, 2 * width + (n - a - k) // 2,
+              float(comb(a, k) * comb(n - a, k) * factorial(k)
+                    * _double_factorial(a - k - 1) * _double_factorial(n - a - k - 1)))
+             for n in range(0, top + 1, 2) for a in range(n + 1)
+             for k in range(a % 2, min(a, n - a) + 1, 2)]
+    tables = (*map(np.array, zip(*terms)), _graded_exps(2, top).astype(np.int64))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _pair_moments(cov: np.ndarray, top: int) -> np.ndarray:
+    """Every moment of a 2-D normal up to degree top in graded order, by
+    counting cross pairings (`_pairings`): per monomial, its terms
+    ((coef * c01^k) * c00^i) * c11^j added k ascending from +0.0, each power
+    by repeated multiplication. With c00 = m0 2^e0 and c11 = m1 2^e1, m in
+    [1/2, 1), and p = e // 2, c00, c11 and c01 are first scaled by
+    2^(-2 p0), 2^(-2 p1) and 2^(-p0 - p1), so no power leaves double range
+    on the way, and E[x^a y^b] is scaled back by 2^(a p0 + b p1). Powers of
+    two scale exactly, so where no step leaves the normal range the bits are
+    those of the unscaled formula."""
+    owner, k, i, j, coef, exps = _pairings(top)
+    (c00, c01), (_, c11) = cov.tolist()
+    p0, p1 = frexp(c00)[1] // 2, frexp(c11)[1] // 2
+    powers = np.empty((3, top + 1))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = np.ldexp([[c01], [c00], [c11]], [[-p0 - p1], [-2 * p0], [-2 * p1]])
+    powers = np.multiply.accumulate(powers, axis=1).ravel()
+    terms = coef * powers[k]  # fancy indexing: take through read-only indices runs slower
+    terms *= powers[i]
+    terms *= powers[j]
+    moment = np.bincount(owner, terms, exps.shape[1])
+    return np.ldexp(moment, exps[0] * p0 + exps[1] * p1) if p0 or p1 else moment
+
+
 def _gaussian_weight(Q: np.ndarray, moments: bool = True
                      ) -> tuple[float, MomentTable | None]:
     """Mass pi^(d/2)/sqrt(det(-Q)) of exp(z Q z), and the moments of its
-    normalized weight when asked (a constant needs none). A det(-Q) that
-    overflows or underflows double precision is refused."""
+    normalized weight, covariance -Q^{-1}/2, when asked (a constant needs
+    none). A det(-Q) that overflows or underflows double precision is
+    refused. A 2x2 Q takes the 2x2 formulas on Q' = D Q D, D = diag(2^-p0,
+    2^-p1) with p the binary exponent of each diagonal entry // 2 (as in
+    `_pair_moments`), so no step leaves double range: with -Q' = [[a, b],
+    [b, c]] and the Schur complements s1 = c - b (b / a) and
+    s0 = a - b (b / c), Q is negative definite where a, s1 and s0 are
+    positive, det(-Q) = 2^(2 p0 + 2 p1) a s1, and the covariance is D C D
+    with C = [[1 / (2 s0), -(b / a) / (2 s1)], [.., 1 / (2 s1)]]. A larger
+    Q takes Cholesky and LAPACK's det and inv."""
+    if len(Q) == 2:
+        p0, p1 = frexp(Q[0, 0])[1] // 2, frexp(Q[1, 1])[1] // 2
+        shift = np.array([[-2 * p0, -p0 - p1], [-p0 - p1, -2 * p1]])
+        with np.errstate(over="ignore"):  # an inf is refused below, with no warning
+            (a, b), (_, c) = np.ldexp(-Q, shift).tolist()
+            if not (a > 0.0 and (s1 := c - b * (b / a)) > 0.0 and (s0 := a - b * (b / c)) > 0.0):
+                raise ValueError("exponent matrix must be negative definite")
+            det = float(np.ldexp(a * s1, 2 * (p0 + p1)))
+            off = -(b / a) / (2.0 * s1)
+            cov = np.ldexp([[1.0 / (2.0 * s0), off], [off, 1.0 / (2.0 * s1)]], shift)
+    else:
+        _require_negative_definite(Q)
+        with np.errstate(over="ignore"):  # refused below, with no warning
+            det = np.linalg.det(-Q)
+        cov = -0.5 * np.linalg.inv(Q) if moments else None
+    if not 0.0 < det < np.inf:
+        raise ValueError(f"det(-Q) = {float(det)!r} leaves double precision range")
+    mass = pi ** (Q.shape[0] / 2) / sqrt(det)
+    return mass, MomentTable(cov) if moments else None
+
+
+def _require_negative_definite(Q: np.ndarray) -> None:
+    """Refuse an exponent matrix Q that is not negative definite (Cholesky)."""
     try:
         np.linalg.cholesky(-Q)
     except np.linalg.LinAlgError:
         raise ValueError("exponent matrix must be negative definite") from None
-    with np.errstate(over="ignore"):  # refused below, with no warning
-        det = np.linalg.det(-Q)
-    if not 0.0 < det < np.inf:
-        raise ValueError(f"det(-Q) = {float(det)!r} leaves double precision range")
-    mass = pi ** (Q.shape[0] / 2) / sqrt(det)
-    return mass, MomentTable(-0.5 * np.linalg.inv(Q)) if moments else None
 
 
 def _real(coeffs: np.ndarray, segment: np.ndarray | int = 0, count: int = 1
@@ -234,12 +351,6 @@ def _shifted_powers(a: np.ndarray, top: int) -> tuple[np.ndarray, ...]:
     return (*jrs.take(live, axis=1), coeff.take(live), start[:-1], start[1:] - start[:-1])
 
 
-def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """starts[k], starts[k] + 1, ..., counts[k] of them, for each k in turn."""
-    ends = counts.cumsum()
-    return np.arange(ends[-1]) + (starts - (ends - counts)).repeat(counts)
-
-
 def _marginal_poly(kept: np.ndarray, integrated: np.ndarray, coeffs: np.ndarray,
                    A: np.ndarray, table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
     """Terms of the polynomial part of marginalize: the dict loop's
@@ -318,13 +429,13 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
     if func.variables.dimension != 4:
         raise ValueError("marginalize expects a 4-variable function")
     keep = _integer_at_least(keep, 1, "keep must be 1 or 2", maximum=2)
-    keep_idx = [0, 2] if keep == 1 else [1, 3]
-    int_idx = [1, 3] if keep == 1 else [0, 2]
+    # (x1, p1) are axes 0 and 2, (x2, p2) axes 1 and 3: read as strided views
+    kept, integrated = slice(keep - 1, None, 2), slice(2 - keep, None, 2)
 
     Q = func.exponent
-    QKK = Q[np.ix_(keep_idx, keep_idx)]
-    QII = Q[np.ix_(int_idx, int_idx)]
-    QKI = Q[np.ix_(keep_idx, int_idx)]
+    QKK = Q[kept, kept]
+    QII = Q[integrated, integrated]
+    QKI = Q[kept, integrated]
     mass_i, table = _gaussian_weight(QII)
 
     # completing the square: z_I = w - A z_K with A = QII^{-1} QKI^T
@@ -332,7 +443,7 @@ def marginalize(func: GaussPoly, keep: int) -> GaussPoly:
     Q_red = QKK - QKI @ A
     exps = func.exps
     with np.errstate(over="ignore", invalid="ignore"):  # refused in _marginal_poly
-        terms = _marginal_poly(exps[:, keep_idx], exps[:, int_idx], _real(func.coeffs), A, table)
+        terms = _marginal_poly(exps[:, kept], exps[:, integrated], _real(func.coeffs), A, table)
 
     reduced_vars = PhaseVariables(2, hbar=func.variables.hbar)
     return GaussPoly(reduced_vars, func.prefactor * mass_i, Q_red, *terms)

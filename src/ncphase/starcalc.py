@@ -644,11 +644,18 @@ def star_exp(form: QuadraticForm, t: float) -> GaussPoly:
     return GaussPoly.gaussian(form.variables, pref, scale * form.matrix)
 
 
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., counts[k] of them, for each k in turn;
+    counts is not empty. One repeat and one arange: a take per entry costs
+    twice as long."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) + (starts - (ends - counts)).repeat(counts)
+
+
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and offset of every entry when item k owns counts[k] entries."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts
-    return owner, np.arange(len(owner)) - first[owner]
+    """Owner and offset of every entry when item k owns counts[k] entries
+    (counts not empty)."""
+    return np.arange(len(counts)).repeat(counts), _runs(np.zeros_like(counts), counts)
 
 
 def _times(a, b):

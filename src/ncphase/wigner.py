@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .moments import _require_negative_definite
 from .params import ModelParams, derive
 from .starcalc import (
     GaussPoly,
@@ -262,7 +263,10 @@ def reduce(state: WignerState, subsystem: int) -> ReducedState:
 
 
 def _residual_axes(function: GaussPoly) -> list[np.ndarray]:
-    """Per-axis points of the residual grid: 11 within +-3 marginal widths."""
+    """Per-axis points of the residual grid: 11 within +-3 marginal widths.
+    An exponent that is not negative definite has no widths, and is refused
+    before any value is taken on the grid."""
+    _require_negative_definite(function.exponent)
     cov = -0.5 * np.linalg.inv(function.exponent)
     return [np.linspace(-3.0 * s, 3.0 * s, 11) for s in np.sqrt(np.diag(cov))]
 

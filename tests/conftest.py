@@ -138,6 +138,100 @@ def exact_error(exps: np.ndarray, coeffs: np.ndarray, exact: dict) -> float:
     return float(worst / max(map(abs, exact.values())))
 
 
+def exact_inverse_2x2(Q) -> tuple[Fraction, list[list[Fraction]]]:
+    """det(-Q) and the covariance -Q^{-1}/2 of a 2x2 exponent Q, its entries
+    Fractions or floats read as exact rationals."""
+    (a, b), (c, d) = ([Fraction(x) for x in row] for row in np.asarray(Q).tolist())
+    det = a * d - b * c
+    return det, [[-d / (2 * det), b / (2 * det)], [c / (2 * det), -a / (2 * det)]]
+
+
+def exact_pair_moments(cov, top: int) -> dict:
+    """{(a, b): E[x^a y^b]} of the 2-D normal with covariance cov (Fractions,
+    or floats read exactly) for every a + b <= top, odd degrees left out: the
+    Isserlis recursion on x first, then y, in exact rationals."""
+    (c00, c01), (_, c11) = ([Fraction(x) for x in row] for row in
+                            (cov.tolist() if isinstance(cov, np.ndarray) else cov))
+    out = {(0, 0): Fraction(1)}
+    for n in range(2, top + 1, 2):
+        for a in range(n + 1):
+            b = n - a
+            if a:
+                out[a, b] = ((a - 1) * c00 * out[a - 2, b] if a > 1 else 0) \
+                    + (b * c01 * out[a - 1, b - 1] if b else 0)
+            else:
+                out[a, b] = (b - 1) * c11 * out[a, b - 2]
+    return out
+
+
+def pair_moment_error(got: np.ndarray, rows, cov, top: int) -> float:
+    """max |got - exact| / (the moment under |cov|) over the rows of even
+    degree, exact: the rounding error of a moment kernel in units of the
+    sizes of the terms it adds."""
+    exact = exact_pair_moments(cov, top)
+    scale = exact_pair_moments(np.abs(cov), top)
+    worst = Fraction(0)
+    for x, r in zip(np.asarray(got).tolist(), map(tuple, np.asarray(rows).tolist())):
+        if sum(r) % 2 == 0:
+            miss = abs(Fraction(x) - exact[r])
+            if miss:  # a moment with no nonzero term (c01 = 0, a and b odd) is exact
+                worst = max(worst, miss / scale[r])
+    return float(worst)
+
+
+def exact_marginal(func: GaussPoly, keep: int, magnitude: bool = False) -> tuple:
+    """The marginal of a 4-variable float function over the other oscillator,
+    in exact rationals of its float exponent and coefficients: det(-Q_II) of
+    the integrated block, the exponent Q_KK - Q_KI Q_II^{-1} Q_KI^T, and
+    {(k0, k1): coefficient} of the polynomial (exact zeros left out). The
+    prefactor is the function's times pi / sqrt(det(-Q_II)). With magnitude,
+    each coefficient is instead the sum of the magnitudes of the terms that
+    make it up (coefficients, shifts and moments taken by absolute value),
+    the yardstick of the rounding error of a sum of those terms."""
+    keep_idx, int_idx = ((0, 2), (1, 3)) if keep == 1 else ((1, 3), (0, 2))
+    Q = [[Fraction(x) for x in row] for row in func.exponent.tolist()]
+    QII = [[Q[i][j] for j in int_idx] for i in int_idx]
+    QKI = [[Q[i][j] for j in int_idx] for i in keep_idx]
+    det, cov = exact_inverse_2x2(QII)
+    inv = [[-2 * cov[r][c] for c in range(2)] for r in range(2)]
+    # z_I = w - A z_K, A = QII^{-1} QKI^T
+    A = [[sum(inv[r][t] * QKI[c][t] for t in range(2)) for c in range(2)] for r in range(2)]
+    reduced = [[Q[keep_idx[r]][keep_idx[c]] - sum(QKI[r][t] * A[t][c] for t in range(2))
+                for c in range(2)] for r in range(2)]
+
+    sign = abs if magnitude else (lambda x: x)
+    shift = [[sign(-x) for x in row] for row in A]
+
+    def power(row, n):  # (w - A[row][0] u - A[row][1] v)^n as {(j, r, s): coeff}
+        out = {}
+        for j in range(n + 1):
+            for r in range(n - j + 1):
+                s = n - j - r
+                out[j, r, s] = (math.comb(n, j) * math.comb(n - j, r)
+                                * shift[row][0] ** r * shift[row][1] ** s)
+        return out
+
+    top = int(func.exps[:, list(int_idx)].sum(axis=1).max(initial=0))
+    moment = exact_pair_moments([[sign(x) for x in row] for row in cov], top)
+    tables = {}
+    poly = {}
+    for mono, c in zip(func.exps.tolist(), func.coeffs.tolist()):
+        pair = (mono[int_idx[0]], mono[int_idx[1]])
+        if pair not in tables:
+            table = {}
+            for (j0, r0, s0), x0 in power(0, pair[0]).items():
+                for (j1, r1, s1), x1 in power(1, pair[1]).items():
+                    if (j0 + j1) % 2 == 0:
+                        key = (r0 + r1, s0 + s1)
+                        table[key] = table.get(key, 0) + x0 * x1 * moment[j0, j1]
+            tables[pair] = table
+        k0, k1, c = mono[keep_idx[0]], mono[keep_idx[1]], sign(Fraction(c))
+        for (r, s), x in tables[pair].items():
+            key = (k0 + r, k1 + s)
+            poly[key] = poly.get(key, 0) + c * x
+    return det, reduced, {m: x for m, x in poly.items() if x}
+
+
 def params_for_lambda(lam: float, hbar=1.0, mass=1.0, omega=1.0) -> ModelParams:
     """A valid parameter point whose purity parameter equals lam.
 
@@ -160,12 +254,18 @@ def params_for_lambda(lam: float, hbar=1.0, mass=1.0, omega=1.0) -> ModelParams:
 
 
 # 60 digits, with an exponent range that holds (1 + lam)^n for n = 10**9
-_DECIMAL = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
+DECIMAL = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def decimal(x: Fraction) -> Decimal:
+    """x to the precision of the current decimal context."""
+    return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 def decimal_beta(n: int, lam: float) -> Decimal:
     """beta_n(lam) = [(1+lam)^n - (1-lam)^n] / (2 lam) in 60-digit decimal."""
-    with localcontext(_DECIMAL):
+    with localcontext(DECIMAL):
         x = Decimal(lam)
         return ((1 + x) ** n - (1 - x) ** n) / (2 * x)
 
@@ -174,7 +274,7 @@ def decimal_entropy(kind: str, n: int, lam: float) -> float:
     """Renyi or Tsallis entropy of integer order n at lam, the paper's
     formulas in beta_n evaluated in 60-digit decimal."""
     beta = decimal_beta(n, lam)
-    with localcontext(_DECIMAL):
+    with localcontext(DECIMAL):
         x = Decimal(lam)
         if kind == "renyi":
             return float(beta.ln() / (n - 1) - (2 * x).ln())

@@ -281,6 +281,16 @@ class TestOverflow:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_verify_refuses_an_exponent_that_is_not_negative_definite(self, capsys):
+        # the derived scalars lose their digits here and W's exponent comes
+        # out with positive eigenvalues: the request is refused before the
+        # residual grid is evaluated, where np.exp overflowed with two
+        # RuntimeWarnings (errors under this suite's filter) before the refusal
+        code, out, err = run(capsys, "verify", "--mu", "5e-6", "--nu", "199999.99")
+        assert code == 3
+        assert out == ""
+        assert err == "error: exponent matrix must be negative definite\n"
+
     def test_hbar_square_underflow(self, capsys):
         code, out, err = run(capsys, "entropy", "--hbar", "1e-200", "--kind",
                              "renyi", "--order", "2")
@@ -502,6 +512,20 @@ class TestFigureCommand:
                            "--out", str(out))
         assert code == 3
         assert err == "error: grid must be a positive integer\n"
+        assert not out.exists()
+
+    def test_grid_too_large_to_allocate(self, capsys, tmp_path):
+        # a 10^7 x 10^7 surface needs 800 TB per mesh, more than any 64-bit
+        # address space holds, so numpy's allocation fails at once (the 80 MB
+        # axis is the most it takes): one error line and exit 3, as for any
+        # refused request, where it ended in a MemoryError traceback and exit 1
+        out = tmp_path / "fig.csv"
+        code, stdout, err = run(capsys, "figure", "--figure", "1", "--grid", "10000000",
+                                "--out", str(out))
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_unknown_figure(self, capsys):

@@ -2,13 +2,16 @@ import functools
 import itertools
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gauss_poly, terms, trapezoid_integrate
+from conftest import (DECIMAL, PI, decimal, exact_inverse_2x2, pair_moment_error,
+                      random_gauss_poly, terms, trapezoid_integrate)
 
 from ncphase import moments, starcalc
 from ncphase import (
@@ -61,23 +64,21 @@ def test_entropy_integrand_value():
 
 def test_moment_table_basics():
     table = MomentTable(np.diag([2.0, 3.0]))
-    assert table.moment((0, 0)) == 1.0
-    assert table.moment((1, 0)) == 0.0
-    assert table.moment((2, 0)) == pytest.approx(2.0)
-    assert table.moment((2, 2)) == pytest.approx(6.0)
-    assert table.moment((4, 0)) == pytest.approx(3 * 2.0**2)
+    got = table.moments(np.array([(0, 0), (1, 0), (2, 0), (2, 2), (4, 0)]))
+    assert got.tolist() == [1.0, 0.0, pytest.approx(2.0), pytest.approx(6.0),
+                            pytest.approx(3 * 2.0**2)]
 
 
 def test_moment_degree_cap():
     table = MomentTable(np.eye(2))
     with pytest.raises(ValueError):
-        table.moment((50, 0))
+        table.moments(np.array([(50, 0)]))
 
 
 def test_moment_overflow_refused():
     # E[x^4] = 3 * 1e320 leaves double range; E[x^2] = 1e160 does not
     table = MomentTable(1e160 * np.eye(2))
-    assert table.moment((2, 0)) == 1e160
+    assert table.moments(np.array([(2, 0)]))[0] == 1e160
     with pytest.raises(ValueError, match="degree 4 leaves double precision range"):
         table.moments(np.array([[2, 0], [0, 4]]))
 
@@ -90,12 +91,10 @@ def test_moment_rows_are_checked():
     for rows in (np.array([[1]]), np.array([[1, 0, 1]]), np.array([2, 0])):
         with pytest.raises(ValueError, match="2 entries"):
             table.moments(rows)
-    with pytest.raises(ValueError, match="2 entries"):
-        table.moment((1,))
     for alpha in [(-1, 1), (3, -1), (-2, 0), (2.5, 0), (1.5, 0.5), (math.nan, 0), (math.inf, 0)]:
         with pytest.raises(ValueError, match="non-negative"):
-            table.moment(alpha)
-    assert table.moment((2.0, 0.0)) == table.moment((2, 0)) == 1.0
+            table.moments(np.array([alpha]))
+    assert table.moments(np.array([(2.0, 0.0)]))[0] == table.moments(np.array([(2, 0)]))[0] == 1.0
 
 
 def test_covariance_must_be_a_square_matrix():
@@ -118,6 +117,28 @@ def test_gaussian_weight_past_double_range_rejected(hbar):
     # integral read 0.0, and 0.0 at 1e100, where it divided by zero
     with pytest.raises(ValueError, match="det"):
         integrate(wigner_state(0, 0, ModelParams(hbar=hbar)).function)
+
+
+def test_pair_weight_at_the_edges_of_double_range():
+    # 2x2 exponents: det(-Q) past double range is refused with its value;
+    # one whose products a c and b b both overflow, det(-Q) = 2e300, and one
+    # whose off-diagonal entry alone is huge, are not inf - inf: the first
+    # integrates, with no warning, the second is not negative definite; one
+    # with diagonal entries 1e300 and 1e-300 integrates to pi
+    const = terms({(0, 0): 1.0}, 2)
+    assert integrate(GaussPoly(V2, 1.0, np.diag([-1e300, -1e-300]), *const)) == \
+        pytest.approx(math.pi, rel=1e-15)
+    for diagonal, det in ((-1e200, "inf"), (-1e-200, "0.0")):
+        with pytest.raises(ValueError, match=rf"det\(-Q\) = {det} leaves double precision range"):
+            integrate(GaussPoly(V2, 1.0, np.diag([diagonal, diagonal]), *const))
+    b = 1e155 * (1.0 - 2.0**-30)
+    exact = math.pi / math.sqrt(float((Fraction(1e155)**2 - Fraction(b)**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(GaussPoly(V2, 1.0, np.array([[-1e155, b], [b, -1e155]]), *const))
+        assert got == pytest.approx(exact, rel=1e-6)
+        with pytest.raises(ValueError, match="must be negative definite"):
+            integrate(GaussPoly(V2, 1.0, np.array([[-1e-300, 1e300], [1e300, -1e-300]]), *const))
 
 
 def test_linearity(rng):
@@ -188,8 +209,10 @@ def test_marginalize_requires_four_variables():
 # The array kernels against the per-term loops they replaced. The references
 # below are those loops, kept here verbatim in behaviour: a memoized scalar
 # Isserlis recursion, a sequential integral and the dict-accumulating
-# marginal. Every coefficient, prefactor and integral must match bit for bit
-# (float.hex); marginal keys come in ascending order, the reference's sorted.
+# marginal; for two variables the moments and the weight come from plain-
+# Python versions of the kernel's formulas, in its term order. Every
+# coefficient, prefactor and integral must match bit for bit (float.hex);
+# marginal keys come in ascending order, the reference's sorted.
 
 class ReferenceMoments:
     """Memoized scalar Isserlis recursion, first-nonzero pivot, j in order."""
@@ -218,6 +241,65 @@ class ReferenceMoments:
         return acc
 
 
+def double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+class ReferencePairMoments:
+    """E[x^a y^b] of a 2-D normal by counting cross pairings, term by term:
+    k ascending from +0.0, each term ((coef * c01^k) * c00^i) * c11^j with
+    each power a chain of products, on c00, c11 and c01 scaled by
+    2^(-2 p0), 2^(-2 p1) and 2^(-p0 - p1), p the binary exponent // 2, and
+    the sum scaled back by 2^(a p0 + b p1)."""
+
+    def __init__(self, covariance):
+        (c00, c01), (_, c11) = np.asarray(covariance, dtype=float).tolist()
+        self.p0, self.p1 = math.frexp(c00)[1] // 2, math.frexp(c11)[1] // 2
+        with np.errstate(over="ignore"):
+            self.c01, self.c00, self.c11 = np.ldexp(
+                [c01, c00, c11], [-self.p0 - self.p1, -2 * self.p0, -2 * self.p1]).tolist()
+
+    def moment(self, alpha):
+        a, b = alpha
+        if a + b > MAX_MOMENT_DEGREE:
+            raise ValueError("moment degree too high")
+        total = 0.0
+        for k in range(a % 2, min(a, b) + 1, 2) if (a + b) % 2 == 0 else ():
+            term = float(math.comb(a, k) * math.comb(b, k) * math.factorial(k)
+                         * double_factorial(a - k - 1) * double_factorial(b - k - 1))
+            for base, n in ((self.c01, k), (self.c00, (a - k) // 2), (self.c11, (b - k) // 2)):
+                power = 1.0
+                for _ in range(n):
+                    power *= base
+                term *= power
+            total += term
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(total, a * self.p0 + b * self.p1))
+
+
+def reference_moments(cov):
+    """The kernel's moment route for this covariance: pairings in 2-D, else
+    the recursion."""
+    return (ReferencePairMoments if np.shape(cov) == (2, 2) else ReferenceMoments)(cov)
+
+
+def reference_weight(Q):
+    """det(-Q) and the covariance -Q^{-1}/2: for 2x2 the kernel's Schur-
+    complement formulas on Q scaled by powers of two, in plain Python; else
+    Cholesky and LAPACK's det and inv."""
+    if Q.shape != (2, 2):
+        np.linalg.cholesky(-Q)
+        return np.linalg.det(-Q), -0.5 * np.linalg.inv(Q)
+    (q00, q01), (_, q11) = Q.tolist()
+    p0, p1 = math.frexp(q00)[1] // 2, math.frexp(q11)[1] // 2
+    a, b, c = math.ldexp(-q00, -2 * p0), math.ldexp(-q01, -p0 - p1), math.ldexp(-q11, -2 * p1)
+    s1, s0 = c - b * (b / a), a - b * (b / c)
+    assert a > 0.0 and s1 > 0.0 and s0 > 0.0
+    off = math.ldexp(-(b / a) / (2.0 * s1), -p0 - p1)
+    return math.ldexp(a * s1, 2 * (p0 + p1)), np.array(
+        [[math.ldexp(1.0 / (2.0 * s0), -2 * p0), off], [off, math.ldexp(1.0 / (2.0 * s1), -2 * p1)]])
+
+
 def reference_real_coefficients(poly):
     if not poly:
         return {}
@@ -233,10 +315,9 @@ def reference_real_coefficients(poly):
 
 def reference_integrate(func):
     Q = func.exponent
-    np.linalg.cholesky(-Q)
-    d = Q.shape[0]
-    mass = math.pi ** (d / 2) / math.sqrt(np.linalg.det(-Q))
-    table = ReferenceMoments(-0.5 * np.linalg.inv(Q))
+    det, cov = reference_weight(Q)
+    mass = math.pi ** (Q.shape[0] / 2) / math.sqrt(det)
+    table = reference_moments(cov)
     total = 0.0
     for mono, coeff in reference_real_coefficients(func.poly).items():
         total += coeff * table.moment(mono)
@@ -253,7 +334,8 @@ def reference_marginalize(func, keep):
     QII = Q[np.ix_(int_idx, int_idx)]
     QKI = Q[np.ix_(keep_idx, int_idx)]
     A = np.linalg.solve(QII, QKI.T)
-    table = ReferenceMoments(-0.5 * np.linalg.inv(QII))
+    det, cov = reference_weight(QII)
+    table = reference_moments(cov)
 
     @functools.cache  # the loop asks for the same expansions again and again
     def shifted_powers(var, n):
@@ -285,7 +367,7 @@ def reference_marginalize(func, keep):
                 else:
                     reentered += key in dropped and key not in out
                     out[key] = s
-    mass_i = math.pi / math.sqrt(np.linalg.det(-QII))
+    mass_i = math.pi / math.sqrt(det)
     marginal = GaussPoly(PhaseVariables(2, hbar=func.variables.hbar),
                          func.prefactor * mass_i, QKK - QKI @ A, *terms(out, 2))
     return marginal, reentered, added
@@ -517,7 +599,8 @@ class TestIntegrateKernel:
     )
 
     def test_moment_table_matches_recursion(self):
-        # every row up to degree 24, the top of a W(6, 6) integral; exact
+        # every row up to degree 24, the top of a W(6, 6) integral, against
+        # the kernel's route (pairings in 2-D, the recursion in 4-D); exact
         # zeros in the covariance skip terms (-0.0 included); a zero moment
         # times a negative entry gives -0.0 terms, and a sum of those from
         # +0.0 is +0.0; past the double range a skipped term stays 0.0, not
@@ -526,7 +609,7 @@ class TestIntegrateKernel:
         for cov in self.MOMENT_COVARIANCES:
             d = cov.shape[0]
             alphas = [a for a in itertools.product(range(25), repeat=d) if sum(a) <= 24]
-            want = ReferenceMoments(cov)
+            want = reference_moments(cov)
             with np.errstate(over="ignore"):
                 wanted = [float(want.moment(a)) for a in alphas]
             finite = [a for a, w in zip(alphas, wanted) if math.isfinite(w)]
@@ -534,7 +617,8 @@ class TestIntegrateKernel:
             assert [float(x).hex() for x in got] == \
                 [w.hex() for w in wanted if math.isfinite(w)]
             for a in finite[::37]:
-                assert MomentTable(cov).moment(a).hex() == float(want.moment(a)).hex()
+                assert MomentTable(cov).moments(np.array([a]))[0].hex() == \
+                    float(want.moment(a)).hex()
             if len(finite) < len(alphas):
                 with pytest.raises(ValueError, match="leaves double precision range"):
                     MomentTable(cov).moments(np.array(alphas))
@@ -564,20 +648,80 @@ class TestIntegrateKernel:
             assert [float(x).hex() for x in got] == \
                 [float(want.moment(a)).hex() for a in alphas]
 
+    def test_even_rows_are_read_as_a_prefix(self, monkeypatch):
+        # the 4-D recursion's covariance-free rows, read from the index once
+        # up to the highest top asked for, serve every lower top unchanged
+        monkeypatch.setattr(moments, "_EVEN_ROWS", {})
+        table = MomentTable(self.MOMENT_COVARIANCES[4])
+        low, high = ([a for a in itertools.product(range(top + 1), repeat=4) if sum(a) <= top]
+                     for top in (12, 24))
+        first = [x.hex() for x in table.moments(np.array(low)).tolist()]
+        table.moments(np.array(high))
+        assert len(moments._EVEN_ROWS[4][-1]) == 13  # degrees 0, 2, .., 24
+        assert [x.hex() for x in table.moments(np.array(low)).tolist()] == first
+
     def test_moment_bits_do_not_depend_on_the_other_rows(self, rng):
         for cov in self.MOMENT_COVARIANCES:
             rows = rng.integers(0, 13, size=(120, cov.shape[0]))
-            want = ReferenceMoments(cov)
+            want = reference_moments(cov)
             with np.errstate(over="ignore"):  # the rows past double range go
                 rows = rows[[math.isfinite(want.moment(r)) for r in map(tuple, rows.tolist())]]
             table = MomentTable(cov)
             together = [x.hex() for x in table.moments(rows).tolist()]
-            assert [table.moment(tuple(r)).hex() for r in rows.tolist()] == together
+            assert [table.moments(r[None])[0].hex() for r in rows] == together
             n = len(rows)
             for pick in (np.arange(0, n, 7), np.flatnonzero(rows.sum(axis=1) <= 12),
                          np.arange(n - 1, -1, -1)):
                 got = [x.hex() for x in table.moments(rows[pick]).tolist()]
                 assert got == [together[i] for i in pick.tolist()]
+
+
+# 2-D moments and 2x2 weights against exact rationals (conftest) on the
+# covariances the tower reads: the integrated block of W(3, 3) and W(6, 6)
+# and the exponent of their marginal, both keeps, at the four anchors,
+# theta = 1 - 1e-6, the 878 point, (1e-9, 1e6) and a tower point. Measured:
+# moments up to degree 24, in units of the moment under |covariance|, at
+# most 3.6e-16 by pairings (5.7e-16 by the recursion); the covariance, in
+# units of its largest entry, 1.11e-16 by the 2x2 formulas (1.11e-16 by
+# LAPACK's inv); the mass pi / sqrt(det(-Q)) 1.5e-16 (8.6e-16 by LAPACK's
+# det). Each gate is about three times the kernel's largest error.
+PAIR_GATES = {"moments": 1.1e-15, "covariance": 3.5e-16, "mass": 4.5e-16}
+PAIR_POINTS = [dict(mu=0.0, nu=0.0), dict(mu=0.2, nu=0.1), dict(mu=3.0, nu=-0.3),
+               dict(mu=1.0, nu=0.999), dict(mu=1.0, nu=1 - 1e-6), dict(mu=1e-9, nu=1e6),
+               dict(hbar=878.0, mass=205.0, omega=242.0, mu=-0.006194, nu=-1.2065e8)]
+
+
+def test_pair_moments_and_weights_meet_their_exact_gates():
+    rows = np.array([a for a in itertools.product(range(25), repeat=2) if sum(a) <= 24])
+    kernel, before = {}, {}  # the largest error per quantity: this kernel, and
+    #                          the recursion and LAPACK on the same inputs
+    for params in [ModelParams(**p) for p in PAIR_POINTS] + [tower_envelope_point(28)]:
+        for pair in [(3, 3), (6, 6)]:
+            w = wigner_state(*pair, params).function
+            for keep, block in ((1, [1, 3]), (2, [0, 2])):
+                for Q in (w.exponent[np.ix_(block, block)], marginalize(w, keep).exponent):
+                    mass, table = moments._gaussian_weight(Q)
+                    det, cov = exact_inverse_2x2(Q)
+                    with localcontext(DECIMAL):
+                        exact_mass = PI / decimal(det).sqrt()
+                        mass_error = [float(abs(Decimal(m) / exact_mass - 1)) for m in
+                                      (mass, math.pi / math.sqrt(np.linalg.det(-Q)))]
+                    size = max(abs(x) for row in cov for x in row)
+                    cov_error = [float(max(abs(Fraction(got[r][c]) - cov[r][c])
+                                           for r in range(2) for c in range(2)) / size)
+                                 for got in (table.covariance.tolist(),
+                                             (-0.5 * np.linalg.inv(Q)).tolist())]
+                    recursion = ReferenceMoments(table.covariance)
+                    moment_error = [pair_moment_error(m, rows, table.covariance, 24) for m in
+                                    (table.moments(rows),
+                                     [recursion.moment(a) for a in map(tuple, rows.tolist())])]
+                    for name, (now, then) in (("moments", moment_error), ("covariance", cov_error),
+                                              ("mass", mass_error)):
+                        kernel[name] = max(kernel.get(name, 0.0), now)
+                        before[name] = max(before.get(name, 0.0), then)
+    for name, gate in PAIR_GATES.items():
+        assert kernel[name] <= gate, name
+        assert kernel[name] <= before[name], name
 
 
 def loop_sum(values):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,8 @@ from ncphase import (
     star_product_poly_right,
     wigner_state,
 )
-from conftest import exact_error, exact_wigner_terms
+from conftest import (DECIMAL, PI, decimal, exact_error, exact_inverse_2x2, exact_marginal,
+                      exact_pair_moments, exact_wigner_terms)
 from ncphase import starcalc, wigner
 from ncphase.starcalc import PhaseVariables, QuadraticForm, grid_values
 from ncphase.wigner import (
@@ -281,7 +283,10 @@ class TestGenvalueResidual:
 # coefficient} dicts. The other five were pinned again when W came to be
 # expanded from the rotation invariants (R, P, L), which moved the last bits
 # of its coefficients by design; test_terms_match_the_exact_expansion below
-# gates their accuracy, which the digests do not measure.
+# gates their accuracy, which the digests do not measure. The marginal's was
+# pinned again when 2-D moments came to be summed over cross pairings and
+# 2x2 weights from the 2x2 formulas, which moved its last bits by design;
+# test_marginal_matches_the_exact_marginal gates its accuracy.
 TERM_DIGESTS = {
     (0.0, 0.0): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
@@ -289,7 +294,7 @@ TERM_DIGESTS = {
         "0599c021dc2f7549298e4fc38555081c62df63610102f12c6bbcd72538168cdf",
         "02dd0ab1c9500ffc3d750f5931758d52a1f1ab14ff69c91526e63f42fd7a9301",
         "be8163aad8cb4987c633a0aff4cf9aa86ca8ebf7343a63d971fa46d68fa7dc55",
-        "3a61711f34329f8703d4c20b388f851fef5b0ae08b9c5c073ec2bbbdad27666c",
+        "ef309084ef8655cc0c62b7773f1cf4aff63651b6112f6dcfc91e8e1598e9613e",
     ),
     (0.2, 0.1): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
@@ -297,7 +302,7 @@ TERM_DIGESTS = {
         "5bc7b7d2e5f81e4ddbae64025c282cdd2235d399524c19a34ab471e1052c3d8f",
         "cbacfe512e71eb0dc110e7d7c9524669ceca70dcce2ec270c5c5d899dfcc19e8",
         "ddec82b2deac319f99dcee7025ed1b29299f323282ab6e115dec38adcf722c52",
-        "337c232921a733c819f47d39690bebc22168d8819bb9fdd555032710c6ed6685",
+        "d599e32215d55134f6773cff58e57e29b07da7e13fd27a5a86dc4ed582b495a1",
     ),
     (3.0, -0.3): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
@@ -305,7 +310,7 @@ TERM_DIGESTS = {
         "d8996b9dccd91dfdf970f5b8dd6daaeb0c6544aae9ee15f9be998433731e95a5",
         "3aacb1be9a52ceb37d61b9d9d7599b43572ecb66e8f43799818fbf77921f3826",
         "8b2f6cf0327b974bb72e6393a8ca92db4fd607e83b4ae894b469afe43b86eeed",
-        "ddef9fdf3e21bfe0328878afcb69e3b2267f9f97e7d88fafc6ab0045ceb80044",
+        "3d95e0dbc90764dd58f6b0ca64527a010bd82ef4204bbd18d04e49f19a632a42",
     ),
     (1.0, 0.999): (
         "6841360c725e8cfcad4fab032784e071ee0bbf981e301e3982780c9661c34094",
@@ -313,7 +318,7 @@ TERM_DIGESTS = {
         "b24708e6a06050e7a58a2970171d92312f0aab1fd1116ad02790a7851f4e4a0f",
         "5bf657bbd7da57ce6b4d18a73abf7bd8a0fdd23b4ad35eaa0ca0783d72e6f9da",
         "b2f00f72f7822846f271d6ab82d3aab2f43313887d05f192f9c3376c6499710a",
-        "eac0fe79a1a12377279e072566d8b126e1393e58449c89261f0c9f9c03c16c53",
+        "64d6f5d2bd01774eda12867d9007b5043ec275975af3897dec24295e7c4556ff",
     ),
 }
 
@@ -350,6 +355,42 @@ def test_terms_match_the_exact_expansion(i, j, point):
     params = ModelParams(**point)
     w = wigner_state(i, j, params).function
     assert exact_error(w.exps, w.coeffs, exact_wigner_terms(i, j, params)) <= EXACT_GATES[i, j]
+
+
+# The keep = 1 marginal of W(3, 3) against the exact marginal of the same
+# float W (conftest.exact_marginal), each coefficient's error in units of the
+# sum of the magnitudes of its terms, and integrate of the marginal against
+# its exact integral in units of the same sum taken over the moments under
+# |covariance|: measured at most 4.5e-16 and 2.1e-17 over GATE_POINTS, the
+# 878 point, (1e-9, 1e6) and theta = 1 - 1e-6, both keeps (4.6e-16 and
+# 1.5e-17 with the moment recursion and LAPACK's det before). The prefactor,
+# the state's times pi / sqrt(det(-Q_II)), measured 2.1e-16 (8.8e-16 before).
+# Each gate is about three times the largest.
+MARGINAL_GATES = {"coefficients": 1.5e-15, "integral": 6e-17, "prefactor": 7e-16}
+
+
+@pytest.mark.parametrize("point", GATE_POINTS, ids=lambda p: "-".join(map(str, p.values())))
+def test_marginal_matches_the_exact_marginal(point):
+    w = wigner_state(3, 3, ModelParams(**point)).function
+    got = marginalize(w, 1)
+    det_i, reduced, exact = exact_marginal(w, 1)
+    size = exact_marginal(w, 1, magnitude=True)[2]
+    coeffs = dict(zip(map(tuple, got.exps.tolist()), got.coeffs.tolist()))
+    assert max(abs(Fraction(coeffs.get(m, 0.0)) - exact.get(m, 0)) / size[m]
+               for m in coeffs.keys() | exact) <= MARGINAL_GATES["coefficients"]
+    # the integral is prefactor * pi / sqrt(det(-Q_red)) times the moment sum
+    det_k, cov = exact_inverse_2x2(reduced)
+    top = max(map(sum, size))
+    moment = exact_pair_moments(cov, top)
+    scale = exact_pair_moments([[abs(x) for x in row] for row in cov], top)
+    total = sum(x * moment[m] for m, x in exact.items() if sum(m) % 2 == 0)
+    bound = sum(x * scale[m] for m, x in size.items() if sum(m) % 2 == 0)
+    with localcontext(DECIMAL):
+        prefactor = Decimal(w.prefactor) * PI / decimal(det_i).sqrt()
+        assert abs(Decimal(got.prefactor) / prefactor - 1) <= MARGINAL_GATES["prefactor"]
+        factor = abs(prefactor) * PI / decimal(det_k).sqrt()
+        miss = abs(Decimal(integrate(got)) - factor * decimal(total))
+        assert miss <= Decimal(MARGINAL_GATES["integral"]) * factor * decimal(bound)
 
 
 def test_cell_sums_are_within_a_rounding_of_exact():
