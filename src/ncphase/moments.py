@@ -6,11 +6,10 @@ with covariance -Q^{-1}/2 and total mass pi^{d/2}/sqrt(det(-Q)). Polynomial
 parts are contracted against the weight through its moments: in two
 variables by counting cross pairings over an integer table per top degree,
 with the 2x2 weight from the 2x2 formulas; otherwise through the Isserlis
-recursion over the one monomial index per dimension that the star series
-reads too (`starcalc._graded_lattice`), its factors formed once per call;
-marginalize reads its shifted powers from one cached table and its moments
-with one take. Dense quadrature exists only in the test suite as an
-independent oracle.
+recursion over one table of its steps per dimension, its factors formed
+once per call; marginalize reads its shifted powers from one cached table
+and its moments with one take. Dense quadrature exists only in the test
+suite as an independent oracle.
 
 The array kernels give the same bits as the per-term loops they replaced
 (for two variables, loops over the same formulas): every product keeps its
@@ -32,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .starcalc import (GaussPoly, PhaseVariables, _block_sums, _exponent_rows,
-                       _graded_exps, _graded_lattice, _graded_rank, _integer_at_least,
+                       _graded_exps, _graded_rank, _integer_at_least,
                        _pair_sums, _runs)
 
 MAX_MOMENT_DEGREE = 48
@@ -85,24 +84,34 @@ _EVEN_ROWS: dict[int, tuple[np.ndarray, ...]] = {}
 
 
 def _even_rows(d: int, top: int) -> tuple[np.ndarray, ...]:
-    """The rows of `starcalc._graded_lattice(d, top)` of even degree 2 to
-    top: for each row and axis j, the place (pivot * d + j) * (top + 1) +
-    beta_j of its factor cov[pivot, j] * beta_j in a (d * d, top + 1) table,
-    and its child (intp: a take through narrower indices runs several times
-    slower); then where the rows of each even degree end. They depend on
-    the covariance not at all and on the top only through their length, so
-    one table per dimension is kept, read as a prefix, and read again from
-    the index only for a higher top."""
+    """The Isserlis steps of every monomial alpha of even degree 2 to top,
+    in graded order (`starcalc._graded_exps`): with pivot the first nonzero
+    axis of alpha and beta = alpha - e_pivot, for each axis j the place
+    (pivot * d + j) * (top + 1) + beta_j of its factor cov[pivot, j] * beta_j
+    in a (d * d, top + 1) table, and its child, the graded place of
+    beta - e_j (`starcalc._graded_rank`), or -1 where beta_j = 0 (intp: a
+    take through narrower indices runs several times slower); then where the
+    rows of each even degree end. They depend on the covariance not at all
+    and on the top only through their length, so one table per dimension is
+    kept, read as a prefix, and built again only for a higher top."""
     rows = _EVEN_ROWS.get(d)
     if rows is None or len(rows[-1]) <= top // 2:
         top -= top % 2
-        lattice = _graded_lattice(d, top)
+        exps = _graded_exps(d, top)
         levels = [slice(comb(n + d - 1, d), comb(n + d, d)) for n in range(2, top + 1, 2)]
-        pivot, beta, child = (np.concatenate([table[:0], *(table[level] for level in levels)])
-                              for table in (lattice.pivot, lattice.beta, lattice.child))
-        place = (pivot[:, None].astype(np.intp) * d + np.arange(d)) * (top + 1) + beta
+        alpha = np.concatenate([exps[:, :0], *(exps[:, level] for level in levels)], axis=1)
+        axes = np.arange(d)[:, None]
+        pivot = (alpha > 0).argmax(axis=0)
+        beta = alpha - (axes == pivot)
+        place = ((pivot * d + axes) * (top + 1) + beta).T.copy()
+        child = np.full(beta.shape, -1, dtype=np.intp)
+        for j in range(d):  # a column per monomial, so each axis _graded_rank reads is contiguous
+            has = np.flatnonzero(beta[j])
+            lowered = beta[:, has]
+            lowered[j] -= 1
+            child[j, has] = _graded_rank(lowered, top)
         ends = np.cumsum([0] + [level.stop - level.start for level in levels])
-        rows = _EVEN_ROWS[d] = (place, child.astype(np.intp), ends)
+        rows = _EVEN_ROWS[d] = (place, child.T.copy(), ends)
         for table in rows:
             table.flags.writeable = False
     return rows
@@ -206,7 +215,8 @@ def _gaussian_weight(Q: np.ndarray, moments: bool = True
     s0 = a - b (b / c), Q is negative definite where a, s1 and s0 are
     positive, det(-Q) = 2^(2 p0 + 2 p1) a s1, and the covariance is D C D
     with C = [[1 / (2 s0), -(b / a) / (2 s1)], [.., 1 / (2 s1)]]. A larger
-    Q takes Cholesky and LAPACK's det and inv."""
+    Q takes Cholesky, which refuses one that is not negative definite, and
+    LAPACK's det and inv."""
     if len(Q) == 2:
         p0, p1 = frexp(Q[0, 0])[1] // 2, frexp(Q[1, 1])[1] // 2
         shift = np.array([[-2 * p0, -p0 - p1], [-p0 - p1, -2 * p1]])
@@ -218,7 +228,10 @@ def _gaussian_weight(Q: np.ndarray, moments: bool = True
             off = -(b / a) / (2.0 * s1)
             cov = np.ldexp([[1.0 / (2.0 * s0), off], [off, 1.0 / (2.0 * s1)]], shift)
     else:
-        _require_negative_definite(Q)
+        try:
+            np.linalg.cholesky(-Q)
+        except np.linalg.LinAlgError:
+            raise ValueError("exponent matrix must be negative definite") from None
         with np.errstate(over="ignore"):  # refused below, with no warning
             det = np.linalg.det(-Q)
         cov = -0.5 * np.linalg.inv(Q) if moments else None
@@ -226,14 +239,6 @@ def _gaussian_weight(Q: np.ndarray, moments: bool = True
         raise ValueError(f"det(-Q) = {float(det)!r} leaves double precision range")
     mass = pi ** (Q.shape[0] / 2) / sqrt(det)
     return mass, MomentTable(cov) if moments else None
-
-
-def _require_negative_definite(Q: np.ndarray) -> None:
-    """Refuse an exponent matrix Q that is not negative definite (Cholesky)."""
-    try:
-        np.linalg.cholesky(-Q)
-    except np.linalg.LinAlgError:
-        raise ValueError("exponent matrix must be negative definite") from None
 
 
 def _real(coeffs: np.ndarray, segment: np.ndarray | int = 0, count: int = 1

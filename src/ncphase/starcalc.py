@@ -28,7 +28,7 @@ ranks where those are sparse (`_Simplex`, `_block_sums`); the star series
 indexes it by place in one graded lattice of monomials per dimension, whose
 neighbour tables turn each derivative and each multiplication by a variable
 into a gather, and whose prefix serves every lower top degree
-(`_graded_lattice`); the moment recursion of `moments` reads it too.
+(`_graded_lattice`).
 """
 
 from __future__ import annotations
@@ -159,24 +159,18 @@ def _graded_rank(exps: np.ndarray, top: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Lattice:
     """Monomials in graded order (`_graded_rank`), each with its position
-    one unit step up and one step down on every axis, and the steps of the
-    Isserlis recursion. Column k of exps holds the exponents of monomial k
-    (unsigned, as narrow as the top degree allows); up[a, k] and down[a, k]
-    are the positions of it plus and minus e_a, or -1 where that one is not
-    a member. pivot[k] is the first nonzero axis of monomial k (0 for the
-    constant), beta[k] its exponents less e_pivot, and child[k, j] the
-    position of beta - e_j, or -1. A last column, the sentinel, has zero
-    exponents and steps -1. A vector over the first m monomials ends in a
-    0.0 slot that a step to -1 reads; the steps down from them stay among
-    them, so a lattice up to a top serves every lower one. Read-only."""
+    one unit step up and one step down on every axis. Column k of exps holds
+    the exponents of monomial k (unsigned, as narrow as the top degree
+    allows); up[a, k] and down[a, k] are the positions of it plus and minus
+    e_a, or -1 where that one is not a member. A last column, the sentinel,
+    has zero exponents and steps -1. A vector over the first m monomials ends
+    in a 0.0 slot that a step to -1 reads; the steps down from them stay
+    among them, so a lattice up to a top serves every lower one. Read-only."""
 
     top: int
     exps: np.ndarray
     up: np.ndarray
     down: np.ndarray
-    pivot: np.ndarray
-    beta: np.ndarray
-    child: np.ndarray
 
 
 def _lattice(exps: np.ndarray, members: np.ndarray, top: int) -> _Lattice:
@@ -201,16 +195,9 @@ def _lattice(exps: np.ndarray, members: np.ndarray, top: int) -> _Lattice:
         at, source = at[found], room[found]
         up[a][source] = at
         down[a][at] = source
-    pivot = (exps > 0).argmax(axis=0)
-    beta = (exps - ((np.arange(d)[:, None] == pivot) & exps.any(axis=0))).T.copy()
-    lowered = down[pivot, np.arange(n + 1)]
-    child = np.empty((n + 1, d), dtype=np.min_scalar_type(-n))
-    for j, table in enumerate(down):  # a row at a time: one (d, n) temporary less
-        child[:, j] = table.take(lowered)
-    lattice = _Lattice(top, exps, up, down, pivot.astype(np.min_scalar_type(d)), beta, child)
-    for table in (exps, up, down, lattice.pivot, beta, child):
+    for table in (exps, up, down):
         table.flags.writeable = False
-    return lattice
+    return _Lattice(top, exps, up, down)
 
 
 def _graded_exps(d: int, top: int) -> np.ndarray:
@@ -700,6 +687,7 @@ def _series_lattice(exps: np.ndarray, steps: int, top: int
             members.searchsorted(below), members.searchsorted(at))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused at the end, unwarned
 def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Terms of the polynomial part of (polynomial f) star g, f in the left
@@ -733,7 +721,8 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
     may round otherwise on another machine. Only exact zeros are dropped,
     when the exponents are read at the end, so the terms kept do not depend
     on units; they come back in ascending order (first axis slowest), as in
-    `_Simplex`. A vector is kept only while a later pass needs it.
+    `_Simplex`. A vector is kept only while a later pass needs it. A sum
+    that leaves double range (an overflow, or inf - inf) raises ValueError.
     """
     d = len(half)
     if not (len(f.coeffs) and len(g.coeffs)):
@@ -785,6 +774,8 @@ def _star_series(f: GaussPoly, g: GaussPoly, half: np.ndarray
                     if kid[1].any():
                         kids.append(kid)
         level = kids
+    if not np.isfinite(series_sum).all():
+        raise ValueError("a star-product coefficient leaves double precision range")
     keep = np.flatnonzero(series_sum != 0)  # a boolean scan: about 5x as fast as the sums
     keep = keep[np.lexsort(lattice.exps.take(keep, axis=1)[::-1])]  # first axis slowest
     return lattice.exps.take(keep, axis=1).T.astype(np.int64), series_sum[keep]

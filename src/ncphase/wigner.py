@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import _require_negative_definite
+from .moments import _gaussian_weight
 from .params import ModelParams, derive
 from .starcalc import (
     GaussPoly,
@@ -263,11 +263,11 @@ def reduce(state: WignerState, subsystem: int) -> ReducedState:
 
 
 def _residual_axes(function: GaussPoly) -> list[np.ndarray]:
-    """Per-axis points of the residual grid: 11 within +-3 marginal widths.
-    An exponent that is not negative definite has no widths, and is refused
-    before any value is taken on the grid."""
-    _require_negative_definite(function.exponent)
-    cov = -0.5 * np.linalg.inv(function.exponent)
+    """Per-axis points of the residual grid: 11 within +-3 marginal widths,
+    read from the covariance of the Gaussian weight (`_gaussian_weight`). An
+    exponent that is not negative definite, or whose det(-Q) leaves double
+    range, is refused before any value is taken on the grid."""
+    cov = _gaussian_weight(function.exponent)[1].covariance
     return [np.linspace(-3.0 * s, 3.0 * s, 11) for s in np.sqrt(np.diag(cov))]
 
 

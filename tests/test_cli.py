@@ -281,6 +281,20 @@ class TestOverflow:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--hbar", "1e120"), ("--hbar", "1e154"), ("--mass", "1e80"), ("--mass", "1e100"),
+        ("--omega", "1e-80"), ("--omega", "1e150")], ids=lambda argv: "".join(argv)[2:])
+    def test_verify_refuses_past_double_range_unwarned(self, capsys, argv):
+        # far hbar: W's det(-Q) underflows, refused before the residual grid
+        # (where max|W| was 0.0 at 1e154); far mass or omega: a coefficient
+        # of H*W overflows, refused by the star series. One error line and no
+        # RuntimeWarning (an error under this suite's filter)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
     def test_verify_refuses_an_exponent_that_is_not_negative_definite(self, capsys):
         # the derived scalars lose their digits here and W's exponent comes
         # out with positive eigenvalues: the request is refused before the

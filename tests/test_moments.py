@@ -660,6 +660,22 @@ class TestIntegrateKernel:
         assert len(moments._EVEN_ROWS[4][-1]) == 13  # degrees 0, 2, .., 24
         assert [x.hex() for x in table.moments(np.array(low)).tolist()] == first
 
+    def test_moments_build_no_lattice(self, monkeypatch):
+        # the Isserlis steps are the moments' own table: a session that only
+        # takes moments, up to the degree cap, builds no star-series index
+        def refuse(d, top):
+            raise AssertionError("a graded lattice was built")
+        for module in (starcalc, moments):
+            monkeypatch.setattr(module, "_graded_lattice", refuse, raising=False)
+        monkeypatch.setattr(moments, "_EVEN_ROWS", {})
+        w = wigner_state(6, 6, SMALL).function
+        assert math.isfinite(integrate(w))
+        assert len(marginalize(w, 1).coeffs)
+        assert np.isfinite(gram([w], [w])).all()  # degree 48
+        rows = np.array([[48, 0, 0, 0], [12, 12, 12, 12], [2, 0, 2, 44]])
+        assert (MomentTable(0.3 * np.eye(4)).moments(rows) > 0).all()
+        assert len(moments._EVEN_ROWS[4][-1]) == 25  # degrees 0, 2, .., 48
+
     def test_moment_bits_do_not_depend_on_the_other_rows(self, rng):
         for cov in self.MOMENT_COVARIANCES:
             rows = rng.integers(0, 13, size=(120, cov.shape[0]))

@@ -1152,17 +1152,14 @@ class TestStarSeries:
         starcalc._LATTICES.clear()
 
     def test_one_index_holds_every_top(self):
-        # H*W(i,i) for i = 0..12 reach degree 50 and the moments degree 48:
-        # one lattice per dimension, of the highest top, within 30 MB
+        # H*W(i,i) for i = 0..12 reach degree 50: one lattice per dimension,
+        # of the highest top, within 30 MB
         from ncphase import oscillator_hamiltonian
-        from ncphase.moments import MomentTable
         params = ModelParams(mu=0.2, nu=0.1)
         h = oscillator_hamiltonian(params)
         starcalc._LATTICES.clear()
         for i in range(13):
             star_product_poly_left(h, wigner_state(i, i, params).function)
-        rows = np.array([[48, 0, 0, 0], [12, 12, 12, 12], [2, 0, 2, 44]])
-        assert (MomentTable(0.3 * np.eye(4)).moments(rows) > 0).all()
         assert list(starcalc._LATTICES) == [4] and starcalc._LATTICES[4].top == 50
         lattice = starcalc._LATTICES[4]
         held = sum(getattr(lattice, field.name).nbytes
